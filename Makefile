@@ -20,8 +20,8 @@ race:
 fuzz:
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/irtext/
 
-# One-shot micro/meso benchmarks comparing the raw-Program and Scene
-# hierarchy substrates (walks/op quantifies the cached-hierarchy win).
+# One-shot run of every root Smoke benchmark; rewrites BENCH_taint.json
+# and BENCH_metrics.json.
 bench-smoke:
 	go test -bench Smoke -benchtime=1x -run '^$$' .
 

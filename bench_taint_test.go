@@ -69,14 +69,12 @@ func benchTaintProfile() appgen.Profile {
 func BenchmarkSmokeTaint(b *testing.B) {
 	apps := appgen.GenerateCorpus(benchTaintProfile(), benchTaintApps, 7)
 
-	// analyzeAll runs the whole corpus at one worker count and carrier
-	// mode, returning wall time, solver counters, the heap allocation
-	// count, and the concatenated canonical reports for the equivalence
-	// assertions.
-	analyzeAll := func(workers int, carriers bool) corpusPass {
+	// analyzeAll runs the whole corpus at one worker count, returning
+	// wall time, solver counters, the heap allocation count, and the
+	// concatenated canonical reports for the equivalence assertion.
+	analyzeAll := func(workers int) corpusPass {
 		opts := core.DefaultOptions()
 		opts.Taint.Workers = workers
-		opts.Taint.StringCarriers = carriers
 		var p corpusPass
 		var reports bytes.Buffer
 		var ms runtime.MemStats
@@ -93,8 +91,6 @@ func BenchmarkSmokeTaint(b *testing.B) {
 			}
 			p.props += res.Counters.Propagations
 			p.leaks += len(res.Leaks())
-			p.alias += res.Taint.Stats.AliasQueries
-			p.gated += res.Taint.Stats.GatedAliasQueries
 			js, err := res.Taint.CanonicalJSON()
 			if err != nil {
 				b.Fatal(err)
@@ -109,23 +105,18 @@ func BenchmarkSmokeTaint(b *testing.B) {
 	}
 
 	var seq, par benchTaintRun
-	var on, off corpusPass
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		on = analyzeAll(1, true)
-		parP := analyzeAll(benchTaintWorkers, true)
-		off = analyzeAll(1, false)
-		if !bytes.Equal(on.reports, parP.reports) {
+		seqP := analyzeAll(1)
+		parP := analyzeAll(benchTaintWorkers)
+		if !bytes.Equal(seqP.reports, parP.reports) {
 			b.Fatalf("leak reports differ between 1 and %d workers", benchTaintWorkers)
 		}
-		if on.props != parP.props {
+		if seqP.props != parP.props {
 			b.Fatalf("propagations differ between 1 and %d workers: %d vs %d",
-				benchTaintWorkers, on.props, parP.props)
+				benchTaintWorkers, seqP.props, parP.props)
 		}
-		if !bytes.Equal(on.reports, off.reports) {
-			b.Fatal("leak reports differ between carriers on and off")
-		}
-		seq = benchTaintRun{Workers: 1, WallMS: float64(on.wall.Microseconds()) / 1000, Propagations: on.props, Leaks: on.leaks, Allocs: on.allocs}
+		seq = benchTaintRun{Workers: 1, WallMS: float64(seqP.wall.Microseconds()) / 1000, Propagations: seqP.props, Leaks: seqP.leaks, Allocs: seqP.allocs}
 		par = benchTaintRun{Workers: benchTaintWorkers, WallMS: float64(parP.wall.Microseconds()) / 1000, Propagations: parP.props, Leaks: parP.leaks, Allocs: parP.allocs}
 	}
 	b.StopTimer()
@@ -155,37 +146,6 @@ func BenchmarkSmokeTaint(b *testing.B) {
 	if err := os.WriteFile("BENCH_taint.json", append(out, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
-
-	// The carriers-on/off comparison is its own artifact: the sequential
-	// pass of each mode, the alias-search and allocation deltas, and the
-	// report-identity verdict.
-	srep := benchStringsReport{
-		Bench:            "BenchmarkSmokeTaint/StringCarriers",
-		Profile:          "benchtaint (stress-derived, enlarged)",
-		Apps:             benchTaintApps,
-		Workers:          1,
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		NumCPU:           runtime.NumCPU(),
-		On:               modeOf(on, true),
-		Off:              modeOf(off, false),
-		ReportsIdentical: bytes.Equal(on.reports, off.reports),
-	}
-	if off.alias > 0 {
-		srep.AliasReduction = 1 - float64(on.alias)/float64(off.alias)
-	}
-	if off.allocs > 0 {
-		srep.AllocReduction = 1 - float64(on.allocs)/float64(off.allocs)
-	}
-	srep.Note = fmt.Sprintf(
-		"string carriers gated %d of %d receiver alias searches (%.0f%% fewer backward queries); sequential allocation delta %+.2f%% between modes (the solver allocation diet applies to both, so its win shows against the pre-diet ratchet, not here); canonical reports byte-identical",
-		on.gated, off.alias, 100*srep.AliasReduction, -100*srep.AllocReduction)
-	sout, err := json.MarshalIndent(srep, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_strings.json", append(sout, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // corpusPass aggregates one full-corpus analysis pass.
@@ -193,47 +153,8 @@ type corpusPass struct {
 	wall    time.Duration
 	props   int
 	leaks   int
-	alias   int
-	gated   int
 	allocs  uint64
 	reports []byte
-}
-
-type benchStringsMode struct {
-	Carriers          bool    `json:"carriers"`
-	WallMS            float64 `json:"wall_ms"`
-	AliasQueries      int     `json:"alias_queries"`
-	GatedAliasQueries int     `json:"gated_alias_queries"`
-	Allocs            uint64  `json:"allocs"`
-	Leaks             int     `json:"leaks"`
-}
-
-type benchStringsReport struct {
-	Bench      string           `json:"bench"`
-	Profile    string           `json:"profile"`
-	Apps       int              `json:"apps"`
-	Workers    int              `json:"workers"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	NumCPU     int              `json:"num_cpu"`
-	On         benchStringsMode `json:"on"`
-	Off        benchStringsMode `json:"off"`
-	// AliasReduction and AllocReduction are 1 - on/off: the fraction of
-	// backward alias queries (resp. heap allocations) the fast path saved.
-	AliasReduction   float64 `json:"alias_reduction"`
-	AllocReduction   float64 `json:"alloc_reduction"`
-	ReportsIdentical bool    `json:"reports_identical"`
-	Note             string  `json:"note"`
-}
-
-func modeOf(p corpusPass, carriers bool) benchStringsMode {
-	return benchStringsMode{
-		Carriers:          carriers,
-		WallMS:            float64(p.wall.Microseconds()) / 1000,
-		AliasQueries:      p.alias,
-		GatedAliasQueries: p.gated,
-		Allocs:            p.allocs,
-		Leaks:             p.leaks,
-	}
 }
 
 // benchTaintNote records why the measured speedup is what it is, so the

@@ -53,7 +53,6 @@ func main() {
 		summaryDir  = flag.String("summary-dir", "", "persistent method-summary store directory; a repeated run over the same corpus re-analyzes warm (empty = disabled)")
 		traceFile   = flag.String("trace", "", "write a JSONL span trace of every app's pipeline to this file")
 		showMetrics = flag.Bool("metrics", false, "print the corpus-aggregated metrics snapshot as JSON after the summary")
-		noCarriers  = flag.Bool("no-string-carriers", false, "disable the string-carrier fast path (String/StringBuilder/StringBuffer transfer functions and alias-search gating)")
 		noReflect   = flag.Bool("no-reflection", false, "disable reflection resolution; injected reflective leaks become invisible, so the exact-recall check is suspended")
 	)
 	flag.Parse()
@@ -80,15 +79,14 @@ func main() {
 		fmt.Printf("wrote %d app packages under %s\n", *n, *export)
 	}
 	ro := appgen.RunOptions{
-		Timeout:          *timeout,
-		MaxPropagations:  *maxProps,
-		Degrade:          *degrade,
-		Workers:          *workers,
-		FaultInject:      *forcePanic,
-		Lint:             *lint,
-		SummaryDir:       *summaryDir,
-		NoStringCarriers: *noCarriers,
-		NoReflection:     *noReflect,
+		Timeout:         *timeout,
+		MaxPropagations: *maxProps,
+		Degrade:         *degrade,
+		Workers:         *workers,
+		FaultInject:     *forcePanic,
+		Lint:            *lint,
+		SummaryDir:      *summaryDir,
+		NoReflection:    *noReflect,
 	}
 	if *sinks != "" {
 		for _, sel := range strings.Split(*sinks, ",") {

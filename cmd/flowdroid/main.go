@@ -160,7 +160,6 @@ func run() int {
 		apLength    = flags.Int("ap-length", 5, "maximal access-path length")
 		noAlias     = flags.Bool("no-alias", false, "disable the on-demand alias analysis")
 		noAct       = flags.Bool("no-activation", false, "disable activation statements (Andromeda-style aliasing)")
-		noCarriers  = flags.Bool("no-string-carriers", false, "disable the string-carrier fast path (String/StringBuilder/StringBuffer transfer functions and alias-search gating)")
 		noReflect   = flags.Bool("no-reflection", false, "disable reflection resolution (constant-string propagation, reflective call edges and the soundness report)")
 		noLifecycle = flags.Bool("no-lifecycle", false, "model only component creation, not the full lifecycle")
 		flat        = flags.Bool("flat-lifecycle", false, "single-pass lifecycle in canonical order")
@@ -196,7 +195,6 @@ func run() int {
 	opts.Taint.APLength = *apLength
 	opts.Taint.EnableAliasing = !*noAlias
 	opts.Taint.EnableActivation = !*noAct
-	opts.Taint.StringCarriers = !*noCarriers
 	opts.ResolveReflection = !*noReflect
 	opts.UseCHA = *useCHA
 	opts.MaxPropagations = *maxProps

@@ -82,7 +82,6 @@ func run() int {
 		drainTimeout = flags.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight jobs before cancelling them")
 		retainJobs   = flags.Int("retain-jobs", 1024, "finished jobs kept queryable before eviction")
 		summaryDir   = flags.String("summary-dir", "", "persistent method-summary store directory shared by all jobs; resubmitted app updates re-analyze warm (empty = disabled)")
-		noCarriers   = flags.Bool("no-string-carriers", false, "disable the string-carrier fast path for all jobs (String/StringBuilder/StringBuffer transfer functions and alias-search gating)")
 		noReflect    = flags.Bool("no-reflection", false, "disable reflection resolution for all jobs (constant-string propagation, reflective call edges and soundness reports)")
 		traceFile    = flags.String("trace", "", "write a JSONL span trace of every job's pipeline to this file")
 		pprofOn      = flags.Bool("pprof", false, "also mount /debug/pprof and /debug/vars on the API mux")
@@ -124,7 +123,6 @@ func run() int {
 		BreakerCooldown:        *breakerCool,
 		RetainJobs:             *retainJobs,
 		SummaryDir:             *summaryDir,
-		DisableStringCarriers:  *noCarriers,
 		DisableReflection:      *noReflect,
 		Recorder:               rec,
 	})

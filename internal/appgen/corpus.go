@@ -127,9 +127,6 @@ type RunOptions struct {
 	// second corpus run over the same or lightly mutated apps re-analyzes
 	// warm. Leak statistics are store-independent.
 	SummaryDir string
-	// NoStringCarriers disables the string-carrier fast path (kill
-	// switch; see taint.Config.StringCarriers).
-	NoStringCarriers bool
 	// NoReflection disables the reflection-resolving constant-propagation
 	// pass (kill switch; see core.Options.ResolveReflection). Reflective
 	// leaks planted by the reflection profile go unfound under it.
@@ -302,7 +299,6 @@ func analyzeOne(ctx context.Context, app App, ro RunOptions) (res *core.Result, 
 	opts.MaxPropagations = ro.MaxPropagations
 	opts.Degrade = ro.Degrade
 	opts.Taint.Workers = ro.Workers
-	opts.Taint.StringCarriers = !ro.NoStringCarriers
 	opts.ResolveReflection = !ro.NoReflection
 	opts.Lint = ro.Lint
 	opts.Query = core.Query{Sinks: ro.Sinks}

@@ -35,33 +35,3 @@ func TestCorpusWorkerCountEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestCorpusStringCarrierEquivalence: the string-carrier fast path must
-// not change corpus-level results — same totals and sink distribution with
-// carriers on and off, sequential and parallel. The stress profile's
-// helpers launder values through StringBuilder chains, so the carrier
-// transfers (and the alias gate) are genuinely exercised.
-func TestCorpusStringCarrierEquivalence(t *testing.T) {
-	const n, seed = 6, 42
-	base, err := RunCorpusWith(context.Background(), Stress, n, seed, RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.TotalFound == 0 {
-		t.Fatal("stress corpus found no leaks; the equivalence check would be vacuous")
-	}
-	for _, w := range []int{1, 8} {
-		stats, err := RunCorpusWith(context.Background(), Stress, n, seed,
-			RunOptions{Workers: w, NoStringCarriers: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.TotalFound != base.TotalFound || stats.AppsWithLeaks != base.AppsWithLeaks {
-			t.Errorf("carriers off, workers=%d: found %d leaks in %d apps, want %d in %d",
-				w, stats.TotalFound, stats.AppsWithLeaks, base.TotalFound, base.AppsWithLeaks)
-		}
-		if got, want := fmt.Sprint(stats.BySink), fmt.Sprint(base.BySink); got != want {
-			t.Errorf("carriers off, workers=%d: sink distribution %s, want %s", w, got, want)
-		}
-	}
-}

@@ -181,10 +181,9 @@ func summaryFingerprint(app *apk.App, opts Options, qfp string) string {
 	fmt.Fprintf(h, "rules:%s\n", opts.SourceSinkRules)
 	fmt.Fprintf(h, "query:%s\n", qfp)
 	tc := opts.Taint
-	fmt.Fprintf(h, "taint:%d,%t,%t,%t,%t,%t,%t,%t\n",
+	fmt.Fprintf(h, "taint:%d,%t,%t,%t,%t,%t,%t\n",
 		tc.APLength, tc.EnableAliasing, tc.EnableActivation, tc.InjectContext,
-		tc.FieldSensitive, tc.FlowSensitive, tc.ArrayIndexSensitive,
-		tc.StringCarriers)
+		tc.FieldSensitive, tc.FlowSensitive, tc.ArrayIndexSensitive)
 	fmt.Fprintf(h, "wrapper:%s\n", tc.Wrapper.Fingerprint())
 	fmt.Fprintf(h, "cha:%t\n", opts.UseCHA)
 	// Reflection resolution changes which call edges exist — and hence

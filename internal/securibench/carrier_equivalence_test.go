@@ -3,53 +3,56 @@ package securibench
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 
 	"flowdroid/internal/core"
 	"flowdroid/internal/ir"
 )
 
-// TestStringCarrierEquivalence: every SecuriBench case must produce a
-// byte-identical canonical leak report with the string-carrier fast path
-// on and off, at worker counts 1, 2 and 8.
+// TestStringCarrierEquivalence: the string-carrier alias gate decides
+// once per call site and shares that decision across workers, so every
+// SecuriBench case must produce a byte-identical canonical leak report and
+// the same performed and gated alias-search counts at worker counts 1, 2
+// and 8. The gate-on versus un-gated comparison lives in the taint
+// package's TestGateEquivalence, the only place the reference mode is
+// reachable.
 func TestStringCarrierEquivalence(t *testing.T) {
 	for _, c := range Cases() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			var base []byte
-			var baseMode string
-			for _, carriers := range []bool{true, false} {
-				for _, w := range []int{1, 2, 8} {
-					prog, err := core.ParseJava(servletStubs+c.Source, c.Name+".ir")
-					if err != nil {
-						t.Fatal(err)
+			var baseAlias, baseGated int
+			for _, w := range []int{1, 2, 8} {
+				prog, err := Program(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var entries []*ir.Method
+				for _, cls := range prog.Classes() {
+					if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
+						entries = append(entries, m)
 					}
-					var entries []*ir.Method
-					for _, cls := range prog.Classes() {
-						if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
-							entries = append(entries, m)
-						}
-					}
-					conf := Config()
-					conf.Workers = w
-					conf.StringCarriers = carriers
-					res, err := core.AnalyzeJava(context.Background(), prog, rules, conf, entries...)
-					if err != nil {
-						t.Fatalf("carriers=%v workers=%d: %v", carriers, w, err)
-					}
-					js, err := res.CanonicalJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if base == nil {
-						base, baseMode = js, fmt.Sprintf("carriers=%v workers=%d", carriers, w)
-						continue
-					}
-					if !bytes.Equal(base, js) {
-						t.Errorf("carriers=%v workers=%d report differs from %s:\n%s\nvs\n%s",
-							carriers, w, baseMode, base, js)
-					}
+				}
+				conf := Config()
+				conf.Workers = w
+				res, err := core.AnalyzeJava(context.Background(), prog, rules, conf, entries...)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				js, err := res.CanonicalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w == 1 {
+					base, baseAlias, baseGated = js, res.Stats.AliasQueries, res.Stats.GatedAliasQueries
+					continue
+				}
+				if !bytes.Equal(base, js) {
+					t.Errorf("workers=%d report differs from workers=1:\n%s\nvs\n%s", w, base, js)
+				}
+				if res.Stats.AliasQueries != baseAlias || res.Stats.GatedAliasQueries != baseGated {
+					t.Errorf("workers=%d: %d alias searches, %d gated; workers=1: %d, %d",
+						w, res.Stats.AliasQueries, res.Stats.GatedAliasQueries, baseAlias, baseGated)
 				}
 			}
 		})

@@ -83,16 +83,10 @@ type Config struct {
 	// never changes any job's leak report; its effect shows up in the
 	// summary.store.* metrics and the per-job summary counters.
 	SummaryDir string
-	// DisableStringCarriers turns off the string-carrier fast path for
-	// every job (kill switch; see taint.Config.StringCarriers). The flag
-	// is part of the summary-store config fingerprint, so toggling it
-	// between daemon runs sharing a SummaryDir invalidates cleanly
-	// instead of replaying artifacts from the other mode.
-	DisableStringCarriers bool
 	// DisableReflection turns off the reflection-resolving constant-
 	// propagation pass for every job (kill switch; see
-	// core.Options.ResolveReflection). Like the carrier flag it is part
-	// of the summary-store config fingerprint, so daemons sharing a
+	// core.Options.ResolveReflection). It is part of the summary-store
+	// config fingerprint, so daemons sharing a
 	// SummaryDir across the toggle invalidate cleanly instead of
 	// replaying summaries recorded against the other call graph.
 	DisableReflection bool
@@ -502,7 +496,6 @@ func (s *Server) runJob(j *job) {
 	if j.req.APLength > 0 {
 		opts.Taint.APLength = j.req.APLength
 	}
-	opts.Taint.StringCarriers = !s.cfg.DisableStringCarriers
 	opts.ResolveReflection = !s.cfg.DisableReflection
 	opts.SummaryStore = s.store
 

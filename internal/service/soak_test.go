@@ -400,61 +400,12 @@ func TestServiceWarmStoreCorruption(t *testing.T) {
 	}
 }
 
-// TestServiceCarrierToggleInvalidatesStore: the string-carrier flag is
-// part of the summary-store configuration fingerprint, so a daemon
-// running with carriers disabled must not replay summaries recorded by a
-// carriers-on daemon sharing the same store directory. Toggling degrades
-// to a clean cold run (same report, zero hits), while resubmission under
-// the unchanged mode still re-analyzes warm.
-func TestServiceCarrierToggleInvalidatesStore(t *testing.T) {
-	app := appgen.GenerateCorpus(appgen.Play, 1, 13)[0]
-	dir := t.TempDir()
-
-	// Round 1: cold, carriers on (the default), populating the store.
-	on := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir})
-	tsOn := httptest.NewServer(on.Handler(false))
-	want := submitAndWait(t, tsOn, on, app.Files)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := on.Shutdown(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	tsOn.Close()
-
-	// Round 2: carriers off, same store. The fingerprints differ, so the
-	// submission must run fully cold (zero hits) yet report the same
-	// leaks — the carrier fast path is report-neutral.
-	rec := metrics.New()
-	off := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir,
-		DisableStringCarriers: true, Recorder: rec})
-	tsOff := httptest.NewServer(off.Handler(false))
-	defer tsOff.Close()
-	if got := submitAndWait(t, tsOff, off, app.Files); !bytes.Equal(got, want) {
-		t.Fatalf("carriers-off report differs from carriers-on:\n%s\nvs\n%s", got, want)
-	}
-	if hits := rec.Snapshot().Deterministic["summary.store.hit"]; hits != 0 {
-		t.Fatalf("carriers-off run replayed %d carriers-on summaries; the fingerprint failed to invalidate", hits)
-	}
-
-	// Round 3: resubmit in the unchanged mode — now the store must serve.
-	if got := submitAndWait(t, tsOff, off, app.Files); !bytes.Equal(got, want) {
-		t.Fatal("warm carriers-off resubmission report differs from the cold run")
-	}
-	if rec.Snapshot().Deterministic["summary.store.hit"] == 0 {
-		t.Fatal("same-mode resubmission never hit the store")
-	}
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel2()
-	if err := off.Shutdown(ctx2); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-}
-
-// TestServiceReflectionToggleInvalidatesStore mirrors the carrier-toggle
-// test for the reflection flag: core.Options.ResolveReflection changes
-// which call edges exist, so it is part of the summary-store config
-// fingerprint and a reflection-off daemon must not replay summaries a
-// reflection-on daemon recorded into the same store directory. On an app
+// TestServiceReflectionToggleInvalidatesStore: the reflection flag
+// (core.Options.ResolveReflection) changes which call edges exist, so it
+// is part of the summary-store config fingerprint and a reflection-off
+// daemon must not replay summaries a reflection-on daemon recorded into
+// the same store directory. Toggling degrades to a clean cold run, while
+// resubmission under the unchanged mode still re-analyzes warm. On an app
 // with no reflective sites the two modes' reports are byte-identical
 // (the soundness envelope field is omitted when empty), which is exactly
 // what lets this test compare them.

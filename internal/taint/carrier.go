@@ -6,40 +6,29 @@ import (
 	"flowdroid/internal/ir"
 )
 
-// carrier.go implements the string-carrier fast path (Config.StringCarriers)
-// and the per-call-site memoization it rides on.
+// carrier.go holds the per-call-site memoization and the string-carrier
+// alias gate.
 //
 // TAJ's observation (Tripp et al., PLDI 2009) is that the string classes —
 // java.lang.String, StringBuilder, StringBuffer — behave like primitive
 // value carriers: their operations move taint between receiver, arguments
 // and result in fixed per-method patterns, and none of them stores its
-// receiver anywhere a heap analysis could observe. The engine pays full
-// freight for them anyway: every wrapper gen on a receiver spawns a
-// backward alias search, and every flow-function evaluation re-resolves
-// the rule table and re-derives destination access paths.
+// receiver anywhere a heap analysis could observe. The generic wrapper
+// path still spawns a backward alias search for every receiver gen, and
+// on builder-heavy code most of those searches are no-ops — the receiver
+// was freshly allocated a few statements up and nothing upstream ever
+// reads it.
 //
-// The fast path does two things at recognized carrier call sites:
-//
-//  1. Compiles the wrapper rules into a flat transfer table with the
-//     destination access paths pre-interned, so evaluating the site is a
-//     few pointer compares and one derive per triggered transfer — no rule
-//     re-resolution and no slot dispatch per evaluation.
-//  2. Skips the backward alias search on the receiver when a bounded
-//     backward scan of the enclosing method proves the search is
-//     report-neutral (aliasGateRedundant). This is the expensive half: on
-//     builder-heavy code, most receiver alias queries are such no-ops —
-//     the receiver was freshly allocated a few statements up and nothing
-//     upstream ever reads it.
-//
-// Correctness contract: the compiled table is a faithful unrolling of the
-// generic rule loop, so the generated facts are identical with the flag on
-// or off; the alias gate is the only behavioral difference, and it fires
-// only when the skipped search provably contributes no report-visible
-// facts. The carrier equivalence suites pin this with byte-identical
-// canonical reports across carriers on/off at workers 1/2/8.
+// At carrier call sites libraryFlow therefore skips the receiver alias
+// search when a bounded backward scan of the enclosing method proves it
+// report-neutral (aliasGateRedundant). The gate is the only difference
+// from the un-gated reference mode (Config.noAliasGate, reachable only
+// from this package's tests), and it fires only when the skipped search
+// provably contributes no report-visible facts; the gate-equivalence test
+// pins this with byte-identical canonical reports across both modes.
 
 // The carrier classes. Subclasses are not recognized (user code extending
-// StringBuilder falls back to the generic wrapper path).
+// StringBuilder keeps the full alias search).
 const (
 	classString        = "java.lang.String"
 	classStringBuilder = "java.lang.StringBuilder"
@@ -54,88 +43,19 @@ func isCarrierClass(name string) bool {
 	return false
 }
 
-// carrierOp classifies a modeled carrier operation; the classification is
-// informational (stats, tests, docs) — the transfer behavior itself comes
-// from the compiled rule table.
-type carrierOp uint8
-
-const (
-	opNone      carrierOp = iota
-	opAppend              // append: value arg -> receiver and result (result aliases the receiver)
-	opInsert              // insert: value arg -> receiver and result; the index argument is taint-neutral
-	opConcat              // concat: receiver or argument -> result
-	opTransform           // toString/substring/trim/...: receiver -> result snapshot
-	opValueOf             // valueOf/format: static, argument -> result
-	opInit                // constructor: argument -> receiver
-	opNeutral             // excluded methods (length, isEmpty, ...): no flows
-	opOther               // modeled by rules fitting no named shape
-)
-
-func (op carrierOp) String() string {
-	switch op {
-	case opAppend:
-		return "append"
-	case opInsert:
-		return "insert"
-	case opConcat:
-		return "concat"
-	case opTransform:
-		return "transform"
-	case opValueOf:
-		return "valueOf"
-	case opInit:
-		return "init"
-	case opNeutral:
-		return "neutral"
-	case opOther:
-		return "other"
-	}
-	return "none"
-}
-
-func classifyCarrierOp(name string) carrierOp {
-	switch name {
-	case "append":
-		return opAppend
-	case "insert":
-		return opInsert
-	case "concat":
-		return opConcat
-	case "valueOf", "format", "copyValueOf":
-		return opValueOf
-	case "init":
-		return opInit
-	case "toString", "substring", "trim", "toUpperCase", "toLowerCase",
-		"replace", "reverse", "split", "toCharArray", "getBytes", "deleteCharAt":
-		return opTransform
-	}
-	return opOther
-}
-
-// carrierXfer is one compiled transfer: when the from slot is tainted,
-// derive the taint onto the pre-interned destination path. spawn marks
-// heap destinations (receiver/argument) that require an alias search;
-// toBase marks the receiver destination, the only one the gate may skip.
-type carrierXfer struct {
-	from   int
-	dst    *AccessPath
-	spawn  bool
-	toBase bool
-}
-
 // callSite memoizes the static facts of one call statement: the resolved
-// wrapper rules, the stub-dispatch flag, and (for carrier sites) the
-// compiled transfer table. All fields are immutable after construction
-// except the lazily computed alias gate.
+// wrapper rules, the stub-dispatch flag and whether it is a carrier site.
+// All fields are immutable after construction except the lazily computed
+// alias gate.
 type callSite struct {
 	call   *ir.InvokeExpr
 	result *ir.Local
 	rules  []WrapperRule
 	stub   bool
-
-	carrier  bool
-	op       carrierOp
-	compiled []carrierXfer
+	// carrier marks a stub site with wrapper rules whose receiver class
+	// (or static class, without a receiver) is a carrier class; only
+	// carrier sites consult the alias gate.
+	carrier bool
 
 	gateOnce sync.Once
 	gate     bool
@@ -159,126 +79,25 @@ func (e *engine) buildSite(n ir.Stmt) *callSite {
 	if e.conf.Wrapper != nil {
 		s.rules = e.conf.Wrapper.RulesFor(e.icfg.Prog, call)
 	}
-	if e.conf.StringCarriers && s.stub && len(s.rules) > 0 {
-		e.compileCarrier(s)
+	if s.stub && len(s.rules) > 0 {
+		cls := call.Ref.Class
+		if call.Base != nil && call.Base.Type.IsRef() {
+			cls = call.Base.Type.Name
+		}
+		s.carrier = isCarrierClass(cls)
 	}
 	return s
 }
 
-// compileCarrier recognizes a carrier call site and unrolls its wrapper
-// rules into the flat transfer table. The unrolling preserves the generic
-// loop's rule and destination order exactly (dropping only destinations
-// that can never materialize, e.g. a return slot with no result local), so
-// carrierFlow generates the same facts in the same order as libraryFlow.
-func (e *engine) compileCarrier(s *callSite) {
-	cls := s.call.Ref.Class
-	if s.call.Base != nil && s.call.Base.Type.IsRef() {
-		cls = s.call.Base.Type.Name
-	}
-	if !isCarrierClass(cls) {
-		return
-	}
-	neutral := true
-	for _, r := range s.rules {
-		for _, to := range r.To {
-			neutral = false
-			dst := e.slotPath(s, to)
-			if dst == nil {
-				continue
-			}
-			s.compiled = append(s.compiled, carrierXfer{
-				from:   r.From,
-				dst:    dst,
-				spawn:  to != SlotReturn,
-				toBase: to == SlotBase,
-			})
-		}
-	}
-	s.carrier = true
-	if neutral {
-		s.op = opNeutral
-	} else {
-		s.op = classifyCarrierOp(s.call.Ref.Name)
-	}
-}
-
-// slotPath interns the access path a slot destination denotes at this
-// site, or nil when the slot has no materialization (missing result local,
-// non-local argument).
-func (e *engine) slotPath(s *callSite, slot int) *AccessPath {
-	switch slot {
-	case SlotReturn:
-		if s.result == nil {
-			return nil
-		}
-		return e.in.local(s.result)
-	case SlotBase:
-		if s.call.Base == nil {
-			return nil
-		}
-		return e.in.local(s.call.Base)
-	default:
-		if slot < 0 || slot >= len(s.call.Args) {
-			return nil
-		}
-		if l, ok := s.call.Args[slot].(*ir.Local); ok {
-			return e.in.local(l)
-		}
-		return nil
-	}
-}
-
-// slotTainted reports whether d2's access path roots at the slot. Same
-// semantics as libraryFlow's taintsSlot closure, shared so the compiled
-// and generic paths cannot drift.
-func slotTainted(call *ir.InvokeExpr, ap *AccessPath, slot int) bool {
-	switch slot {
-	case SlotBase:
-		return call.Base != nil && ap.Base == call.Base
-	default:
-		if slot < 0 || slot >= len(call.Args) {
-			return false
-		}
-		l, ok := call.Args[slot].(*ir.Local)
-		return ok && ap.Base == l
-	}
-}
-
-// carrierFlow evaluates a compiled carrier site: the direct transfer
-// functions of the string-carrier domain. Facts are identical to the
-// generic wrapper path; the alias search on the receiver is skipped (and
-// counted as gated) when the site's gate proves it report-neutral.
-func (e *engine) carrierFlow(n ir.Stmt, si *callSite, d1, d2 *Abstraction) []*Abstraction {
-	ap := d2.AP
-	var outs []*Abstraction
-	for i := range si.compiled {
-		x := &si.compiled[i]
-		if !slotTainted(si.call, ap, x.from) {
-			continue
-		}
-		na := e.ai.derive(d2, x.dst, n)
-		outs = append(outs, na)
-		if !x.spawn {
-			continue
-		}
-		if x.toBase && e.carrierGate(n, si) {
-			e.stats.gatedAliasQueries.Add(1)
-			continue
-		}
-		e.spawnAliasSearch(n, d1, na)
-	}
-	return outs
-}
-
 // carrierGate lazily decides whether the receiver alias search at this
-// site can be skipped. The gate only ever fires under the default solver
-// shape — aliasing, activation statements and flow-sensitive strong
+// carrier site can be skipped. The gate only ever fires under the default
+// solver shape — aliasing, activation statements and flow-sensitive strong
 // updates all on — because the redundancy proof leans on activation
 // semantics (an alias fact born from the skipped search could only become
 // leak-relevant by crossing its activation statement).
 func (e *engine) carrierGate(n ir.Stmt, si *callSite) bool {
 	si.gateOnce.Do(func() {
-		if !e.conf.EnableAliasing || !e.conf.EnableActivation || !e.conf.FlowSensitive || si.call.Base == nil {
+		if e.conf.noAliasGate || !e.conf.EnableAliasing || !e.conf.EnableActivation || !e.conf.FlowSensitive || si.call.Base == nil {
 			return
 		}
 		si.gate = e.aliasGateRedundant(n, si.call.Base)

@@ -2,16 +2,15 @@ package taint
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 )
 
 // carrierFixtures are the string-carrier test programs. Every fixture is
-// also run through the carriers-on/off × workers equivalence harness
-// (TestCarrierEquivalence), so each one doubles as a report-identity case.
+// also a report-identity case: across worker counts (TestCarrierEquivalence)
+// and against the un-gated reference mode (TestGateEquivalence).
 var carrierFixtures = []struct {
-	name string
-	src  string
+	Name string
+	Src  string
 }{
 	{"append", carrierAppend},
 	{"append-result", carrierAppendResult},
@@ -238,8 +237,7 @@ func expectLeak(t *testing.T, src, marker string, want bool, conf Config) {
 	}
 }
 
-// TestCarrierTransfers pins the per-operation transfer functions with the
-// fast path on and off.
+// TestCarrierTransfers pins the per-operation transfer functions.
 func TestCarrierTransfers(t *testing.T) {
 	checks := []struct {
 		src, marker string
@@ -261,12 +259,8 @@ func TestCarrierTransfers(t *testing.T) {
 		{carrierParamBase, "param leak", true},
 		{carrierRecursive, "recursive leak", true},
 	}
-	for _, mode := range []bool{true, false} {
-		conf := DefaultConfig()
-		conf.StringCarriers = mode
-		for _, c := range checks {
-			expectLeak(t, c.src, c.marker, c.want, conf)
-		}
+	for _, c := range checks {
+		expectLeak(t, c.src, c.marker, c.want, DefaultConfig())
 	}
 }
 
@@ -277,11 +271,9 @@ func TestCarrierGateFires(t *testing.T) {
 	if r.Stats.GatedAliasQueries == 0 {
 		t.Error("expected gated alias queries on the fresh-builder fixture, got 0")
 	}
-	off := DefaultConfig()
-	off.StringCarriers = false
-	r = analyze(t, carrierAppend, off)
+	r = analyze(t, carrierAppend, WithoutAliasGate(DefaultConfig()))
 	if r.Stats.GatedAliasQueries != 0 {
-		t.Errorf("carriers off: GatedAliasQueries = %d, want 0", r.Stats.GatedAliasQueries)
+		t.Errorf("reference mode: GatedAliasQueries = %d, want 0", r.Stats.GatedAliasQueries)
 	}
 }
 
@@ -303,58 +295,27 @@ func TestCarrierGateStaysOpen(t *testing.T) {
 }
 
 // TestCarrierEquivalence: every carrier fixture must produce a
-// byte-identical canonical report with the fast path on and off, at worker
-// counts 1, 2 and 8.
+// byte-identical canonical report at worker counts 1, 2 and 8.
 func TestCarrierEquivalence(t *testing.T) {
 	for _, f := range carrierFixtures {
 		f := f
-		t.Run(f.name, func(t *testing.T) {
+		t.Run(f.Name, func(t *testing.T) {
 			var base []byte
-			for _, carriers := range []bool{true, false} {
-				for _, w := range []int{1, 2, 8} {
-					conf := DefaultConfig()
-					conf.StringCarriers = carriers
-					conf.Workers = w
-					r := analyze(t, f.src, conf)
-					js, err := r.CanonicalJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if base == nil {
-						base = js
-						continue
-					}
-					if !bytes.Equal(base, js) {
-						t.Errorf("carriers=%v workers=%d report differs:\n%s\nvs\n%s",
-							carriers, w, base, js)
-					}
+			for _, w := range []int{1, 2, 8} {
+				conf := DefaultConfig()
+				conf.Workers = w
+				js, err := analyze(t, f.Src, conf).CanonicalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base == nil {
+					base = js
+					continue
+				}
+				if !bytes.Equal(base, js) {
+					t.Errorf("workers=%d report differs:\n%s\nvs\n%s", w, base, js)
 				}
 			}
 		})
-	}
-}
-
-// TestCarrierOpString covers the diagnostic classification.
-func TestCarrierOpString(t *testing.T) {
-	cases := map[string]carrierOp{
-		"append":   opAppend,
-		"insert":   opInsert,
-		"concat":   opConcat,
-		"valueOf":  opValueOf,
-		"init":     opInit,
-		"toString": opTransform,
-		"hashCode": opOther,
-	}
-	for name, want := range cases {
-		if got := classifyCarrierOp(name); got != want {
-			t.Errorf("classifyCarrierOp(%q) = %v, want %v", name, got, want)
-		}
-	}
-	for op, s := range map[carrierOp]string{
-		opNone: "none", opAppend: "append", opNeutral: "neutral", opOther: "other",
-	} {
-		if got := fmt.Sprint(op); got != s {
-			t.Errorf("%d.String() = %q, want %q", op, got, s)
-		}
 	}
 }

@@ -42,14 +42,6 @@ type Config struct {
 	// indices conservatively); the commercial-tool baselines do, which is
 	// why they avoid the ArrayAccess1 false positive.
 	ArrayIndexSensitive bool
-	// StringCarriers enables the string-carrier fast path (TAJ-style):
-	// java.lang.String / StringBuilder / StringBuffer operations get
-	// compiled transfer functions at recognized call sites, and backward
-	// alias searches on carrier bases are skipped where a bounded
-	// backward-region scan proves the search is report-neutral. The leak
-	// report is byte-identical with the flag on or off; only solver
-	// effort (alias queries, allocations) changes.
-	StringCarriers bool
 	// Wrapper is the library shortcut table; nil disables shortcuts and
 	// falls back to the native default everywhere.
 	Wrapper *Wrapper
@@ -95,6 +87,13 @@ type Config struct {
 	// schedule-dependent frontier, so its partial leak set and counters
 	// may vary across worker counts.
 	Workers int
+
+	// noAliasGate selects the un-gated reference mode: every carrier
+	// receiver gen spawns its backward alias search (see carrier.go).
+	// The leak report is byte-identical either way; tests set it through
+	// WithoutAliasGate to compare against, and never together with a
+	// summary store, whose fingerprint does not cover it.
+	noAliasGate bool
 }
 
 // Cone is the solver's view of the reachability-cone pass (built in
@@ -120,7 +119,6 @@ func DefaultConfig() Config {
 		InjectContext:    true,
 		FieldSensitive:   true,
 		FlowSensitive:    true,
-		StringCarriers:   true,
 		Wrapper:          DefaultWrapper(),
 	}
 }
@@ -210,9 +208,8 @@ type Stats struct {
 	ForwardEdges  int
 	BackwardEdges int
 	AliasQueries  int
-	// GatedAliasQueries counts backward alias searches the string-carrier
-	// fast path proved redundant and skipped. Always 0 when
-	// Config.StringCarriers is off.
+	// GatedAliasQueries counts receiver alias searches at string-carrier
+	// call sites that the alias gate proved redundant and skipped.
 	GatedAliasQueries int
 	// Propagations counts novel path-edge insertions (forward plus
 	// backward); duplicates the jump tables absorb are not counted. This

@@ -109,7 +109,7 @@ type engine struct {
 	idxClass  *ir.Class
 
 	// sites memoizes per-call-site static facts (resolved wrapper rules,
-	// stub dispatch, compiled carrier transfers); see carrier.go.
+	// stub dispatch, carrier classification, alias gate); see carrier.go.
 	sites sync.Map // ir.Stmt -> *callSite
 
 	q *workQueue

@@ -233,12 +233,7 @@ func (e *engine) callToReturn(n ir.Stmt, call *ir.InvokeExpr, d1, d2 *Abstractio
 	if !si.stub {
 		return d2.self
 	}
-	var lib []*Abstraction
-	if si.carrier {
-		lib = e.carrierFlow(n, si, d1, d2)
-	} else {
-		lib = e.libraryFlow(n, si, d1, d2)
-	}
+	lib := e.libraryFlow(n, si, d1, d2)
 	if len(lib) == 0 {
 		return d2.self
 	}
@@ -266,8 +261,7 @@ func (e *engine) hasStubTarget(n ir.Stmt) bool {
 // libraryFlow applies the taint-wrapper shortcut rules, or the
 // native-call default when no rule matches: if any argument is tainted,
 // the return value and the arguments become tainted. The resolved rule
-// slice comes from the per-site cache; string-carrier sites take the
-// compiled carrierFlow path instead and never reach here.
+// slice comes from the per-site cache.
 func (e *engine) libraryFlow(n ir.Stmt, si *callSite, d1, d2 *Abstraction) []*Abstraction {
 	call := si.call
 	ap := d2.AP
@@ -280,11 +274,17 @@ func (e *engine) libraryFlow(n ir.Stmt, si *callSite, d1, d2 *Abstraction) []*Ab
 		}
 		na := e.ai.derive(d2, dst, n)
 		outs = append(outs, na)
-		// Wrapper-tainted objects may have aliases: a collection stored
-		// in a field elsewhere, for instance.
-		if slot != SlotReturn {
-			e.spawnAliasSearch(n, d1, na)
+		if slot == SlotReturn {
+			return
 		}
+		// Wrapper-tainted objects may have aliases: a collection stored
+		// in a field elsewhere, for instance. A carrier receiver's search
+		// is skipped where the site's gate proves it report-neutral.
+		if slot == SlotBase && si.carrier && e.carrierGate(n, si) {
+			e.stats.gatedAliasQueries.Add(1)
+			return
+		}
+		e.spawnAliasSearch(n, d1, na)
 	}
 
 	if len(si.rules) > 0 {
@@ -316,4 +316,44 @@ func (e *engine) libraryFlow(n ir.Stmt, si *callSite, d1, d2 *Abstraction) []*Ab
 		}
 	}
 	return outs
+}
+
+// slotPath interns the access path a slot destination denotes at this
+// site, or nil when the slot has no materialization (missing result local,
+// non-local argument).
+func (e *engine) slotPath(s *callSite, slot int) *AccessPath {
+	switch slot {
+	case SlotReturn:
+		if s.result == nil {
+			return nil
+		}
+		return e.in.local(s.result)
+	case SlotBase:
+		if s.call.Base == nil {
+			return nil
+		}
+		return e.in.local(s.call.Base)
+	default:
+		if slot < 0 || slot >= len(s.call.Args) {
+			return nil
+		}
+		if l, ok := s.call.Args[slot].(*ir.Local); ok {
+			return e.in.local(l)
+		}
+		return nil
+	}
+}
+
+// slotTainted reports whether d2's access path roots at the slot.
+func slotTainted(call *ir.InvokeExpr, ap *AccessPath, slot int) bool {
+	switch slot {
+	case SlotBase:
+		return call.Base != nil && ap.Base == call.Base
+	default:
+		if slot < 0 || slot >= len(call.Args) {
+			return false
+		}
+		l, ok := call.Args[slot].(*ir.Local)
+		return ok && ap.Base == l
+	}
 }

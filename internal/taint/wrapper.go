@@ -101,9 +101,9 @@ func (w *Wrapper) RulesFor(prog ir.Hierarchy, call *ir.InvokeExpr) []WrapperRule
 // declared on a strict supertype of another matched rule's class is
 // shadowed by the more specific one (a java.lang.Object fallback must not
 // fire alongside a java.lang.StringBuilder rule for the same method). The
-// survivors are sorted into a canonical order so the selection — and
-// everything derived from it, like compiled carrier transfers — is
-// deterministic regardless of Add insertion order.
+// survivors are sorted into a canonical order so the selection — and the
+// order of the facts libraryFlow generates from it — is deterministic
+// regardless of Add insertion order.
 func mostSpecific(prog ir.Hierarchy, cls string, matched []WrapperRule) []WrapperRule {
 	if len(matched) > 1 {
 		exact := matched[:0:0]

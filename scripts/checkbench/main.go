@@ -6,13 +6,12 @@
 // The artifact kind is dispatched on the "bench" field:
 //
 //	BenchmarkSmokeTaint                       → parallel-solver speedup report (with allocs/op ratchet)
-//	BenchmarkSmokeTaint/StringCarriers        → string-carrier on/off comparison report
 //	BenchmarkSmokeMetrics                     → observability-overhead report
 //	BenchmarkQueryTaint                       → demand-driven query savings report
 //	BenchmarkIncrementalTaint                 → warm re-analysis (summary store) report
 //	BenchmarkReflectionTaint                  → reflection-resolution recovery report
 //
-// Usage: go run ./scripts/checkbench BENCH_taint.json [BENCH_strings.json BENCH_metrics.json BENCH_query.json BENCH_incr.json BENCH_reflect.json ...]
+// Usage: go run ./scripts/checkbench BENCH_taint.json [BENCH_metrics.json BENCH_query.json BENCH_incr.json BENCH_reflect.json ...]
 package main
 
 import (
@@ -39,30 +38,6 @@ type taintReport struct {
 	Runs       []run   `json:"runs"`
 	Speedup    float64 `json:"speedup"`
 	Note       string  `json:"note"`
-}
-
-type stringsMode struct {
-	Carriers          bool    `json:"carriers"`
-	WallMS            float64 `json:"wall_ms"`
-	AliasQueries      int     `json:"alias_queries"`
-	GatedAliasQueries int     `json:"gated_alias_queries"`
-	Allocs            uint64  `json:"allocs"`
-	Leaks             int     `json:"leaks"`
-}
-
-type stringsReport struct {
-	Bench            string      `json:"bench"`
-	Profile          string      `json:"profile"`
-	Apps             int         `json:"apps"`
-	Workers          int         `json:"workers"`
-	GOMAXPROCS       int         `json:"gomaxprocs"`
-	NumCPU           int         `json:"num_cpu"`
-	On               stringsMode `json:"on"`
-	Off              stringsMode `json:"off"`
-	AliasReduction   float64     `json:"alias_reduction"`
-	AllocReduction   float64     `json:"alloc_reduction"`
-	ReportsIdentical bool        `json:"reports_identical"`
-	Note             string      `json:"note"`
 }
 
 type queryRun struct {
@@ -189,8 +164,6 @@ func check(path string) {
 	switch kind.Bench {
 	case "BenchmarkSmokeTaint":
 		checkTaint(path, data)
-	case "BenchmarkSmokeTaint/StringCarriers":
-		checkStrings(path, data)
 	case "BenchmarkSmokeMetrics":
 		checkMetrics(path, data)
 	case "BenchmarkQueryTaint":
@@ -257,64 +230,6 @@ func checkTaint(path string, data []byte) {
 		fail("%s: speedup %.2fx is below 1.5x and no note documents why", path, r.Speedup)
 	}
 	fmt.Printf("checkbench: %s OK (%d runs, speedup %.2fx)\n", path, len(r.Runs), r.Speedup)
-}
-
-func checkStrings(path string, data []byte) {
-	var r stringsReport
-	strict(path, data, &r)
-	if r.Profile == "" {
-		fail("%s: profile missing", path)
-	}
-	if r.Apps <= 0 || r.Workers <= 0 || r.GOMAXPROCS <= 0 || r.NumCPU <= 0 {
-		fail("%s: apps/workers/gomaxprocs/num_cpu must be positive (got %d/%d/%d/%d)",
-			path, r.Apps, r.Workers, r.GOMAXPROCS, r.NumCPU)
-	}
-	if !r.On.Carriers || r.Off.Carriers {
-		fail("%s: mode flags inverted (on.carriers=%v, off.carriers=%v)", path, r.On.Carriers, r.Off.Carriers)
-	}
-	if r.On.WallMS <= 0 || r.Off.WallMS <= 0 {
-		fail("%s: wall times must be positive (got %v/%v)", path, r.On.WallMS, r.Off.WallMS)
-	}
-	if r.On.Allocs == 0 || r.Off.Allocs == 0 {
-		fail("%s: allocs missing — the bench stopped recording memory churn", path)
-	}
-	// The gate's reason to exist: with carriers on it must prove and skip
-	// real receiver alias searches, strictly reducing backward queries.
-	if r.On.GatedAliasQueries <= 0 {
-		fail("%s: carriers-on pass gated no alias searches — the fast path never fired", path)
-	}
-	if r.Off.GatedAliasQueries != 0 {
-		fail("%s: carriers-off pass reports %d gated queries, want 0", path, r.Off.GatedAliasQueries)
-	}
-	if r.Off.AliasQueries <= 0 {
-		fail("%s: carriers-off pass ran no alias searches — the corpus stopped exercising builders", path)
-	}
-	if r.On.AliasQueries >= r.Off.AliasQueries {
-		fail("%s: carriers-on alias queries (%d) not strictly below carriers-off (%d)",
-			path, r.On.AliasQueries, r.Off.AliasQueries)
-	}
-	if r.AliasReduction <= 0 || r.AliasReduction > 1 {
-		fail("%s: alias_reduction = %v, want in (0,1]", path, r.AliasReduction)
-	}
-	// The fast path must never cost memory: allow 2% cross-pass noise,
-	// fail on anything beyond it. (The diet's absolute win is ratcheted
-	// separately via taintAllocsCeiling.)
-	if float64(r.On.Allocs) > float64(r.Off.Allocs)*1.02 {
-		fail("%s: carriers-on allocs (%d) exceed carriers-off (%d) by more than 2%%",
-			path, r.On.Allocs, r.Off.Allocs)
-	}
-	// The precision contract: same leaks, byte-identical reports.
-	if r.On.Leaks != r.Off.Leaks {
-		fail("%s: leak counts differ across modes (%d vs %d)", path, r.On.Leaks, r.Off.Leaks)
-	}
-	if !r.ReportsIdentical {
-		fail("%s: canonical reports were not byte-identical across carrier modes", path)
-	}
-	if r.Note == "" {
-		fail("%s: note missing", path)
-	}
-	fmt.Printf("checkbench: %s OK (%d/%d alias searches gated, alloc delta %+.2f%%, reports identical)\n",
-		path, r.On.GatedAliasQueries, r.Off.AliasQueries, -100*r.AllocReduction)
 }
 
 func checkQuery(path string, data []byte) {

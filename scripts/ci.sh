@@ -2,8 +2,8 @@
 # ci.sh — the repository's verification gate.
 #
 # Runs the static checks, builds every package, and runs the full test
-# suite under the race detector (the parallel IFDS solver is the main
-# concurrency surface). Any failure fails the gate.
+# suite under the race detector (the taint engine's parallel drain is the
+# main concurrency surface). Any failure fails the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,14 +17,11 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test -race ./internal/taint/... (parallel taint solver)"
-go test -race ./internal/taint/...
-
-echo "==> bench smoke (one-shot, compile + run sanity; emits BENCH_taint.json, BENCH_strings.json, BENCH_metrics.json, BENCH_query.json, BENCH_incr.json and BENCH_reflect.json)"
+echo "==> bench smoke (one-shot, compile + run sanity; emits BENCH_taint.json, BENCH_metrics.json, BENCH_query.json, BENCH_incr.json and BENCH_reflect.json)"
 go test -bench 'Smoke|QueryTaint|IncrementalTaint|ReflectionTaint' -benchtime=1x -run '^$' .
 
-echo "==> checkbench (BENCH_taint.json + BENCH_strings.json + BENCH_metrics.json + BENCH_query.json + BENCH_incr.json + BENCH_reflect.json schemas, allocs/op ratchet)"
-go run ./scripts/checkbench BENCH_taint.json BENCH_strings.json BENCH_metrics.json BENCH_query.json BENCH_incr.json BENCH_reflect.json
+echo "==> checkbench (BENCH_taint.json + BENCH_metrics.json + BENCH_query.json + BENCH_incr.json + BENCH_reflect.json schemas, allocs/op ratchet)"
+go run ./scripts/checkbench BENCH_taint.json BENCH_metrics.json BENCH_query.json BENCH_incr.json BENCH_reflect.json
 
 echo "==> summary store smoke (round-trip + deliberately corrupted entries degrade to misses)"
 go test -run 'TestWarmRunMatchesColdByteForByte|TestCorrupt' ./internal/summarystore/

@@ -20,10 +20,10 @@ race:
 fuzz:
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/irtext/
 
-# One-shot run of every root Smoke benchmark; rewrites BENCH_taint.json
-# and BENCH_metrics.json.
+# Smoke test of the end-to-end benchmark module: every workload on two
+# apps, plain and traced. Writes no tracked file.
 bench-smoke:
-	go test -bench Smoke -benchtime=1x -run '^$$' .
+	cd bench && go test ./...
 
 ci:
 	./scripts/ci.sh

@@ -231,29 +231,3 @@ func BenchmarkAPLength(b *testing.B) {
 func benchName(k int) string {
 	return "k=" + string(rune('0'+k))
 }
-
-// BenchmarkPipelineStages separates setup (parsing, callbacks, dummy
-// main, points-to) from the taint analysis itself on the RQ2 app.
-func BenchmarkPipelineStages(b *testing.B) {
-	b.Run("setup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			app, err := apk.LoadFiles(insecurebank.Files)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cbs := callbacks.Discover(context.Background(), app)
-			entry, err := lifecycle.Generate(app, cbs, lifecycle.DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			pta.Build(context.Background(), app.Program, entry)
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeFiles(context.Background(), insecurebank.Files, core.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

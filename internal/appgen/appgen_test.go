@@ -1,6 +1,7 @@
 package appgen
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -120,6 +121,9 @@ func TestReflectionGroundTruthRecovered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
+		if res.Status != core.Complete {
+			t.Fatalf("%s: status %v, want complete", app.Name, res.Status)
+		}
 		if got := len(res.Leaks()); got != app.InjectedLeaks {
 			t.Errorf("%s: found %d leaks, injected %d (%v)",
 				app.Name, got, app.InjectedLeaks, app.LeakKinds)
@@ -145,15 +149,21 @@ func TestReflectionGroundTruthRecovered(t *testing.T) {
 
 // TestReflectionOffMissesReflectiveLeaks: the same corpus under
 // -no-reflection finds exactly the non-reflective leaks — the soundness
-// gap made measurable.
+// gap made measurable — and reports no resolution counters. On apps with
+// no reflective surface the pass must be invisible: their canonical
+// reports are byte-identical with reflection on and off.
 func TestReflectionOffMissesReflectiveLeaks(t *testing.T) {
 	apps := GenerateCorpus(Reflection, 15, 11)
 	opts := core.DefaultOptions()
 	opts.ResolveReflection = false
+	plain := 0
 	for _, app := range apps {
 		res, err := core.AnalyzeFiles(context.Background(), app.Files, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
+		}
+		if res.Status != core.Complete {
+			t.Fatalf("%s: status %v with reflection off, want complete", app.Name, res.Status)
 		}
 		want := app.InjectedLeaks - app.ReflectiveLeaks
 		if got := len(res.Leaks()); got != want {
@@ -163,5 +173,32 @@ func TestReflectionOffMissesReflectiveLeaks(t *testing.T) {
 		if res.Soundness != nil {
 			t.Errorf("%s: soundness report present with reflection off", app.Name)
 		}
+		if c := res.Counters; c.ReflectionResolved != 0 || c.ReflectionUnresolved != 0 {
+			t.Errorf("%s: reflection off reports %d resolved and %d unresolved sites, want 0",
+				app.Name, c.ReflectionResolved, c.ReflectionUnresolved)
+		}
+		if app.ReflectiveLeaks != 0 || app.DynamicReflectiveChains != 0 {
+			continue
+		}
+		plain++
+		on, err := core.AnalyzeFiles(context.Background(), app.Files, core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		if a, b := canonicalJSON(t, on), canonicalJSON(t, res); !bytes.Equal(a, b) {
+			t.Errorf("%s has no reflective surface but its report differs with reflection on:\n%s\nvs off:\n%s", app.Name, a, b)
+		}
 	}
+	if plain == 0 {
+		t.Fatal("corpus has no reflection-free app; the on/off identity check would be vacuous")
+	}
+}
+
+func canonicalJSON(t *testing.T, res *core.Result) []byte {
+	t.Helper()
+	js, err := res.Taint.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
 }

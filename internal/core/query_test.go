@@ -5,7 +5,7 @@ package core_test
 // byte-identical to the whole-program report filtered to Q's sinks. The
 // suites cover the three app shapes the pipeline handles — DroidBench
 // (Android lifecycle micro benchmarks), SecuriBench Micro (plain-Java
-// servlet entry points) and a seeded appgen corpus (multi-component apps
+// servlet entry points) and two seeded appgen corpora (multi-component apps
 // with cross-component flows) — each at worker counts 1, 2 and 8.
 
 import (
@@ -139,34 +139,66 @@ func TestQueryEquivalence(t *testing.T) {
 	})
 
 	t.Run("appgen", func(t *testing.T) {
-		for _, app := range appgen.GenerateCorpus(appgen.Malware, 4, 42) {
-			whole, err := core.AnalyzeFiles(context.Background(), app.Files, core.DefaultOptions())
-			if err != nil {
-				t.Fatalf("%s: %v", app.Name, err)
-			}
-			for _, q := range queriesFor(whole.Taint, "sms") {
-				want := filteredJSON(t, whole.Taint, q)
-				for _, w := range queryWorkers {
-					opts := core.DefaultOptions()
-					opts.Query = q
-					opts.Taint.Workers = w
-					res, err := core.AnalyzeFiles(context.Background(), app.Files, opts)
-					if err != nil {
-						t.Fatalf("%s query %v: %v", app.Name, q.Sinks, err)
-					}
-					js, err := res.Taint.CanonicalJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(want, js) {
-						t.Errorf("%s query %v workers=%d: report differs from filtered whole-program:\nwhole filtered:\n%s\nquery mode:\n%s",
-							app.Name, q.Sinks, w, want, js)
-					}
-					if res.Counters.ConeMethods == 0 && len(res.Taint.Leaks) > 0 {
-						t.Errorf("%s query %v: leaks found but ConeMethods = 0; the cone was not wired", app.Name, q.Sinks)
+		// The second corpus is also the malware-sms pruning check: summed
+		// over its apps, the sms query must do strictly fewer propagations
+		// than the whole program, build a non-empty cone, and the
+		// whole-program runs must report no cone at all.
+		for _, corpus := range []struct {
+			n    int
+			seed int64
+		}{{4, 42}, {8, 1}} {
+			var wholeProps, smsProps, smsCone int
+			for _, app := range appgen.GenerateCorpus(appgen.Malware, corpus.n, corpus.seed) {
+				whole, err := core.AnalyzeFiles(context.Background(), app.Files, core.DefaultOptions())
+				if err != nil {
+					t.Fatalf("%s: %v", app.Name, err)
+				}
+				if whole.Status != core.Complete {
+					t.Fatalf("%s whole-program: status %v, want complete", app.Name, whole.Status)
+				}
+				if c := whole.Counters; c.ConeMethods != 0 || c.SkippedComponents != 0 {
+					t.Errorf("%s whole-program: cone counters %d/%d, want 0/0", app.Name, c.ConeMethods, c.SkippedComponents)
+				}
+				wholeProps += whole.Counters.Propagations
+				for _, q := range queriesFor(whole.Taint, "sms") {
+					want := filteredJSON(t, whole.Taint, q)
+					for _, w := range queryWorkers {
+						opts := core.DefaultOptions()
+						opts.Query = q
+						opts.Taint.Workers = w
+						res, err := core.AnalyzeFiles(context.Background(), app.Files, opts)
+						if err != nil {
+							t.Fatalf("%s query %v: %v", app.Name, q.Sinks, err)
+						}
+						if res.Status != core.Complete {
+							t.Fatalf("%s query %v: status %v, want complete", app.Name, q.Sinks, res.Status)
+						}
+						js, err := res.Taint.CanonicalJSON()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(want, js) {
+							t.Errorf("%s query %v workers=%d: report differs from filtered whole-program:\nwhole filtered:\n%s\nquery mode:\n%s",
+								app.Name, q.Sinks, w, want, js)
+						}
+						if res.Counters.ConeMethods == 0 && len(res.Taint.Leaks) > 0 {
+							t.Errorf("%s query %v: leaks found but ConeMethods = 0; the cone was not wired", app.Name, q.Sinks)
+						}
+						if w == 1 && q.Sinks[0] == "sms" {
+							smsProps += res.Counters.Propagations
+							smsCone += res.Counters.ConeMethods
+						}
 					}
 				}
 			}
+			if smsProps >= wholeProps {
+				t.Errorf("malware n=%d seed=%d: sms query did %d propagations, whole-program %d: the cone pruned nothing",
+					corpus.n, corpus.seed, smsProps, wholeProps)
+			}
+			if smsCone == 0 {
+				t.Errorf("malware n=%d seed=%d: sms query built no cone", corpus.n, corpus.seed)
+			}
+			t.Logf("malware n=%d seed=%d: sms query %d propagations vs whole-program %d", corpus.n, corpus.seed, smsProps, wholeProps)
 		}
 	})
 }

@@ -19,7 +19,9 @@ import (
 // On every corpus the gated default and the un-gated reference mode must
 // produce byte-identical canonical reports, at worker counts 1 and 8. On
 // the builder-heavy benchtaint corpus the gate must also do its job: skip
-// real receiver alias searches without costing allocations.
+// real receiver alias searches without costing allocations. That corpus
+// also holds the solver's absolute allocation ratchet and requires equal
+// propagation counts at 1 and 8 workers.
 //
 // Not parallel: the benchtaint allocation comparison reads process-wide
 // malloc counters.
@@ -90,8 +92,8 @@ func TestGateEquivalence(t *testing.T) {
 		ref := taint.WithoutAliasGate(gated)
 		on := runCorpus(t, apps, gated)
 		off := runCorpus(t, apps, ref)
-		t.Logf("gated %d of %d receiver alias searches; allocs %d gated vs %d reference",
-			on.gated, off.alias, on.mallocs, off.mallocs)
+		t.Logf("gated %d of %d receiver alias searches; allocs %d gated vs %d reference; %d propagations",
+			on.gated, off.alias, on.mallocs, off.mallocs, on.props)
 
 		if on.gated <= 0 {
 			t.Error("gated mode skipped no alias searches: the gate never fired")
@@ -109,16 +111,28 @@ func TestGateEquivalence(t *testing.T) {
 		if float64(on.mallocs) > 1.02*float64(off.mallocs) {
 			t.Errorf("gated allocs (%d) exceed reference (%d) by more than 2%%", on.mallocs, off.mallocs)
 		}
+		// The solver's allocation ratchet: the gated workers=1 pass
+		// measures ~1.04M heap allocations after the allocation diet
+		// (interned singleton out-slices, binary access-path interner
+		// keys, pre-sized worklists). A run past ~15% headroom means the
+		// diet regressed; raise this only with a measured justification.
+		if on.mallocs > 1_200_000 {
+			t.Errorf("gated allocs (%d) exceed the 1,200,000 ratchet: the solver allocation diet regressed", on.mallocs)
+		}
 		if on.leaks != off.leaks {
 			t.Errorf("leak counts differ: gated %d, reference %d", on.leaks, off.leaks)
 		}
 
+		par := runCorpus(t, apps, withWorkers(gated, 8))
+		if par.props != on.props {
+			t.Errorf("propagations differ between gated workers=1 and 8: %d vs %d", on.props, par.props)
+		}
 		for _, p := range []struct {
 			mode string
 			got  []byte
 		}{
 			{"reference workers=1", off.report},
-			{"gated workers=8", runCorpus(t, apps, withWorkers(gated, 8)).report},
+			{"gated workers=8", par.report},
 			{"reference workers=8", runCorpus(t, apps, withWorkers(ref, 8)).report},
 		} {
 			if !bytes.Equal(p.got, on.report) {
@@ -172,6 +186,7 @@ func canonical(t *testing.T, r *taint.Results) []byte {
 type corpusPass struct {
 	report  []byte // concatenated canonical reports
 	leaks   int
+	props   int
 	alias   int
 	gated   int
 	mallocs uint64
@@ -194,6 +209,7 @@ func runApp(t *testing.T, files map[string]string, conf taint.Config) corpusPass
 	return corpusPass{
 		report: canonical(t, res.Taint),
 		leaks:  len(res.Leaks()),
+		props:  res.Counters.Propagations,
 		alias:  st.AliasQueries,
 		gated:  st.GatedAliasQueries,
 	}
@@ -209,6 +225,7 @@ func runCorpus(t *testing.T, apps []appgen.App, conf taint.Config) corpusPass {
 		a := runApp(t, app.Files, conf)
 		p.report = append(p.report, a.report...)
 		p.leaks += a.leaks
+		p.props += a.props
 		p.alias += a.alias
 		p.gated += a.gated
 	}
@@ -217,9 +234,8 @@ func runCorpus(t *testing.T, apps []appgen.App, conf taint.Config) corpusPass {
 	return p
 }
 
-// benchTaintProfile is BenchmarkSmokeTaint's corpus profile: the stress
-// profile enlarged so the solver, and its StringBuilder-laundering
-// helpers, dominate.
+// benchTaintProfile is the stress profile enlarged so the solver, and
+// its StringBuilder-laundering helpers, dominate.
 func benchTaintProfile() appgen.Profile {
 	p := appgen.Stress
 	p.Name = "benchtaint"

@@ -17,11 +17,8 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> bench smoke (one-shot, compile + run sanity; emits BENCH_taint.json, BENCH_metrics.json, BENCH_query.json, BENCH_incr.json and BENCH_reflect.json)"
-go test -bench 'Smoke|QueryTaint|IncrementalTaint|ReflectionTaint' -benchtime=1x -run '^$' .
-
-echo "==> checkbench (BENCH_taint.json + BENCH_metrics.json + BENCH_query.json + BENCH_incr.json + BENCH_reflect.json schemas, allocs/op ratchet)"
-go run ./scripts/checkbench BENCH_taint.json BENCH_metrics.json BENCH_query.json BENCH_incr.json BENCH_reflect.json
+echo "==> bench/ (vet + smoke test of the end-to-end benchmark module)"
+(cd bench && go vet ./... && go test ./...)
 
 echo "==> summary store smoke (round-trip + deliberately corrupted entries degrade to misses)"
 go test -run 'TestWarmRunMatchesColdByteForByte|TestCorrupt' ./internal/summarystore/

@@ -51,7 +51,13 @@
 // runs record per-method summaries under DIR, and later runs on updated
 // versions of the app replay the summaries of unchanged methods instead
 // of re-solving them. The leak report is identical with or without the
-// store; -stats and -json expose the hit/miss/reuse counters.
+// store; -stats and -json expose the hit/miss/reuse counters. A failed
+// write-back never fails the run: it shows as summaryFlushErrors and a
+// warning on stderr.
+//
+// -json prints the daemon's result envelope (service.Report, whose
+// counters are core.Counters) with path witnesses in the leaks, so the
+// one-shot and resident surfaces share one schema.
 //
 // Observability (all opt-in, zero cost when absent):
 //
@@ -83,10 +89,10 @@ import (
 
 	"flowdroid/internal/core"
 	"flowdroid/internal/insecurebank"
-	"flowdroid/internal/irlint"
 	"flowdroid/internal/lifecycle"
 	"flowdroid/internal/metrics"
 	"flowdroid/internal/service"
+	"flowdroid/internal/summarystore"
 )
 
 const (
@@ -95,53 +101,6 @@ const (
 	exitAnalysis = 2
 	exitUsage    = 64
 )
-
-// jsonReport is the machine-readable envelope of a run: the leak report
-// plus the resilience metadata scripts branch on.
-type jsonReport struct {
-	Status   string   `json:"status"`
-	Failure  string   `json:"failure,omitempty"`
-	Degraded []string `json:"degraded,omitempty"`
-	Counters struct {
-		CallGraphEdges   int `json:"callGraphEdges"`
-		PTAPropagations  int `json:"ptaPropagations"`
-		Propagations     int `json:"propagations"`
-		PathEdges        int `json:"pathEdges"`
-		Summaries        int `json:"summaries"`
-		PeakAbstractions int `json:"peakAbstractions"`
-		Workers          int `json:"workers"`
-		// ConeMethods/SkippedComponents are the demand-driven query's
-		// reachability-cone size and the components it let lifecycle
-		// modeling skip; zero (omitted) outside query mode.
-		ConeMethods       int `json:"coneMethods,omitempty"`
-		SkippedComponents int `json:"skippedComponents,omitempty"`
-		// Reflection counters: invoke-sites the constant-propagation pass
-		// resolved into call edges vs. left opaque; zero (omitted) under
-		// -no-reflection.
-		ReflectionResolved   int `json:"reflectionResolved,omitempty"`
-		ReflectionUnresolved int `json:"reflectionUnresolved,omitempty"`
-		// Summary-store counters, all zero (omitted) without -summary-dir.
-		SummaryHits        int `json:"summaryHits,omitempty"`
-		SummaryMisses      int `json:"summaryMisses,omitempty"`
-		SummaryInvalidated int `json:"summaryInvalidated,omitempty"`
-		SummaryCorrupt     int `json:"summaryCorrupt,omitempty"`
-		MethodsExplored    int `json:"methodsExplored,omitempty"`
-		MethodsReused      int `json:"methodsReused,omitempty"`
-		SummariesPersisted int `json:"summariesPersisted,omitempty"`
-	} `json:"counters"`
-	// Passes reports per-pipeline-pass execution vs. memoized-artifact
-	// reuse (runs/hits), non-trivial when -degrade retried the analysis.
-	Passes core.PassStats `json:"passes,omitempty"`
-	// Metrics is the recorder snapshot, present only under -metrics.
-	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
-	// Lint holds the IR verifier's diagnostics, present only under -lint.
-	Lint []irlint.Diagnostic `json:"lint,omitempty"`
-	// Soundness lists the reflective sites the constant-propagation pass
-	// could not resolve; omitted when empty and under -no-reflection, so
-	// reflection-free apps report identically in both modes.
-	Soundness *core.SoundnessReport `json:"soundness,omitempty"`
-	Leaks     any                   `json:"leaks"`
-}
 
 // flags is the program's flag set. A package-level ContinueOnError set
 // (instead of the flag package's default, which exits 2 on a bad flag)
@@ -200,7 +159,7 @@ func run() int {
 	opts.MaxPropagations = *maxProps
 	opts.Degrade = *degrade
 	opts.Taint.Workers = *workers
-	opts.SummaryDir = *summaryDir
+	opts.SummaryStore = summarystore.Open(*summaryDir)
 	opts.Lint = *lint || *lintJSON || *lintEnable != "" || *lintDisable != ""
 	opts.LintEnable = *lintEnable
 	opts.LintDisable = *lintDisable
@@ -289,39 +248,22 @@ func run() int {
 		return exitAnalysis
 	}
 
+	if res.Counters.SummaryFlushErrors > 0 {
+		fmt.Fprintf(os.Stderr, "flowdroid: writing summaries to %s failed; the next run cannot reuse them\n", *summaryDir)
+	}
+
 	if *jsonOut {
-		rep := jsonReport{Status: res.Status.String(), Degraded: res.Degraded, Passes: res.Passes, Leaks: res.Taint.Report()}
-		if res.Lint != nil {
-			rep.Lint = res.Lint.Diagnostics
-		}
+		// The daemon's envelope, with the path-witness leak report in
+		// place of the canonical one, plus the snapshot under -metrics.
+		rep := struct {
+			service.Report
+			Metrics *metrics.Snapshot `json:"metrics,omitempty"`
+		}{Report: service.ResultReport(res)}
+		rep.Leaks = res.Taint.Report()
 		if *showMetrics {
 			snap := rec.Snapshot()
 			rep.Metrics = &snap
 		}
-		if res.Failure != nil {
-			rep.Failure = res.Failure.Error()
-		}
-		if !res.Soundness.Empty() {
-			rep.Soundness = res.Soundness
-		}
-		rep.Counters.CallGraphEdges = res.Counters.CallGraphEdges
-		rep.Counters.PTAPropagations = res.Counters.PTAPropagations
-		rep.Counters.Propagations = res.Counters.Propagations
-		rep.Counters.PathEdges = res.Counters.PathEdges
-		rep.Counters.Summaries = res.Counters.Summaries
-		rep.Counters.PeakAbstractions = res.Counters.PeakAbstractions
-		rep.Counters.Workers = res.Counters.Workers
-		rep.Counters.ConeMethods = res.Counters.ConeMethods
-		rep.Counters.SkippedComponents = res.Counters.SkippedComponents
-		rep.Counters.ReflectionResolved = res.Counters.ReflectionResolved
-		rep.Counters.ReflectionUnresolved = res.Counters.ReflectionUnresolved
-		rep.Counters.SummaryHits = res.Counters.SummaryHits
-		rep.Counters.SummaryMisses = res.Counters.SummaryMisses
-		rep.Counters.SummaryInvalidated = res.Counters.SummaryInvalidated
-		rep.Counters.SummaryCorrupt = res.Counters.SummaryCorrupt
-		rep.Counters.MethodsExplored = res.Counters.MethodsExplored
-		rep.Counters.MethodsReused = res.Counters.MethodsReused
-		rep.Counters.SummariesPersisted = res.Counters.SummariesPersisted
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -397,6 +339,9 @@ func run() int {
 			fmt.Printf("summary store: %d hit(s), %d miss(es), %d invalidated, %d corrupt; %d method(s) reused, %d explored (%.1f%% reuse), %d persisted\n",
 				ss.Hits, ss.Misses, ss.Invalidated, ss.Corrupt,
 				ss.MethodsReused, ss.MethodsExplored, 100*ss.ReuseRate(), ss.Persisted)
+		}
+		if n := res.Counters.SummaryFlushErrors; n > 0 {
+			fmt.Printf("summary store: %d write-back error(s), summaries not persisted\n", n)
 		}
 		if len(res.Passes) > 0 {
 			fmt.Printf("passes: %s\n", res.Passes)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"flowdroid/internal/core"
+	"flowdroid/internal/summarystore"
 )
 
 // TimeRollup aggregates per-app wall times for one outcome class.
@@ -192,6 +193,7 @@ func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, ro RunOpti
 		Times:        make(map[string]*TimeRollup),
 		QueriedSinks: ro.Sinks,
 	}
+	store := summarystore.Open(ro.SummaryDir)
 	apps := GenerateCorpus(p, n, seed)
 	for i, app := range apps {
 		if ctx.Err() != nil {
@@ -199,7 +201,7 @@ func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, ro RunOpti
 			break
 		}
 		start := time.Now()
-		res, err := analyzeOne(ctx, app, ro)
+		res, err := analyzeOne(ctx, app, ro, store)
 		el := time.Since(start)
 		stats.Apps++
 		stats.TotalInjected += app.InjectedLeaks
@@ -277,11 +279,11 @@ type panicErr struct{ value any }
 
 func (e *panicErr) Error() string { return fmt.Sprintf("panic: %v", e.value) }
 
-// analyzeOne analyzes a single app under the per-app bounds, converting
-// any panic that escapes the core pipeline's own stage recovery (or is
-// injected via RunOptions.FaultInject) into an error so the batch
-// survives.
-func analyzeOne(ctx context.Context, app App, ro RunOptions) (res *core.Result, err error) {
+// analyzeOne analyzes a single app under the per-app bounds and the
+// corpus's summary store (nil for none), converting any panic that
+// escapes the core pipeline's own stage recovery (or is injected via
+// RunOptions.FaultInject) into an error so the batch survives.
+func analyzeOne(ctx context.Context, app App, ro RunOptions, store *summarystore.Store) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &panicErr{r}
@@ -302,7 +304,7 @@ func analyzeOne(ctx context.Context, app App, ro RunOptions) (res *core.Result, 
 	opts.ResolveReflection = !ro.NoReflection
 	opts.Lint = ro.Lint
 	opts.Query = core.Query{Sinks: ro.Sinks}
-	opts.SummaryDir = ro.SummaryDir
+	opts.SummaryStore = store
 	return core.AnalyzeFiles(ctx, app.Files, opts)
 }
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"flowdroid/internal/core"
+	"flowdroid/internal/summarystore"
+	"flowdroid/internal/taint"
 )
 
 // TestWarmUpdateReuse: a cold run of a play corpus populates a summary
@@ -27,13 +29,15 @@ func TestWarmUpdateReuse(t *testing.T) {
 	}
 
 	// pass analyzes every file set against the store in dir (none when
-	// empty), returning summed counters and concatenated canonical reports.
-	pass := func(sets []map[string]string, dir string) (core.Counters, []byte) {
-		var sum core.Counters
+	// empty), returning summed store statistics and concatenated
+	// canonical reports.
+	pass := func(sets []map[string]string, dir string) (taint.StoreStats, []byte) {
+		var sum taint.StoreStats
 		var reports bytes.Buffer
+		store := summarystore.Open(dir)
 		for i, files := range sets {
 			opts := core.DefaultOptions()
-			opts.SummaryDir = dir
+			opts.SummaryStore = store
 			res, err := core.AnalyzeFiles(context.Background(), files, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", apps[i].Name, err)
@@ -41,12 +45,13 @@ func TestWarmUpdateReuse(t *testing.T) {
 			if res.Status != core.Complete {
 				t.Fatalf("%s: status %v, want complete", apps[i].Name, res.Status)
 			}
-			c := res.Counters
-			sum.SummaryHits += c.SummaryHits
-			sum.SummaryInvalidated += c.SummaryInvalidated
-			sum.MethodsReused += c.MethodsReused
-			sum.MethodsExplored += c.MethodsExplored
-			sum.SummariesPersisted += c.SummariesPersisted
+			if ss := res.Taint.Stats.Store; ss != nil {
+				sum.Hits += ss.Hits
+				sum.Invalidated += ss.Invalidated
+				sum.MethodsReused += ss.MethodsReused
+				sum.MethodsExplored += ss.MethodsExplored
+				sum.Persisted += ss.Persisted
+			}
 			reports.Write(canonicalJSON(t, res))
 		}
 		return sum, reports.Bytes()
@@ -54,20 +59,20 @@ func TestWarmUpdateReuse(t *testing.T) {
 
 	dir := t.TempDir()
 	cold, _ := pass(original, dir)
-	if cold.SummaryHits != 0 || cold.SummariesPersisted == 0 {
+	if cold.Hits != 0 || cold.Persisted == 0 {
 		t.Fatalf("cold run: %d hits, %d persisted; want 0 hits and some persisted",
-			cold.SummaryHits, cold.SummariesPersisted)
+			cold.Hits, cold.Persisted)
 	}
 	warm, warmRep := pass(updated, dir)
-	if warm.SummaryHits == 0 {
+	if warm.Hits == 0 {
 		t.Error("warm run hit no stored summaries")
 	}
-	if warm.SummaryInvalidated == 0 {
+	if warm.Invalidated == 0 {
 		t.Error("warm run invalidated nothing: the mutations all landed in dead code")
 	}
-	reuse := warm.SummaryReuseRate()
+	reuse := warm.ReuseRate()
 	t.Logf("warm reuse %.3f (%d reused, %d explored, %d hits, %d invalidated)",
-		reuse, warm.MethodsReused, warm.MethodsExplored, warm.SummaryHits, warm.SummaryInvalidated)
+		reuse, warm.MethodsReused, warm.MethodsExplored, warm.Hits, warm.Invalidated)
 	if reuse < 0.9 {
 		t.Errorf("warm reuse %.3f below the 0.9 floor", reuse)
 	}

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"flowdroid/internal/ir"
-	"flowdroid/internal/metrics"
 )
 
 // Graph is a call graph: a set of entry methods, call edges from call
@@ -70,20 +69,6 @@ func (g *Graph) Reachable() []*ir.Method { return g.reachable }
 
 // IsReachable reports whether m is reachable from the entries.
 func (g *Graph) IsReachable(m *ir.Method) bool { return g.reachSet[m] }
-
-// exportMetrics publishes the graph's size gauges when the context
-// carries a recorder. Both builders (CHA here, the points-to builder in
-// internal/pta via the pipeline) converge on the same gauge names; the
-// values are structural facts of the program and configuration, hence
-// deterministic.
-func (g *Graph) exportMetrics(ctx context.Context) {
-	rec := metrics.From(ctx)
-	if rec == nil {
-		return
-	}
-	rec.Gauge("callgraph.edges", metrics.Deterministic).Set(int64(g.NumEdges()))
-	rec.Gauge("callgraph.reachable", metrics.Deterministic).Set(int64(len(g.Reachable())))
-}
 
 // NumEdges returns the total number of call edges.
 func (g *Graph) NumEdges() int {
@@ -294,7 +279,6 @@ func BuildCHA(ctx context.Context, h ir.Hierarchy, entries ...*ir.Method) *Graph
 // reachable (and explorable) exactly like a statically resolved callee.
 func BuildCHAWithExtra(ctx context.Context, h ir.Hierarchy, extra map[ir.Stmt][]*ir.Method, entries ...*ir.Method) *Graph {
 	g := NewGraph(entries...)
-	defer g.exportMetrics(ctx)
 	r := ResolverFor(h)
 	seen := make(map[*ir.Method]bool)
 	work := append([]*ir.Method(nil), entries...)

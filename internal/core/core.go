@@ -53,7 +53,7 @@ type Options struct {
 	// Lint runs the IR verifier (internal/irlint) between the front-end
 	// and the solvers. Error-severity diagnostics abort the run with
 	// Status == InvalidProgram before any solver executes; warnings are
-	// reported in Result.Lint and counted in Result.Counters.
+	// reported in Result.Lint.
 	Lint bool
 	// LintEnable/LintDisable are comma-separated analyzer name lists
 	// narrowing the verifier (empty LintEnable means all analyzers).
@@ -81,18 +81,15 @@ type Options struct {
 	// then access-path length 3, then 1), recording each downgrade in
 	// Result.Degraded.
 	Degrade bool
-	// SummaryDir, when non-empty, enables the persistent method-summary
-	// store rooted at that directory (see internal/summarystore): the
-	// taint solver replays summaries recorded by earlier completed runs
-	// for methods whose bodies and resolved callees are unchanged, and
-	// persists fresh ones after a completed run. The store never changes
-	// the leak report — only how much of it is recomputed. Corrupt or
-	// stale entries are treated as cache misses, never errors.
-	SummaryDir string
-	// SummaryStore is an already opened summary store to use instead of
-	// opening SummaryDir; a resident daemon shares one store across jobs
-	// this way. When nil and SummaryDir is set, AnalyzeApp opens the
-	// directory itself.
+	// SummaryStore, when non-nil, enables the persistent method-summary
+	// store (see internal/summarystore; summarystore.Open(dir) opens one,
+	// and Open("") returns nil): the taint solver replays summaries
+	// recorded by earlier completed runs for methods whose bodies and
+	// resolved callees are unchanged, and persists fresh ones after a
+	// completed run. The store never changes the leak report — only how
+	// much of it is recomputed. Corrupt or stale entries are treated as
+	// cache misses, never errors. One store can be shared by many runs:
+	// a resident daemon or a corpus run opens it once.
 	SummaryStore *summarystore.Store
 }
 
@@ -170,9 +167,6 @@ func (r *Result) Leaks() []*taint.Leak { return r.Taint.DistinctSourceSinkPairs(
 func AnalyzeApp(ctx context.Context, app *apk.App, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opts.SummaryStore == nil && opts.SummaryDir != "" {
-		opts.SummaryStore = summarystore.Open(opts.SummaryDir)
 	}
 	pl := newPipeline(app)
 	res, err := pl.run(ctx, opts)

@@ -39,9 +39,6 @@ func TestLintInvalidProgramSkipsSolvers(t *testing.T) {
 	} else if !strings.Contains(got[0].Message, `"y"`) {
 		t.Errorf("diagnostic does not name the local: %v", got[0])
 	}
-	if res.Counters.LintErrors == 0 {
-		t.Error("Counters.LintErrors not populated")
-	}
 	// No solver may have run: the verifier gates the pipeline before
 	// callbacks, lifecycle, call-graph construction and the taint solve.
 	for _, pass := range []string{"callbacks", "lifecycle", "callgraph", "icfg", "taint"} {

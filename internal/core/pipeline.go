@@ -385,8 +385,6 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 			return nil, err
 		}
 		res.Lint = lres
-		res.Counters.LintErrors = lres.Errors()
-		res.Counters.LintWarnings = lres.Warnings()
 		if pl.rec != nil {
 			pl.rec.Gauge("lint.errors", metrics.Deterministic).Set(int64(lres.Errors()))
 			pl.rec.Gauge("lint.warnings", metrics.Deterministic).Set(int64(lres.Warnings()))
@@ -591,8 +589,9 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	if sess != nil {
 		// Write back the summaries a completed run recorded. A flush
 		// failure (full disk, permissions) degrades the cache, never the
-		// analysis: count it and move on.
+		// analysis: count it in the result and move on.
 		if err := sess.Flush(); err != nil {
+			res.Counters.SummaryFlushErrors = 1
 			pl.rec.Counter("summary.store.flush_errors", metrics.Schedule).Add(1)
 		}
 	}

@@ -70,63 +70,56 @@ func (f *Failure) Error() string {
 
 // Counters are the per-stage effort counters of a run. A truncated run
 // reports what it did finish; zero fields belong to stages never reached.
+// They are also the wire schema: service.Report (the daemon's job result
+// and cmd/flowdroid -json) encodes them as its "counters" object, so a
+// new counter is one field here. The first seven are always emitted; the
+// rest are mode-specific and omitted when zero.
 type Counters struct {
 	// CallGraphEdges is the number of call edges in the final graph.
-	CallGraphEdges int
+	CallGraphEdges int `json:"callGraphEdges"`
 	// PTAPropagations counts points-to set insertions (zero under CHA).
-	PTAPropagations int
+	PTAPropagations int `json:"ptaPropagations"`
 	// Propagations counts the taint solver's novel path-edge insertions,
 	// the unit MaxPropagations charges.
-	Propagations int
+	Propagations int `json:"propagations"`
 	// PathEdges counts distinct forward plus backward path edges.
-	PathEdges int
+	PathEdges int `json:"pathEdges"`
 	// Summaries counts method summaries the taint solver installed.
-	Summaries int
+	Summaries int `json:"summaries"`
 	// PeakAbstractions is the taint solver's interned fact count.
-	PeakAbstractions int
+	PeakAbstractions int `json:"peakAbstractions"`
 	// Workers is the taint solver's worker-pool size (1 = sequential).
-	Workers int
-	// LintErrors and LintWarnings count the IR verifier's diagnostics
-	// (zero when Options.Lint is off).
-	LintErrors   int
-	LintWarnings int
-	// ReflectionResolved and ReflectionUnresolved count the reflective
-	// call sites the constant-propagation pass turned into real call
-	// edges versus left opaque (both zero with reflection resolution
-	// off).
-	ReflectionResolved   int
-	ReflectionUnresolved int
+	Workers int `json:"workers"`
 	// ConeMethods is the size of the query's sink-reaching cone and
 	// SkippedComponents the number of components left out of dummy-main
 	// modeling because they were entirely outside it (both zero on
 	// whole-program runs).
-	ConeMethods       int
-	SkippedComponents int
+	ConeMethods       int `json:"coneMethods,omitempty"`
+	SkippedComponents int `json:"skippedComponents,omitempty"`
+	// ReflectionResolved and ReflectionUnresolved count the reflective
+	// call sites the constant-propagation pass turned into real call
+	// edges versus left opaque (both zero with reflection resolution
+	// off).
+	ReflectionResolved   int `json:"reflectionResolved,omitempty"`
+	ReflectionUnresolved int `json:"reflectionUnresolved,omitempty"`
 	// Summary-store effect counters, all zero when no store was
-	// configured (Options.SummaryDir). Hits/Misses/Invalidated/Corrupt
+	// configured (Options.SummaryStore). Hits/Misses/Invalidated/Corrupt
 	// classify the store lookups the solver made; MethodsReused and
 	// MethodsExplored split the reachable analyzable methods into those
 	// covered by replayed summaries versus those actually re-solved;
-	// SummariesPersisted counts the method-context records written back
-	// after a completed run.
-	SummaryHits        int
-	SummaryMisses      int
-	SummaryInvalidated int
-	SummaryCorrupt     int
-	MethodsExplored    int
-	MethodsReused      int
-	SummariesPersisted int
-}
-
-// SummaryReuseRate is the fraction of reachable analyzable methods whose
-// summaries were replayed from the store instead of re-solved (0 when no
-// store was in play).
-func (c Counters) SummaryReuseRate() float64 {
-	total := c.MethodsReused + c.MethodsExplored
-	if c.MethodsReused == 0 || total == 0 {
-		return 0
-	}
-	return float64(c.MethodsReused) / float64(total)
+	// SummariesPersisted counts the method-context records handed to the
+	// store after a completed run. SummaryFlushErrors is 1 when writing
+	// them to disk failed (full disk, permissions, a root that is not a
+	// directory): the analysis is unaffected, but the records are lost
+	// and the next run re-solves those methods.
+	SummaryHits        int `json:"summaryHits,omitempty"`
+	SummaryMisses      int `json:"summaryMisses,omitempty"`
+	SummaryInvalidated int `json:"summaryInvalidated,omitempty"`
+	SummaryCorrupt     int `json:"summaryCorrupt,omitempty"`
+	MethodsExplored    int `json:"methodsExplored,omitempty"`
+	MethodsReused      int `json:"methodsReused,omitempty"`
+	SummariesPersisted int `json:"summariesPersisted,omitempty"`
+	SummaryFlushErrors int `json:"summaryFlushErrors,omitempty"`
 }
 
 func countersFromTaint(c *Counters, st taint.Stats) {

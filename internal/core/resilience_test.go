@@ -13,6 +13,8 @@ import (
 	"flowdroid/internal/appgen"
 	"flowdroid/internal/core"
 	"flowdroid/internal/insecurebank"
+	"flowdroid/internal/metrics"
+	"flowdroid/internal/summarystore"
 )
 
 // stressApp generates the oversized appgen app the resilience tests run
@@ -205,4 +207,46 @@ func TestLoaderErrorPaths(t *testing.T) {
 			t.Fatal("truncated IR source loaded without error")
 		}
 	})
+}
+
+// TestSummaryFlushErrorCounted: a summary store whose write-back fails
+// (here: rooted under a regular file, so no directory can be created)
+// leaves the analysis Complete but says so in the result's counters, not
+// only in an optional recorder. A writable store reports no error.
+func TestSummaryFlushErrorCounted(t *testing.T) {
+	tmp := t.TempDir()
+	file := filepath.Join(tmp, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		root string
+		want int
+	}{
+		{"unwritable", filepath.Join(file, "store"), 1},
+		{"writable", filepath.Join(tmp, "store"), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := metrics.New()
+			opts := core.DefaultOptions()
+			opts.SummaryStore = summarystore.Open(tc.root)
+			res, err := core.AnalyzeFiles(metrics.Into(context.Background(), rec), insecurebank.Files, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Status != core.Complete {
+				t.Fatalf("status %v, want Complete: the store never fails an analysis", res.Status)
+			}
+			if res.Counters.SummariesPersisted == 0 {
+				t.Fatal("run recorded no summaries to write back")
+			}
+			if got := res.Counters.SummaryFlushErrors; got != tc.want {
+				t.Errorf("SummaryFlushErrors = %d, want %d", got, tc.want)
+			}
+			if got := rec.Snapshot().Schedule["summary.store.flush_errors"]; got != int64(tc.want) {
+				t.Errorf("summary.store.flush_errors = %d, want %d", got, tc.want)
+			}
+		})
+	}
 }

@@ -51,44 +51,21 @@ type JobStatus struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// Report is the machine-readable result envelope, the same shape as
-// cmd/flowdroid's -json report except that Leaks is the canonical
-// (path-witness-free) form: two analyses of the same app under the same
-// configuration serialize byte-identically regardless of worker count
-// or of whether they ran here or in the one-shot CLI.
+// Report is the machine-readable result envelope of one analysis run,
+// shared by the daemon's job results and cmd/flowdroid -json: status,
+// failure and degradation metadata, the core.Counters (whose JSON tags
+// are the counter schema), pass reuse, lint diagnostics, the soundness
+// report and the leaks. ResultReport fills Leaks with the canonical
+// (path-witness-free) form, so two analyses of the same app under the
+// same configuration serialize byte-identically regardless of worker
+// count; the CLI swaps in the path-witness report.
 type Report struct {
-	Status   string   `json:"status"`
-	Failure  string   `json:"failure,omitempty"`
-	Degraded []string `json:"degraded,omitempty"`
-	Counters struct {
-		CallGraphEdges   int `json:"callGraphEdges"`
-		PTAPropagations  int `json:"ptaPropagations"`
-		Propagations     int `json:"propagations"`
-		PathEdges        int `json:"pathEdges"`
-		Summaries        int `json:"summaries"`
-		PeakAbstractions int `json:"peakAbstractions"`
-		Workers          int `json:"workers"`
-		// ConeMethods/SkippedComponents describe the demand-driven
-		// query's reachability cone; zero (omitted) outside query mode.
-		ConeMethods       int `json:"coneMethods,omitempty"`
-		SkippedComponents int `json:"skippedComponents,omitempty"`
-		// Reflection counters: sites the constant-propagation pass turned
-		// into call edges versus left opaque (omitted when zero or with
-		// Config.DisableReflection).
-		ReflectionResolved   int `json:"reflectionResolved,omitempty"`
-		ReflectionUnresolved int `json:"reflectionUnresolved,omitempty"`
-		// Summary-store counters, all zero (omitted) when the daemon has
-		// no Config.SummaryDir.
-		SummaryHits        int `json:"summaryHits,omitempty"`
-		SummaryMisses      int `json:"summaryMisses,omitempty"`
-		SummaryInvalidated int `json:"summaryInvalidated,omitempty"`
-		SummaryCorrupt     int `json:"summaryCorrupt,omitempty"`
-		MethodsExplored    int `json:"methodsExplored,omitempty"`
-		MethodsReused      int `json:"methodsReused,omitempty"`
-		SummariesPersisted int `json:"summariesPersisted,omitempty"`
-	} `json:"counters"`
-	Passes core.PassStats      `json:"passes,omitempty"`
-	Lint   []irlint.Diagnostic `json:"lint,omitempty"`
+	Status   string              `json:"status"`
+	Failure  string              `json:"failure,omitempty"`
+	Degraded []string            `json:"degraded,omitempty"`
+	Counters core.Counters       `json:"counters"`
+	Passes   core.PassStats      `json:"passes,omitempty"`
+	Lint     []irlint.Diagnostic `json:"lint,omitempty"`
 	// Soundness is the reflection pass's account of the app's reflective
 	// surface, present only when there is one (the field is omitted for
 	// apps with no reflective sites and for reflection-off runs, keeping
@@ -99,7 +76,13 @@ type Report struct {
 
 // ResultReport converts a finished analysis into the wire envelope.
 func ResultReport(res *core.Result) Report {
-	rep := Report{Status: res.Status.String(), Degraded: res.Degraded, Passes: res.Passes, Leaks: res.Taint.CanonicalReport()}
+	rep := Report{
+		Status:   res.Status.String(),
+		Degraded: res.Degraded,
+		Counters: res.Counters,
+		Passes:   res.Passes,
+		Leaks:    res.Taint.CanonicalReport(),
+	}
 	if res.Failure != nil {
 		rep.Failure = res.Failure.Error()
 	}
@@ -109,24 +92,6 @@ func ResultReport(res *core.Result) Report {
 	if !res.Soundness.Empty() {
 		rep.Soundness = res.Soundness
 	}
-	rep.Counters.CallGraphEdges = res.Counters.CallGraphEdges
-	rep.Counters.PTAPropagations = res.Counters.PTAPropagations
-	rep.Counters.Propagations = res.Counters.Propagations
-	rep.Counters.PathEdges = res.Counters.PathEdges
-	rep.Counters.Summaries = res.Counters.Summaries
-	rep.Counters.PeakAbstractions = res.Counters.PeakAbstractions
-	rep.Counters.Workers = res.Counters.Workers
-	rep.Counters.ConeMethods = res.Counters.ConeMethods
-	rep.Counters.SkippedComponents = res.Counters.SkippedComponents
-	rep.Counters.ReflectionResolved = res.Counters.ReflectionResolved
-	rep.Counters.ReflectionUnresolved = res.Counters.ReflectionUnresolved
-	rep.Counters.SummaryHits = res.Counters.SummaryHits
-	rep.Counters.SummaryMisses = res.Counters.SummaryMisses
-	rep.Counters.SummaryInvalidated = res.Counters.SummaryInvalidated
-	rep.Counters.SummaryCorrupt = res.Counters.SummaryCorrupt
-	rep.Counters.MethodsExplored = res.Counters.MethodsExplored
-	rep.Counters.MethodsReused = res.Counters.MethodsReused
-	rep.Counters.SummariesPersisted = res.Counters.SummariesPersisted
 	return rep
 }
 

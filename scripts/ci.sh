@@ -8,6 +8,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# CI writes no tracked file: the working tree's status must read the same
+# at the end as now. Skipped when the tree is not a git checkout.
+check_tree=0
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    tree_status=$(git status --porcelain)
+    check_tree=1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -51,5 +59,17 @@ go run ./scripts/checkhealth
 
 echo "==> service soak smoke (bounded queue, fair completion, warm resubmission, drain; race-enabled)"
 go test -race -run 'TestServiceSoak|TestServiceWarm' ./internal/service/
+
+if [ "$check_tree" -eq 1 ]; then
+    echo "==> working tree unchanged by CI"
+    after=$(git status --porcelain)
+    if [ "$after" != "$tree_status" ]; then
+        echo "CI changed the working tree; git status --porcelain was:" >&2
+        printf '%s\n' "$tree_status" >&2
+        echo "and is now:" >&2
+        printf '%s\n' "$after" >&2
+        exit 1
+    fi
+fi
 
 echo "CI OK"

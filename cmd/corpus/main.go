@@ -34,28 +34,53 @@ import (
 	"syscall"
 
 	"flowdroid/internal/appgen"
+	"flowdroid/internal/core"
 	"flowdroid/internal/metrics"
+	"flowdroid/internal/summarystore"
+)
+
+const (
+	exitOK       = 0
+	exitRecall   = 1
+	exitAnalysis = 2
+	exitUsage    = 64
 )
 
 func main() {
+	os.Exit(run(os.Args[1:]))
+}
+
+// run is main with an exit code: every path returns instead of calling
+// os.Exit, so the deferred cleanup (signal-handler release, trace file)
+// always executes. A ContinueOnError flag set (instead of the flag
+// package's default, which exits 2 on a bad flag) routes parse failures
+// to the usage exit code.
+func run(args []string) int {
+	flags := flag.NewFlagSet("corpus", flag.ContinueOnError)
 	var (
-		profile     = flag.String("profile", "malware", "population profile: play, malware, or stress")
-		n           = flag.Int("n", 100, "number of apps to generate and analyze")
-		seed        = flag.Int64("seed", 1, "generation seed")
-		export      = flag.String("export", "", "also write the generated app packages under this directory")
-		timeout     = flag.Duration("timeout", 0, "per-app analysis deadline (0 = none)")
-		maxProps    = flag.Int("max-propagations", 0, "per-app taint-propagation budget (0 = unlimited)")
-		degrade     = flag.Bool("degrade", false, "retry budget-exhausted apps with cheaper configurations")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "per-app taint solver worker-pool size (<=1 = sequential)")
-		forcePanic  = flag.String("force-panic", "", "inject a panic while analyzing the named app (tests batch isolation)")
-		lint        = flag.Bool("lint", false, "run the IR verifier before each app's solvers")
-		sinks       = flag.String("sinks", "", "comma-separated sink selectors for a demand-driven query (empty = all sinks)")
-		summaryDir  = flag.String("summary-dir", "", "persistent method-summary store directory; a repeated run over the same corpus re-analyzes warm (empty = disabled)")
-		traceFile   = flag.String("trace", "", "write a JSONL span trace of every app's pipeline to this file")
-		showMetrics = flag.Bool("metrics", false, "print the corpus-aggregated metrics snapshot as JSON after the summary")
-		noReflect   = flag.Bool("no-reflection", false, "disable reflection resolution; injected reflective leaks become invisible, so the exact-recall check is suspended")
+		profile     = flags.String("profile", "malware", "population profile: play, malware, or stress")
+		n           = flags.Int("n", 100, "number of apps to generate and analyze")
+		seed        = flags.Int64("seed", 1, "generation seed")
+		export      = flags.String("export", "", "also write the generated app packages under this directory")
+		timeout     = flags.Duration("timeout", 0, "per-app analysis deadline (0 = none)")
+		maxProps    = flags.Int("max-propagations", 0, "per-app taint-propagation budget (0 = unlimited)")
+		degrade     = flags.Bool("degrade", false, "retry budget-exhausted apps with cheaper configurations")
+		workers     = flags.Int("workers", runtime.GOMAXPROCS(0), "per-app taint solver worker-pool size (<=1 = sequential)")
+		forcePanic  = flags.String("force-panic", "", "inject a panic while analyzing the named app (tests batch isolation)")
+		lint        = flags.Bool("lint", false, "run the IR verifier before each app's solvers")
+		sinks       = flags.String("sinks", "", "comma-separated sink selectors for a demand-driven query (empty = all sinks)")
+		summaryDir  = flags.String("summary-dir", "", "persistent method-summary store directory; a repeated run over the same corpus re-analyzes warm (empty = disabled)")
+		traceFile   = flags.String("trace", "", "write a JSONL span trace of every app's pipeline to this file")
+		showMetrics = flags.Bool("metrics", false, "print the corpus-aggregated metrics snapshot as JSON after the summary")
+		noReflect   = flags.Bool("no-reflection", false, "disable reflection resolution; injected reflective leaks become invisible, so the exact-recall check is suspended")
 	)
-	flag.Parse()
+	flags.SetOutput(os.Stderr)
+	if err := flags.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return exitOK
+		}
+		return exitUsage
+	}
 
 	var p appgen.Profile
 	switch *profile {
@@ -69,32 +94,30 @@ func main() {
 		p = appgen.Reflection
 	default:
 		fmt.Fprintf(os.Stderr, "unknown profile %q (want play, malware, stress, or reflection)\n", *profile)
-		os.Exit(64)
+		return exitUsage
 	}
 	if *export != "" {
 		if _, err := appgen.ExportCorpus(p, *n, *seed, *export); err != nil {
 			fmt.Fprintln(os.Stderr, "corpus:", err)
-			os.Exit(2)
+			return exitAnalysis
 		}
 		fmt.Printf("wrote %d app packages under %s\n", *n, *export)
 	}
-	ro := appgen.RunOptions{
-		Timeout:         *timeout,
-		MaxPropagations: *maxProps,
-		Degrade:         *degrade,
-		Workers:         *workers,
-		FaultInject:     *forcePanic,
-		Lint:            *lint,
-		SummaryDir:      *summaryDir,
-		NoReflection:    *noReflect,
-	}
+	opts := core.DefaultOptions()
+	opts.MaxPropagations = *maxProps
+	opts.Degrade = *degrade
+	opts.Taint.Workers = *workers
+	opts.Lint = *lint
+	opts.SummaryStore = summarystore.Open(*summaryDir)
+	opts.ResolveReflection = !*noReflect
 	if *sinks != "" {
 		for _, sel := range strings.Split(*sinks, ",") {
 			if sel = strings.TrimSpace(sel); sel != "" {
-				ro.Sinks = append(ro.Sinks, sel)
+				opts.Query.Sinks = append(opts.Query.Sinks, sel)
 			}
 		}
 	}
+	ro := appgen.RunOptions{Timeout: *timeout, FaultInject: *forcePanic}
 	// An interrupt (SIGINT/SIGTERM) cancels the batch context: the app
 	// being analyzed stops at its next stage boundary, the apps never
 	// attempted are counted in the summary's incomplete line, and the
@@ -114,21 +137,25 @@ func main() {
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "corpus:", err)
-			os.Exit(64)
+			return exitUsage
 		}
+		defer f.Close()
 		rec.SetTrace(metrics.NewTrace(f))
 	}
-	stats, err := appgen.RunCorpusWith(ctx, p, *n, *seed, ro)
+	stats, err := appgen.RunCorpusWith(ctx, p, *n, *seed, opts, ro)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "corpus:", err)
-		os.Exit(2)
+		return exitAnalysis
 	}
 	fmt.Print(stats.Render())
+	if n := stats.Counters.SummaryFlushErrors; n > 0 {
+		fmt.Fprintf(os.Stderr, "corpus: writing summaries to %s failed for %d app(s); the next run cannot reuse them\n", *summaryDir, n)
+	}
 	if *showMetrics {
 		out, err := json.MarshalIndent(rec.Snapshot(), "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "corpus:", err)
-			os.Exit(2)
+			return exitAnalysis
 		}
 		fmt.Printf("metrics:\n%s\n", out)
 	}
@@ -137,15 +164,16 @@ func main() {
 		// (incomplete) so scripts never mistake it for a full run whose
 		// ground truth failed to match.
 		fmt.Fprintf(os.Stderr, "corpus: interrupted, %d app(s) never attempted\n", stats.Incomplete)
-		os.Exit(2)
+		return exitAnalysis
 	}
 	// Under a sink query the injected ground truth spans all sinks while
 	// the report is restricted to the queried ones; under -no-reflection
 	// the injected reflective leaks are intentionally invisible. The
 	// exact-recall check only applies to full whole-program runs.
-	if len(ro.Sinks) == 0 && !ro.NoReflection && stats.TotalFound != stats.TotalInjected {
+	if opts.Query.IsAll() && opts.ResolveReflection && stats.TotalFound != stats.TotalInjected {
 		fmt.Printf("WARNING: found %d leaks but injected %d\n",
 			stats.TotalFound, stats.TotalInjected)
-		os.Exit(1)
+		return exitRecall
 	}
+	return exitOK
 }

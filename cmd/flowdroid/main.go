@@ -86,6 +86,7 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
+	"time"
 
 	"flowdroid/internal/core"
 	"flowdroid/internal/insecurebank"
@@ -329,7 +330,13 @@ func run() int {
 	}
 	if *showStats {
 		st := res.Taint.Stats
-		fmt.Printf("\nsetup %v, taint analysis %v (%d worker(s))\n", res.SetupTime, res.TaintTime, st.Workers)
+		var setup time.Duration
+		for pass, d := range res.PassTimes {
+			if pass != "taint" {
+				setup += d
+			}
+		}
+		fmt.Printf("\nsetup %v, taint analysis %v (%d worker(s))\n", setup, res.PassTimes["taint"], st.Workers)
 		fmt.Printf("forward edges %d, backward edges %d, alias queries %d (%d gated), summaries %d, peak abstractions %d\n",
 			st.ForwardEdges, st.BackwardEdges, st.AliasQueries, st.GatedAliasQueries, st.Summaries, st.PeakAbstractions)
 		if c := res.Counters; c.ReflectionResolved > 0 || c.ReflectionUnresolved > 0 {

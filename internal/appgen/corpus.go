@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"flowdroid/internal/core"
-	"flowdroid/internal/summarystore"
 )
 
 // TimeRollup aggregates per-app wall times for one outcome class.
@@ -53,26 +52,20 @@ type CorpusStats struct {
 	TotalInjected int
 	BySink        map[string]int
 
-	// MinTime/MaxTime/TotalTime/SlowestApp describe apps whose analysis
-	// ran to completion only; truncated and recovered apps are rolled up
-	// separately in Times so they cannot distort the aggregate means.
-	MinTime, MaxTime, TotalTime time.Duration
-	SlowestApp                  string
 	// Times holds one wall-time rollup per outcome, keyed by
-	// core.Status.String() plus "Error" for load failures.
-	Times  map[string]*TimeRollup
-	Errors int
+	// core.Status.String() plus "Error" for load failures and escaped
+	// panics (which count as "Recovered"). Completed apps are
+	// Times["Complete"], so truncated and recovered apps cannot distort
+	// the aggregate means; Times[k].Apps is the number of apps with
+	// outcome k (zero for an absent key).
+	Times map[string]TimeRollup
 
-	// Resilience accounting: apps whose analysis was cut short. A
-	// truncated or recovered app never aborts the batch; it is counted
-	// here and detailed in Failures.
-	Recovered   int
-	TimedOut    int
-	Exhausted   int
-	LeakLimited int
-	Degraded    int
-	Failures    []string
-	Incomplete  int // batch stopped early: apps never attempted
+	// Resilience accounting: apps whose analysis was cut short are
+	// detailed in Failures; a truncated or recovered app never aborts
+	// the batch.
+	Degraded   int
+	Failures   []string
+	Incomplete int // batch stopped early: apps never attempted
 
 	// Passes aggregates the per-pass run/hit counters across all apps:
 	// cache hits appear whenever the degradation ladder reused memoized
@@ -82,56 +75,23 @@ type CorpusStats struct {
 	// apps — the corpus-level slowest-pass table.
 	PassTimes map[string]time.Duration
 
-	// QueriedSinks echoes RunOptions.Sinks; non-empty means the corpus
-	// ran in demand-driven query mode and the cone aggregates below are
+	// QueriedSinks echoes the options' Query.Sinks; non-empty means the
+	// corpus ran in demand-driven query mode and the cone counters are
 	// meaningful.
 	QueriedSinks []string
-	// ConeMethods/SkippedComponents sum each app's reachability-cone
-	// size and skipped-component count, aggregated like the pass
-	// counters above.
-	ConeMethods       int
-	SkippedComponents int
-
-	// ReflectionResolved/ReflectionUnresolved sum each app's soundness
-	// accounting: reflective sites resolved into call edges versus left
-	// opaque (both zero under RunOptions.NoReflection).
-	ReflectionResolved   int
-	ReflectionUnresolved int
+	// Counters sums every analyzed app's core.Counters: cone sizes,
+	// reflection soundness, summary-store effect and write-back errors.
+	Counters core.Counters
 }
 
-// RunOptions bound and harden a corpus run. The zero value reproduces
-// the unbounded historical behaviour.
+// RunOptions harden a corpus run beyond the per-app core.Options. The
+// zero value reproduces the unbounded historical behaviour.
 type RunOptions struct {
 	// Timeout bounds each app's analysis (0 = none).
 	Timeout time.Duration
-	// MaxPropagations is the per-app taint propagation budget (0 =
-	// unlimited).
-	MaxPropagations int
-	// Degrade enables the CHA/access-path degradation ladder on budget
-	// exhaustion.
-	Degrade bool
-	// Workers is the per-app taint solver worker-pool size (<=1 =
-	// sequential). The aggregated leak statistics are worker-count-
-	// independent.
-	Workers int
 	// FaultInject names an app whose analysis is made to panic, for
 	// exercising the batch isolation path (chaos testing).
 	FaultInject string
-	// Lint runs the IR verifier before each app's solvers; apps with
-	// Error diagnostics roll up under the InvalidProgram status.
-	Lint bool
-	// Sinks restricts each app's analysis to the named sink selectors
-	// (demand-driven query mode); empty analyzes all sinks.
-	Sinks []string
-	// SummaryDir, when non-empty, runs every app through the persistent
-	// method-summary store rooted there (see internal/summarystore): a
-	// second corpus run over the same or lightly mutated apps re-analyzes
-	// warm. Leak statistics are store-independent.
-	SummaryDir string
-	// NoReflection disables the reflection-resolving constant-propagation
-	// pass (kill switch; see core.Options.ResolveReflection). Reflective
-	// leaks planted by the reflection profile go unfound under it.
-	NoReflection bool
 }
 
 // AvgLeaksPerApp is the paper's "1.85 leaks per application" figure.
@@ -146,7 +106,7 @@ func (s CorpusStats) AvgLeaksPerApp() float64 {
 // nothing completed it falls back to the mean over all attempted apps,
 // so a fully truncated corpus still reports a meaningful figure.
 func (s CorpusStats) AvgTime() time.Duration {
-	if r, ok := s.Times[core.Complete.String()]; ok && r.Apps > 0 {
+	if r := s.Times[core.Complete.String()]; r.Apps > 0 {
 		return r.Avg()
 	}
 	if s.Apps == 0 {
@@ -159,29 +119,27 @@ func (s CorpusStats) AvgTime() time.Duration {
 	return total / time.Duration(s.Apps)
 }
 
-// timeRollup returns (creating if needed) the rollup for an outcome key.
-func (s *CorpusStats) timeRollup(key string) *TimeRollup {
-	r := s.Times[key]
-	if r == nil {
-		r = &TimeRollup{}
-		s.Times[key] = r
-	}
-	return r
+// observe adds one app's wall time to the rollup of its outcome.
+func (s *CorpusStats) observe(outcome, app string, el time.Duration) {
+	r := s.Times[outcome]
+	r.observe(app, el)
+	s.Times[outcome] = r
 }
 
 // RunCorpus generates and analyzes n apps of a profile with FlowDroid's
 // default configuration and no per-app bounds.
 func RunCorpus(p Profile, n int, seed int64) (CorpusStats, error) {
-	return RunCorpusWith(context.Background(), p, n, seed, RunOptions{})
+	return RunCorpusWith(context.Background(), p, n, seed, core.DefaultOptions(), RunOptions{})
 }
 
-// RunCorpusWith generates and analyzes n apps under the given bounds.
-// Per-app failures — panics, timeouts, exhausted budgets, load errors —
-// are isolated: the offending app is counted and described in
+// RunCorpusWith generates and analyzes n apps, each under opts (one
+// opts.SummaryStore serves the whole corpus) and the per-app bounds of
+// ro. Per-app failures — panics, timeouts, exhausted budgets, load
+// errors — are isolated: the offending app is counted and described in
 // stats.Failures while the rest of the batch proceeds normally. The
 // batch-level context stops the whole run early; apps never attempted
 // are counted in stats.Incomplete.
-func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, ro RunOptions) (CorpusStats, error) {
+func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, opts core.Options, ro RunOptions) (CorpusStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -190,10 +148,9 @@ func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, ro RunOpti
 		BySink:       make(map[string]int),
 		Passes:       make(core.PassStats),
 		PassTimes:    make(map[string]time.Duration),
-		Times:        make(map[string]*TimeRollup),
-		QueriedSinks: ro.Sinks,
+		Times:        make(map[string]TimeRollup),
+		QueriedSinks: opts.Query.Sinks,
 	}
-	store := summarystore.Open(ro.SummaryDir)
 	apps := GenerateCorpus(p, n, seed)
 	for i, app := range apps {
 		if ctx.Err() != nil {
@@ -201,7 +158,7 @@ func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, ro RunOpti
 			break
 		}
 		start := time.Now()
-		res, err := analyzeOne(ctx, app, ro, store)
+		res, err := analyzeOne(ctx, app, opts, ro)
 		el := time.Since(start)
 		stats.Apps++
 		stats.TotalInjected += app.InjectedLeaks
@@ -209,39 +166,23 @@ func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, ro RunOpti
 			// The wall time of a failed app goes into its own rollup, never
 			// into the completed-apps aggregate.
 			if pe, ok := err.(*panicErr); ok {
-				stats.timeRollup(core.Recovered.String()).observe(app.Name, el)
-				stats.Recovered++
+				stats.observe(core.Recovered.String(), app.Name, el)
 				stats.Failures = append(stats.Failures, fmt.Sprintf("%s: recovered from %v", app.Name, pe.value))
 			} else {
-				stats.timeRollup("Error").observe(app.Name, el)
-				stats.Errors++
+				stats.observe("Error", app.Name, el)
 				stats.Failures = append(stats.Failures, fmt.Sprintf("%s: %v", app.Name, err))
 			}
 			continue
 		}
-		stats.timeRollup(res.Status.String()).observe(app.Name, el)
-		if res.Status == core.Complete {
-			stats.TotalTime += el
-			if stats.MinTime == 0 || el < stats.MinTime {
-				stats.MinTime = el
-			}
-			if el > stats.MaxTime {
-				stats.MaxTime = el
-				stats.SlowestApp = app.Name
-			}
-		}
+		stats.observe(res.Status.String(), app.Name, el)
 		switch res.Status {
 		case core.Recovered:
-			stats.Recovered++
 			stats.Failures = append(stats.Failures, fmt.Sprintf("%s: recovered from panic in stage %s", app.Name, res.Failure.Stage))
 		case core.DeadlineExceeded:
-			stats.TimedOut++
 			stats.Failures = append(stats.Failures, fmt.Sprintf("%s: deadline exceeded (%d propagations done)", app.Name, res.Counters.Propagations))
 		case core.BudgetExhausted:
-			stats.Exhausted++
 			stats.Failures = append(stats.Failures, fmt.Sprintf("%s: propagation budget exhausted", app.Name))
 		case core.LeakLimitReached:
-			stats.LeakLimited++
 			stats.Failures = append(stats.Failures, fmt.Sprintf("%s: leak cap reached (truncated report)", app.Name))
 		}
 		if len(res.Degraded) > 0 {
@@ -256,10 +197,7 @@ func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, ro RunOpti
 		for pass, d := range res.PassTimes {
 			stats.PassTimes[pass] += d
 		}
-		stats.ConeMethods += res.Counters.ConeMethods
-		stats.SkippedComponents += res.Counters.SkippedComponents
-		stats.ReflectionResolved += res.Counters.ReflectionResolved
-		stats.ReflectionUnresolved += res.Counters.ReflectionUnresolved
+		stats.Counters.Add(res.Counters)
 		leaks := res.Leaks()
 		stats.TotalFound += len(leaks)
 		if len(leaks) > 0 {
@@ -279,11 +217,11 @@ type panicErr struct{ value any }
 
 func (e *panicErr) Error() string { return fmt.Sprintf("panic: %v", e.value) }
 
-// analyzeOne analyzes a single app under the per-app bounds and the
-// corpus's summary store (nil for none), converting any panic that
-// escapes the core pipeline's own stage recovery (or is injected via
-// RunOptions.FaultInject) into an error so the batch survives.
-func analyzeOne(ctx context.Context, app App, ro RunOptions, store *summarystore.Store) (res *core.Result, err error) {
+// analyzeOne analyzes a single app under opts and the per-app bounds,
+// converting any panic that escapes the core pipeline's own stage
+// recovery (or is injected via RunOptions.FaultInject) into an error so
+// the batch survives.
+func analyzeOne(ctx context.Context, app App, opts core.Options, ro RunOptions) (res *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &panicErr{r}
@@ -297,14 +235,6 @@ func analyzeOne(ctx context.Context, app App, ro RunOptions, store *summarystore
 	if ro.FaultInject != "" && ro.FaultInject == app.Name {
 		panic("appgen: injected fault in " + app.Name)
 	}
-	opts := core.DefaultOptions()
-	opts.MaxPropagations = ro.MaxPropagations
-	opts.Degrade = ro.Degrade
-	opts.Taint.Workers = ro.Workers
-	opts.ResolveReflection = !ro.NoReflection
-	opts.Lint = ro.Lint
-	opts.Query = core.Query{Sinks: ro.Sinks}
-	opts.SummaryStore = store
 	return core.AnalyzeFiles(ctx, app.Files, opts)
 }
 
@@ -316,9 +246,10 @@ func (s CorpusStats) Render() string {
 		s.AppsWithLeaks, 100*float64(s.AppsWithLeaks)/float64(max(1, s.Apps)))
 	fmt.Fprintf(&sb, "  leaks found: %d (injected ground truth: %d), %.2f leaks/app\n",
 		s.TotalFound, s.TotalInjected, s.AvgLeaksPerApp())
+	comp := s.Times[core.Complete.String()]
 	fmt.Fprintf(&sb, "  analysis time (completed apps): avg %v, min %v, max %v (slowest: %s)\n",
-		s.AvgTime().Round(time.Microsecond), s.MinTime.Round(time.Microsecond),
-		s.MaxTime.Round(time.Microsecond), s.SlowestApp)
+		s.AvgTime().Round(time.Microsecond), comp.Min.Round(time.Microsecond),
+		comp.Max.Round(time.Microsecond), comp.Slowest)
 	var outcomes []string
 	for k, r := range s.Times {
 		if k != core.Complete.String() && r.Apps > 0 {
@@ -339,13 +270,21 @@ func (s CorpusStats) Render() string {
 	for _, k := range sinks {
 		fmt.Fprintf(&sb, "  leaks into %-12s %d\n", k+":", s.BySink[k])
 	}
-	if s.ReflectionResolved+s.ReflectionUnresolved > 0 {
+	c := s.Counters
+	if c.ReflectionResolved+c.ReflectionUnresolved > 0 {
 		fmt.Fprintf(&sb, "  reflection: %d site(s) resolved into call edges, %d left opaque (see soundness reports)\n",
-			s.ReflectionResolved, s.ReflectionUnresolved)
+			c.ReflectionResolved, c.ReflectionUnresolved)
 	}
 	if len(s.QueriedSinks) > 0 {
 		fmt.Fprintf(&sb, "  sink query [%s]: reachability cone %d method(s), %d component(s) skipped (summed across apps)\n",
-			strings.Join(s.QueriedSinks, ", "), s.ConeMethods, s.SkippedComponents)
+			strings.Join(s.QueriedSinks, ", "), c.ConeMethods, c.SkippedComponents)
+	}
+	if c.MethodsReused+c.MethodsExplored > 0 {
+		fmt.Fprintf(&sb, "  summary store: %d hit(s), %d miss(es), %d invalidated; %d method(s) reused, %d explored\n",
+			c.SummaryHits, c.SummaryMisses, c.SummaryInvalidated, c.MethodsReused, c.MethodsExplored)
+	}
+	if c.SummaryFlushErrors > 0 {
+		fmt.Fprintf(&sb, "  summary store: %d write-back error(s), those apps' summaries not persisted\n", c.SummaryFlushErrors)
 	}
 	if len(s.Passes) > 0 {
 		fmt.Fprintf(&sb, "  pipeline passes: %d runs, %d artifact reuses (%s)\n",
@@ -371,9 +310,12 @@ func (s CorpusStats) Render() string {
 			fmt.Fprintf(&sb, "    %-12s %v\n", e.name+":", e.d.Round(time.Microsecond))
 		}
 	}
-	if s.Recovered+s.TimedOut+s.Exhausted+s.LeakLimited+s.Errors+s.Degraded+s.Incomplete > 0 {
+	apps := func(outcome string) int { return s.Times[outcome].Apps }
+	recovered, timedOut := apps(core.Recovered.String()), apps(core.DeadlineExceeded.String())
+	exhausted, leakCapped := apps(core.BudgetExhausted.String()), apps(core.LeakLimitReached.String())
+	if recovered+timedOut+exhausted+leakCapped+apps("Error")+s.Degraded+s.Incomplete > 0 {
 		fmt.Fprintf(&sb, "  abnormal outcomes: %d recovered, %d timed out, %d budget-exhausted, %d leak-capped, %d errors, %d degraded, %d never attempted\n",
-			s.Recovered, s.TimedOut, s.Exhausted, s.LeakLimited, s.Errors, s.Degraded, s.Incomplete)
+			recovered, timedOut, exhausted, leakCapped, apps("Error"), s.Degraded, s.Incomplete)
 		for _, f := range s.Failures {
 			fmt.Fprintf(&sb, "    %s\n", f)
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"flowdroid/internal/core"
 )
 
 // TestCorpusWorkerCountEquivalence: a corpus batch must aggregate to the
@@ -11,18 +13,21 @@ import (
 // apps-with-leaks count, same per-sink distribution.
 func TestCorpusWorkerCountEquivalence(t *testing.T) {
 	const n, seed = 6, 42
-	base, err := RunCorpusWith(context.Background(), Stress, n, seed, RunOptions{Workers: 1})
+	opts := core.DefaultOptions()
+	opts.Taint.Workers = 1
+	base, err := RunCorpusWith(context.Background(), Stress, n, seed, opts, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.TotalFound == 0 {
 		t.Fatal("stress corpus found no leaks; the equivalence check would be vacuous")
 	}
-	if base.Errors+base.Recovered+base.Incomplete > 0 {
+	if base.Times["Error"].Apps+base.Times[core.Recovered.String()].Apps+base.Incomplete > 0 {
 		t.Fatalf("sequential baseline had abnormal outcomes: %+v", base.Failures)
 	}
 	for _, w := range []int{2, 8} {
-		stats, err := RunCorpusWith(context.Background(), Stress, n, seed, RunOptions{Workers: w})
+		opts.Taint.Workers = w
+		stats, err := RunCorpusWith(context.Background(), Stress, n, seed, opts, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

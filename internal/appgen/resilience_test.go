@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"flowdroid/internal/core"
 )
 
 // TestCorpusFaultIsolation: one app forced to panic mid-batch is reported
@@ -14,15 +16,15 @@ func TestCorpusFaultIsolation(t *testing.T) {
 	apps := GenerateCorpus(Play, n, seed)
 	victim := apps[2].Name
 
-	stats, err := RunCorpusWith(context.Background(), Play, n, seed, RunOptions{FaultInject: victim})
+	stats, err := RunCorpusWith(context.Background(), Play, n, seed, core.DefaultOptions(), RunOptions{FaultInject: victim})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Apps != n {
 		t.Errorf("analyzed %d apps, want %d (the panic must not abort the batch)", stats.Apps, n)
 	}
-	if stats.Recovered != 1 {
-		t.Errorf("recovered = %d, want 1", stats.Recovered)
+	if got := stats.Times[core.Recovered.String()].Apps; got != 1 {
+		t.Errorf("recovered = %d, want 1", got)
 	}
 	found := false
 	for _, f := range stats.Failures {
@@ -36,11 +38,11 @@ func TestCorpusFaultIsolation(t *testing.T) {
 
 	// The other apps must have produced their normal results: same leaks
 	// as a clean run minus the victim's contribution.
-	clean, err := RunCorpusWith(context.Background(), Play, n, seed, RunOptions{})
+	clean, err := RunCorpusWith(context.Background(), Play, n, seed, core.DefaultOptions(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Recovered != 0 || clean.Errors != 0 {
+	if clean.Times[core.Recovered.String()].Apps != 0 || clean.Times["Error"].Apps != 0 {
 		t.Fatalf("clean run had abnormal outcomes: %+v", clean)
 	}
 	if want := clean.TotalFound - apps[2].InjectedLeaks; stats.TotalFound != want {
@@ -56,15 +58,15 @@ func TestCorpusFaultIsolation(t *testing.T) {
 // app timed out; none crashes the batch.
 func TestCorpusPerAppTimeout(t *testing.T) {
 	const n = 3
-	stats, err := RunCorpusWith(context.Background(), Play, n, 7, RunOptions{Timeout: time.Nanosecond})
+	stats, err := RunCorpusWith(context.Background(), Play, n, 7, core.DefaultOptions(), RunOptions{Timeout: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Apps != n {
 		t.Errorf("analyzed %d apps, want %d", stats.Apps, n)
 	}
-	if stats.TimedOut != n {
-		t.Errorf("timed out = %d, want %d", stats.TimedOut, n)
+	if got := stats.Times[core.DeadlineExceeded.String()].Apps; got != n {
+		t.Errorf("timed out = %d, want %d", got, n)
 	}
 }
 
@@ -73,7 +75,7 @@ func TestCorpusPerAppTimeout(t *testing.T) {
 func TestCorpusBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	stats, err := RunCorpusWith(ctx, Play, 4, 7, RunOptions{})
+	stats, err := RunCorpusWith(ctx, Play, 4, 7, core.DefaultOptions(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +88,17 @@ func TestCorpusBatchCancellation(t *testing.T) {
 // accounting, and enabling degradation records downgraded apps.
 func TestCorpusBudgetAndDegrade(t *testing.T) {
 	const n = 3
-	stats, err := RunCorpusWith(context.Background(), Play, n, 7, RunOptions{MaxPropagations: 10})
+	opts := core.DefaultOptions()
+	opts.MaxPropagations = 10
+	stats, err := RunCorpusWith(context.Background(), Play, n, 7, opts, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Exhausted == 0 {
+	if stats.Times[core.BudgetExhausted.String()].Apps == 0 {
 		t.Error("no app exhausted a 10-propagation budget")
 	}
-	degraded, err := RunCorpusWith(context.Background(), Play, n, 7, RunOptions{MaxPropagations: 10, Degrade: true})
+	opts.Degrade = true
+	degraded, err := RunCorpusWith(context.Background(), Play, n, 7, opts, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

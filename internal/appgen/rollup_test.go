@@ -7,11 +7,14 @@ package appgen
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"flowdroid/internal/core"
+	"flowdroid/internal/summarystore"
 )
 
 // TestRollupObserve: the rollup arithmetic itself.
@@ -42,24 +45,20 @@ func TestCorpusRollupSplitOnPanic(t *testing.T) {
 	apps := GenerateCorpus(Play, n, seed)
 	victim := apps[2].Name
 
-	stats, err := RunCorpusWith(context.Background(), Play, n, seed, RunOptions{FaultInject: victim})
+	stats, err := RunCorpusWith(context.Background(), Play, n, seed, core.DefaultOptions(), RunOptions{FaultInject: victim})
 	if err != nil {
 		t.Fatal(err)
 	}
 	comp := stats.Times[core.Complete.String()]
-	if comp == nil || comp.Apps != n-1 {
+	if comp.Apps != n-1 {
 		t.Fatalf("completed rollup = %+v, want %d apps", comp, n-1)
 	}
 	rec := stats.Times[core.Recovered.String()]
-	if rec == nil || rec.Apps != 1 || rec.Slowest != victim {
+	if rec.Apps != 1 || rec.Slowest != victim {
 		t.Fatalf("recovered rollup = %+v, want the victim %s alone", rec, victim)
 	}
-	if stats.SlowestApp == victim {
-		t.Errorf("SlowestApp names the panicked victim; its time leaked into the completed aggregate")
-	}
-	if comp.Total != stats.TotalTime || comp.Max != stats.MaxTime || comp.Min != stats.MinTime {
-		t.Errorf("headline aggregate (total %v min %v max %v) diverges from the completed rollup (%+v)",
-			stats.TotalTime, stats.MinTime, stats.MaxTime, comp)
+	if comp.Slowest == victim {
+		t.Errorf("the completed rollup names the panicked victim; its time leaked into the completed aggregate")
 	}
 	if stats.AvgTime() != comp.Avg() {
 		t.Errorf("AvgTime() = %v, want the completed apps' mean %v", stats.AvgTime(), comp.Avg())
@@ -75,19 +74,16 @@ func TestCorpusRollupSplitOnPanic(t *testing.T) {
 // dividing by zero.
 func TestCorpusRollupSplitOnTimeout(t *testing.T) {
 	const n = 3
-	stats, err := RunCorpusWith(context.Background(), Play, n, 7, RunOptions{Timeout: time.Nanosecond})
+	stats, err := RunCorpusWith(context.Background(), Play, n, 7, core.DefaultOptions(), RunOptions{Timeout: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp := stats.Times[core.Complete.String()]; comp != nil && comp.Apps != 0 {
-		t.Errorf("completed rollup holds %d timed-out apps", comp.Apps)
+	if comp := stats.Times[core.Complete.String()]; comp != (TimeRollup{}) {
+		t.Errorf("completed rollup polluted by timed-out apps: %+v", comp)
 	}
 	to := stats.Times[core.DeadlineExceeded.String()]
-	if to == nil || to.Apps != n {
+	if to.Apps != n {
 		t.Fatalf("deadline rollup = %+v, want all %d apps", to, n)
-	}
-	if stats.TotalTime != 0 || stats.SlowestApp != "" {
-		t.Errorf("headline aggregate polluted by timed-out apps: total %v slowest %q", stats.TotalTime, stats.SlowestApp)
 	}
 	if stats.AvgTime() <= 0 {
 		t.Errorf("AvgTime() = %v with every app truncated, want the all-apps fallback mean", stats.AvgTime())
@@ -97,7 +93,7 @@ func TestCorpusRollupSplitOnTimeout(t *testing.T) {
 // TestCorpusPassTimeAggregation: a clean corpus run must surface a
 // slowest-pass table whose entries cover the pipeline's passes.
 func TestCorpusPassTimeAggregation(t *testing.T) {
-	stats, err := RunCorpusWith(context.Background(), Play, 3, 7, RunOptions{})
+	stats, err := RunCorpusWith(context.Background(), Play, 3, 7, core.DefaultOptions(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,5 +107,35 @@ func TestCorpusPassTimeAggregation(t *testing.T) {
 	}
 	if !strings.Contains(stats.Render(), "slowest passes") {
 		t.Errorf("summary does not render the slowest-pass table:\n%s", stats.Render())
+	}
+}
+
+// TestCorpusReportsFlushErrors: a corpus whose summary store cannot be
+// written (rooted under a regular file) still analyzes every app, and the
+// rollup says so: the summed counters carry one write-back error per app,
+// and the summary renders the store line and the error line.
+func TestCorpusReportsFlushErrors(t *testing.T) {
+	const n = 4
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.SummaryStore = summarystore.Open(filepath.Join(file, "store"))
+	stats, err := RunCorpusWith(context.Background(), Malware, n, 7, opts, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Times[core.Complete.String()].Apps; got != n {
+		t.Fatalf("%d of %d apps complete: a failed write-back must not fail an analysis", got, n)
+	}
+	if got := stats.Counters.SummaryFlushErrors; got != n {
+		t.Errorf("SummaryFlushErrors = %d, want %d (one per app)", got, n)
+	}
+	out := stats.Render()
+	for _, want := range []string{"summary store: 0 hit(s)", "summary store: 4 write-back error(s)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -140,7 +140,6 @@ func BuildWithExtra(ctx context.Context, h ir.Hierarchy, mgr *sourcesink.Manager
 	closeOver(c.relevant, callersOf, writeRoots)
 	closeOver(c.relevant, callersOf, srcRoots)
 	if rec := metrics.From(ctx); rec != nil {
-		rec.Gauge("cone.methods", metrics.Deterministic).Set(int64(len(c.inCone)))
 		rec.Gauge("cone.sink_stmts", metrics.Deterministic).Set(int64(c.SinkStmts))
 	}
 	return c

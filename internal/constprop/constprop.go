@@ -47,12 +47,12 @@ const maxRounds = 32
 type kind uint8
 
 const (
-	bot kind = iota // no constant observed yet (unassigned path)
-	strs            // a bounded set of string constants
-	classes         // a bounded set of class names (java.lang.Class values)
-	methods         // a bounded set of (class, method-name) pairs
-	builder         // StringBuilder/StringBuffer contents, tracked per allocation site
-	top             // not a constant
+	bot     kind = iota // no constant observed yet (unassigned path)
+	strs                // a bounded set of string constants
+	classes             // a bounded set of class names (java.lang.Class values)
+	methods             // a bounded set of (class, method-name) pairs
+	builder             // StringBuilder/StringBuffer contents, tracked per allocation site
+	top                 // not a constant
 )
 
 // methodKey is one (class, method-name) element of a methods fact — the

@@ -26,6 +26,7 @@ import (
 	"flowdroid/internal/irlint"
 	"flowdroid/internal/irtext"
 	"flowdroid/internal/lifecycle"
+	"flowdroid/internal/metrics"
 	"flowdroid/internal/pta"
 	"flowdroid/internal/scene"
 	"flowdroid/internal/sourcesink"
@@ -141,13 +142,13 @@ type Result struct {
 	// reused its memoized artifact across this run (including any
 	// degradation retries).
 	Passes PassStats
-
-	// Timings per pipeline stage.
-	SetupTime time.Duration
-	TaintTime time.Duration
 	// PassTimes is the wall time each pass spent actually building its
-	// artifact across this run (memo hits cost nothing and add nothing).
-	// The corpus harness aggregates these into its slowest-pass table.
+	// artifact across this run (memo hits cost nothing and add nothing),
+	// charged even when the pass was cut short by a panic or a deadline.
+	// It is the run's only timer: the taint solve is PassTimes["taint"]
+	// (absent when the run never reached it), setup is the sum of the
+	// other passes, and the corpus harness aggregates them into its
+	// slowest-pass table.
 	PassTimes map[string]time.Duration
 }
 
@@ -164,33 +165,39 @@ func (r *Result) Leaks() []*taint.Leak { return r.Taint.DistinctSourceSinkPairs(
 // ladder re-executes only the passes each rung actually invalidates (the
 // CHA rung rebuilds call graph and ICFG; access-path-length rungs re-run
 // taint alone), which Result.Passes makes observable.
+//
+// The result is the run's record. On the way out it is published into
+// the context's metrics recorder, if any: the Counters series describe
+// the final attempt, while Passes count every attempt's pass runs.
 func AnalyzeApp(ctx context.Context, app *apk.App, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	pl := newPipeline(app)
 	res, err := pl.run(ctx, opts)
-	if err != nil || !opts.Degrade {
-		return res, err
+	if err != nil {
+		return nil, err
 	}
-	// Graceful degradation: a budget-exhausted attempt is retried down
-	// the ladder while the context still has time. (A deadline overrun
-	// cannot be retried — the clock is already spent.)
-	var degraded []string
-	for _, step := range degradeLadder(opts) {
-		if res.Status != BudgetExhausted || ctx.Err() != nil {
-			break
+	if opts.Degrade {
+		// Graceful degradation: a budget-exhausted attempt is retried down
+		// the ladder while the context still has time. (A deadline overrun
+		// cannot be retried — the clock is already spent.)
+		var degraded []string
+		for _, step := range degradeLadder(opts) {
+			if res.Status != BudgetExhausted || ctx.Err() != nil {
+				break
+			}
+			step.apply(&opts)
+			next, err := pl.run(ctx, opts)
+			if err != nil {
+				break // keep the best partial result we have
+			}
+			degraded = append(degraded, step.name)
+			res = next
 		}
-		step.apply(&opts)
-		next, err := pl.run(ctx, opts)
-		if err != nil {
-			break // keep the best partial result we have
-		}
-		degraded = append(degraded, step.name)
-		res = next
+		res.Degraded = degraded
 	}
-	res.Degraded = degraded
-	res.Passes = pl.snapshot()
+	publish(metrics.From(ctx), res)
 	return res, nil
 }
 

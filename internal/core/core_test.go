@@ -133,8 +133,8 @@ func TestResultMetadata(t *testing.T) {
 	if res.Callbacks.Total() == 0 {
 		t.Error("no callbacks discovered")
 	}
-	if res.SetupTime <= 0 || res.TaintTime <= 0 {
-		t.Error("timings not recorded")
+	if res.PassTimes["scene"] <= 0 || res.PassTimes["taint"] <= 0 {
+		t.Errorf("timings not recorded: %v", res.PassTimes)
 	}
 	if res.Taint.Stats.ForwardEdges == 0 {
 		t.Error("no forward edges recorded")

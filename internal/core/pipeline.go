@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -221,14 +222,13 @@ func (pl *pipeline) stat(name string) *PassStat {
 	return st
 }
 
-// ran opens one pass execution: it bumps the run counter (and its
-// metrics mirror) up front — so a pass that panics still counts as an
-// attempted run — and returns a closer that charges the elapsed build
-// time to the pass and ends its trace span. The closer is safe under
-// panic when deferred.
+// ran opens one pass execution: it bumps the run counter up front — so a
+// pass that panics still counts as an attempted run — and returns a
+// closer that charges the elapsed build time to the pass and ends its
+// trace span. The closer is safe under panic when deferred, so a pass cut
+// short by a panic or a deadline is still charged for the time it ran.
 func (pl *pipeline) ran(name string) func() {
 	pl.stat(name).Runs++
-	pl.rec.Counter("pipeline."+name+".runs", metrics.Deterministic).Add(1)
 	sp := pl.rec.StartSpan("pipeline." + name)
 	bstart := time.Now()
 	return func() {
@@ -240,32 +240,22 @@ func (pl *pipeline) ran(name string) func() {
 // hit records one memo reuse.
 func (pl *pipeline) hit(name string) {
 	pl.stat(name).Hits++
-	pl.rec.Counter("pipeline."+name+".hits", metrics.Deterministic).Add(1)
 }
 
-// snapshot copies the counters into an exported PassStats.
-func (pl *pipeline) snapshot() PassStats {
-	out := make(PassStats, len(pl.stats))
+// record copies the pass counters and build times into the result.
+func (pl *pipeline) record(res *Result) {
+	res.Passes = make(PassStats, len(pl.stats))
 	for n, st := range pl.stats {
-		out[n] = *st
+		res.Passes[n] = *st
 	}
-	return out
-}
-
-// timesSnapshot copies the per-pass build times.
-func (pl *pipeline) timesSnapshot() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(pl.times))
-	for n, d := range pl.times {
-		out[n] = d
-	}
-	return out
+	res.PassTimes = maps.Clone(pl.times)
 }
 
 // memo returns the cached artifact when its key matches, otherwise runs
 // build and caches the result. Errors and panics leave the artifact
-// unbuilt. A build is wrapped in a "pipeline.<name>" metrics span and
-// its wall time is charged to the pass; a hit costs (and records)
-// nothing but the hit counter.
+// unbuilt. A build is wrapped in a "pipeline.<name>" trace span and its
+// wall time is charged to the pass; a hit costs (and records) nothing
+// but the hit counter.
 func memo[T any](pl *pipeline, name, key string, a *artifact[T], build func() (T, error)) (T, error) {
 	if a.built && a.key == key {
 		pl.hit(name)
@@ -287,40 +277,25 @@ func memo[T any](pl *pipeline, name, key string, a *artifact[T], build func() (T
 // run is one pipeline attempt under one configuration, reusing every
 // artifact the configuration does not invalidate. Panics in any pass are
 // converted into a Recovered result carrying the passes that finished
-// before the panic.
+// before the panic. Every result leaves with the pipeline's cumulative
+// Passes and PassTimes, the run's only timing record.
 func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err error) {
-	start := time.Now()
 	pl.rec = metrics.From(ctx)
 	res = &Result{App: pl.app, Status: Complete, Taint: &taint.Results{}}
 	stage := "scene"
-	// tstart is zero until the taint stage begins; attribute() charges
-	// elapsed time to the stage that was actually running, so a panic or
-	// deadline during the solve lands in TaintTime, not SetupTime.
-	var tstart time.Time
-	attribute := func() {
-		if !tstart.IsZero() {
-			res.SetupTime = tstart.Sub(start)
-			res.TaintTime = time.Since(tstart)
-		} else {
-			res.SetupTime = time.Since(start)
-		}
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			res.Status = Recovered
 			res.Failure = &Failure{Stage: stage, Value: r, Stack: stackTrace()}
-			attribute()
-			res.Passes = pl.snapshot()
-			res.PassTimes = pl.timesSnapshot()
 			err = nil
 		}
+		if err == nil {
+			pl.record(res)
+		}
 	}()
-	truncated := func() *Result {
+	truncated := func() (*Result, error) {
 		res.Status = DeadlineExceeded
-		attribute()
-		res.Passes = pl.snapshot()
-		res.PassTimes = pl.timesSnapshot()
-		return res
+		return res, nil
 	}
 
 	// Scene: the shared program model, built once per app.
@@ -391,9 +366,6 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 		}
 		if lres.HasErrors() {
 			res.Status = InvalidProgram
-			attribute()
-			res.Passes = pl.snapshot()
-			res.PassTimes = pl.timesSnapshot()
 			return res, nil
 		}
 	}
@@ -427,16 +399,12 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 		}
 		if ctx.Err() != nil || ra.res.Truncated {
 			pl.refl.built = false // partial facts must not be reused
-			return truncated(), nil
+			return truncated()
 		}
 		reflEdges = ra.edges
 		res.Soundness = ra.res.Report
 		res.Counters.ReflectionResolved = ra.res.Report.ResolvedSites
 		res.Counters.ReflectionUnresolved = len(ra.res.Report.Unresolved)
-		if pl.rec != nil {
-			pl.rec.Gauge("soundness.reflection.resolved", metrics.Deterministic).Set(int64(ra.res.Report.ResolvedSites))
-			pl.rec.Gauge("soundness.reflection.unresolved", metrics.Deterministic).Set(int64(len(ra.res.Report.Unresolved)))
-		}
 	}
 
 	// Cone: the backward reachability cone of the queried sinks, built
@@ -452,7 +420,7 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 			})
 		if ctx.Err() != nil {
 			pl.cn.built = false // partial cone must not be reused
-			return truncated(), nil
+			return truncated()
 		}
 	}
 
@@ -463,7 +431,7 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	res.Callbacks = cbs
 	if ctx.Err() != nil {
 		pl.cbs.built = false // partial discovery must not be reused
-		return truncated(), nil
+		return truncated()
 	}
 
 	stage = "lifecycle"
@@ -484,9 +452,6 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 		lopts.SkipComponents = skip
 		res.Counters.ConeMethods = cn.Methods()
 		res.Counters.SkippedComponents = len(skip)
-		if pl.rec != nil {
-			pl.rec.Gauge("cone.skipped_components", metrics.Deterministic).Set(int64(len(skip)))
-		}
 	}
 	entry, err := memo(pl, "lifecycle", fmt.Sprintf("%+v", lopts), &pl.entry,
 		func() (*ir.Method, error) {
@@ -534,12 +499,11 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	res.Counters.PTAPropagations = cg.ptaProps
 	res.Counters.CallGraphEdges = cg.graph.NumEdges()
 	if pl.rec != nil {
-		pl.rec.Gauge("callgraph.edges", metrics.Deterministic).Set(int64(cg.graph.NumEdges()))
 		pl.rec.Gauge("callgraph.reachable", metrics.Deterministic).Set(int64(len(cg.graph.Reachable())))
 	}
 	if ctx.Err() != nil {
 		pl.graph.built = false // partial call graph must not be reused
-		return truncated(), nil
+		return truncated()
 	}
 
 	stage = "icfg"
@@ -567,7 +531,6 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	}
 
 	stage = "taint"
-	tstart = time.Now()
 	tc := opts.Taint
 	if opts.MaxPropagations > 0 {
 		tc.MaxPropagations = opts.MaxPropagations
@@ -592,11 +555,9 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 		// analysis: count it in the result and move on.
 		if err := sess.Flush(); err != nil {
 			res.Counters.SummaryFlushErrors = 1
-			pl.rec.Counter("summary.store.flush_errors", metrics.Schedule).Add(1)
 		}
 	}
 	res.Taint = tres
-	attribute()
 	countersFromTaint(&res.Counters, tres.Stats)
 	switch tres.Status {
 	case taint.Cancelled:
@@ -606,7 +567,5 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	case taint.LeakLimitReached:
 		res.Status = LeakLimitReached
 	}
-	res.Passes = pl.snapshot()
-	res.PassTimes = pl.timesSnapshot()
 	return res, nil
 }

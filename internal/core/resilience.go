@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime/debug"
+	"strings"
 
+	"flowdroid/internal/metrics"
 	"flowdroid/internal/taint"
 )
 
@@ -70,38 +73,42 @@ func (f *Failure) Error() string {
 
 // Counters are the per-stage effort counters of a run. A truncated run
 // reports what it did finish; zero fields belong to stages never reached.
-// They are also the wire schema: service.Report (the daemon's job result
-// and cmd/flowdroid -json) encodes them as its "counters" object, so a
-// new counter is one field here. The first seven are always emitted; the
-// rest are mode-specific and omitted when zero.
+// They are the only counter schema: service.Report (the daemon's job
+// result and cmd/flowdroid -json) encodes them as its "counters" object,
+// the corpus rollup sums them, and AnalyzeApp publishes the recorder
+// series tagged `metric:"name,counter|gauge[,schedule]"` from them. A
+// series is published when its `pass` was reached or, with no pass tag,
+// when it is nonzero. So a new counter is one field, with its wire and
+// metric names. The first seven are always emitted on the wire; the rest
+// are mode-specific and omitted when zero.
 type Counters struct {
 	// CallGraphEdges is the number of call edges in the final graph.
-	CallGraphEdges int `json:"callGraphEdges"`
+	CallGraphEdges int `json:"callGraphEdges" metric:"callgraph.edges,gauge" pass:"callgraph"`
 	// PTAPropagations counts points-to set insertions (zero under CHA).
-	PTAPropagations int `json:"ptaPropagations"`
+	PTAPropagations int `json:"ptaPropagations" metric:"pta.propagations,counter" pass:"callgraph"`
 	// Propagations counts the taint solver's novel path-edge insertions,
 	// the unit MaxPropagations charges.
-	Propagations int `json:"propagations"`
+	Propagations int `json:"propagations" metric:"taint.propagations,counter" pass:"taint"`
 	// PathEdges counts distinct forward plus backward path edges.
 	PathEdges int `json:"pathEdges"`
 	// Summaries counts method summaries the taint solver installed.
-	Summaries int `json:"summaries"`
+	Summaries int `json:"summaries" metric:"taint.summaries,counter" pass:"taint"`
 	// PeakAbstractions is the taint solver's interned fact count.
-	PeakAbstractions int `json:"peakAbstractions"`
+	PeakAbstractions int `json:"peakAbstractions" metric:"taint.abstractions,counter" pass:"taint"`
 	// Workers is the taint solver's worker-pool size (1 = sequential).
-	Workers int `json:"workers"`
+	Workers int `json:"workers" metric:"taint.workers,gauge,schedule" pass:"taint"`
 	// ConeMethods is the size of the query's sink-reaching cone and
 	// SkippedComponents the number of components left out of dummy-main
 	// modeling because they were entirely outside it (both zero on
 	// whole-program runs).
-	ConeMethods       int `json:"coneMethods,omitempty"`
-	SkippedComponents int `json:"skippedComponents,omitempty"`
+	ConeMethods       int `json:"coneMethods,omitempty" metric:"cone.methods,gauge" pass:"cone"`
+	SkippedComponents int `json:"skippedComponents,omitempty" metric:"cone.skipped_components,gauge" pass:"cone"`
 	// ReflectionResolved and ReflectionUnresolved count the reflective
 	// call sites the constant-propagation pass turned into real call
 	// edges versus left opaque (both zero with reflection resolution
 	// off).
-	ReflectionResolved   int `json:"reflectionResolved,omitempty"`
-	ReflectionUnresolved int `json:"reflectionUnresolved,omitempty"`
+	ReflectionResolved   int `json:"reflectionResolved,omitempty" metric:"soundness.reflection.resolved,gauge" pass:"constprop"`
+	ReflectionUnresolved int `json:"reflectionUnresolved,omitempty" metric:"soundness.reflection.unresolved,gauge" pass:"constprop"`
 	// Summary-store effect counters, all zero when no store was
 	// configured (Options.SummaryStore). Hits/Misses/Invalidated/Corrupt
 	// classify the store lookups the solver made; MethodsReused and
@@ -112,14 +119,62 @@ type Counters struct {
 	// them to disk failed (full disk, permissions, a root that is not a
 	// directory): the analysis is unaffected, but the records are lost
 	// and the next run re-solves those methods.
-	SummaryHits        int `json:"summaryHits,omitempty"`
-	SummaryMisses      int `json:"summaryMisses,omitempty"`
-	SummaryInvalidated int `json:"summaryInvalidated,omitempty"`
-	SummaryCorrupt     int `json:"summaryCorrupt,omitempty"`
-	MethodsExplored    int `json:"methodsExplored,omitempty"`
-	MethodsReused      int `json:"methodsReused,omitempty"`
-	SummariesPersisted int `json:"summariesPersisted,omitempty"`
-	SummaryFlushErrors int `json:"summaryFlushErrors,omitempty"`
+	SummaryHits        int `json:"summaryHits,omitempty" metric:"summary.store.hit,counter" pass:"summaries"`
+	SummaryMisses      int `json:"summaryMisses,omitempty" metric:"summary.store.miss,counter" pass:"summaries"`
+	SummaryInvalidated int `json:"summaryInvalidated,omitempty" metric:"summary.store.invalidated,counter" pass:"summaries"`
+	SummaryCorrupt     int `json:"summaryCorrupt,omitempty" metric:"summary.store.corrupt,counter" pass:"summaries"`
+	MethodsExplored    int `json:"methodsExplored,omitempty" metric:"summary.store.methods_explored,counter" pass:"summaries"`
+	MethodsReused      int `json:"methodsReused,omitempty" metric:"summary.store.methods_reused,counter" pass:"summaries"`
+	SummariesPersisted int `json:"summariesPersisted,omitempty" metric:"summary.store.persisted,counter" pass:"summaries"`
+	SummaryFlushErrors int `json:"summaryFlushErrors,omitempty" metric:"summary.store.flush_errors,counter,schedule"`
+}
+
+// Add sums o into c field by field: the rollup of many runs.
+func (c *Counters) Add(o Counters) {
+	cv, ov := reflect.ValueOf(c).Elem(), reflect.ValueOf(o)
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).SetInt(cv.Field(i).Int() + ov.Field(i).Int())
+	}
+}
+
+// publish writes a finished run's record into the recorder: every
+// Counters field with a metric tag, and every pass's runs and hits. It is
+// the only writer of these series, so they equal the result by
+// construction. Counters add, so a recorder shared by many runs sums
+// them; gauges hold the last run's value.
+func publish(rec *metrics.Recorder, res *Result) {
+	if rec == nil {
+		return
+	}
+	v := reflect.ValueOf(res.Counters)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		name, opts, ok := strings.Cut(f.Tag.Get("metric"), ",")
+		if !ok {
+			continue
+		}
+		n, pass := v.Field(i).Int(), f.Tag.Get("pass")
+		if st := res.Passes[pass]; pass == "" && n == 0 || pass != "" && st.Runs+st.Hits == 0 {
+			continue // its pass was never reached, or its event never happened
+		}
+		class := metrics.Deterministic
+		if strings.HasSuffix(opts, ",schedule") {
+			class = metrics.Schedule
+		}
+		if strings.HasPrefix(opts, "gauge") {
+			rec.Gauge(name, class).Set(n)
+		} else {
+			rec.Counter(name, class).Add(n)
+		}
+	}
+	for name, st := range res.Passes {
+		if st.Runs > 0 {
+			rec.Counter("pipeline."+name+".runs", metrics.Deterministic).Add(int64(st.Runs))
+		}
+		if st.Hits > 0 {
+			rec.Counter("pipeline."+name+".hits", metrics.Deterministic).Add(int64(st.Hits))
+		}
+	}
 }
 
 func countersFromTaint(c *Counters, st taint.Stats) {

@@ -1,16 +1,16 @@
 package core
 
-// Regression tests for the timing-attribution fix: a panic or
-// cancellation during the taint stage must charge the elapsed solve time
-// to TaintTime, not fold it into SetupTime (which is what the old
-// recover defer and truncated() helper did), and a run cut short during
-// setup must report TaintTime == 0.
+// Regression tests for timing attribution: a panic or cancellation
+// during the taint stage must still charge the elapsed solve time to
+// PassTimes["taint"] (not fold it into the setup passes), and a run cut
+// short during setup must carry no taint time at all.
 
 import (
 	"context"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"flowdroid/internal/apk"
 	"flowdroid/internal/metrics"
@@ -30,8 +30,8 @@ func timingApp(t *testing.T) *apk.App {
 }
 
 // TestPanicDuringTaintChargesTaintTime: a panic raised inside the taint
-// stage must yield Recovered with stage "taint", a nonzero TaintTime,
-// and a SetupTime that excludes the solve. The panic is forced by
+// stage must yield Recovered with stage "taint", a nonzero
+// PassTimes["taint"], and setup passes that were timed too. The panic is forced by
 // pre-seeding the sourcesink memo with a nil manager (a hit), which the
 // taint engine nil-derefs while seeding.
 func TestPanicDuringTaintChargesTaintTime(t *testing.T) {
@@ -50,11 +50,11 @@ func TestPanicDuringTaintChargesTaintTime(t *testing.T) {
 	if res.Failure == nil || res.Failure.Stage != "taint" {
 		t.Fatalf("failure = %+v, want stage %q", res.Failure, "taint")
 	}
-	if res.TaintTime <= 0 {
-		t.Errorf("TaintTime = %v after a panic mid-solve; the solve's elapsed time was folded into SetupTime", res.TaintTime)
+	if d := res.PassTimes["taint"]; d <= 0 {
+		t.Errorf("PassTimes[taint] = %v after a panic mid-solve; the solve's elapsed time was lost", d)
 	}
-	if res.SetupTime <= 0 {
-		t.Errorf("SetupTime = %v, want > 0 (setup did run)", res.SetupTime)
+	if d := setupTime(res); d <= 0 {
+		t.Errorf("setup passes timed %v, want > 0 (setup did run)", d)
 	}
 	if st := res.Passes["taint"]; st.Runs != 1 {
 		t.Errorf("taint pass runs = %d, want 1 (a panicking attempt still counts)", st.Runs)
@@ -82,8 +82,8 @@ func (w *cancelOnTaintSpan) Write(p []byte) (int, error) {
 }
 
 // TestCancelDuringTaintChargesTaintTime: a context cancelled while the
-// solver is running must yield DeadlineExceeded with TaintTime > 0 —
-// the second half of the attribution fix.
+// solver is running must yield DeadlineExceeded with PassTimes["taint"]
+// > 0.
 func TestCancelDuringTaintChargesTaintTime(t *testing.T) {
 	app := timingApp(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -100,14 +100,14 @@ func TestCancelDuringTaintChargesTaintTime(t *testing.T) {
 	if res.Status != DeadlineExceeded {
 		t.Fatalf("status = %v, want %v", res.Status, DeadlineExceeded)
 	}
-	if res.TaintTime <= 0 {
-		t.Errorf("TaintTime = %v after cancellation mid-solve; solver time was misattributed to setup", res.TaintTime)
+	if d := res.PassTimes["taint"]; d <= 0 {
+		t.Errorf("PassTimes[taint] = %v after cancellation mid-solve; solver time was lost", d)
 	}
 }
 
 // TestCancelDuringSetupLeavesTaintTimeZero: a context that is already
 // cancelled truncates the pipeline before the taint stage, so all the
-// elapsed time belongs to setup and TaintTime must stay zero.
+// elapsed time belongs to setup and PassTimes has no taint entry.
 func TestCancelDuringSetupLeavesTaintTimeZero(t *testing.T) {
 	app := timingApp(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -120,10 +120,21 @@ func TestCancelDuringSetupLeavesTaintTimeZero(t *testing.T) {
 	if res.Status != DeadlineExceeded {
 		t.Fatalf("status = %v, want %v", res.Status, DeadlineExceeded)
 	}
-	if res.TaintTime != 0 {
-		t.Errorf("TaintTime = %v for a run truncated during setup, want 0", res.TaintTime)
+	if d, ok := res.PassTimes["taint"]; ok {
+		t.Errorf("PassTimes[taint] = %v for a run truncated during setup, want absent", d)
 	}
-	if res.SetupTime <= 0 {
-		t.Errorf("SetupTime = %v, want > 0", res.SetupTime)
+	if d := setupTime(res); d <= 0 {
+		t.Errorf("setup passes timed %v, want > 0", d)
 	}
+}
+
+// setupTime is the -stats setup figure: every pass but taint.
+func setupTime(res *Result) time.Duration {
+	var d time.Duration
+	for pass, pd := range res.PassTimes {
+		if pass != "taint" {
+			d += pd
+		}
+	}
+	return d
 }

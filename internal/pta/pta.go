@@ -18,8 +18,8 @@ import (
 	"sort"
 
 	"flowdroid/internal/callgraph"
-	"flowdroid/internal/metrics"
 	"flowdroid/internal/ir"
+	"flowdroid/internal/metrics"
 )
 
 // Obj is an abstract object: an allocation site and its class.
@@ -189,7 +189,6 @@ func BuildWithExtra(ctx context.Context, prog ir.Hierarchy, extra map[ir.Stmt][]
 		rounds++
 	}
 	if rec := metrics.From(ctx); rec != nil {
-		rec.Counter("pta.propagations", metrics.Deterministic).Add(int64(a.propagations))
 		rec.Counter("pta.rounds", metrics.Deterministic).Add(int64(rounds))
 		rec.Counter("pta.constraints", metrics.Deterministic).Add(int64(a.constraintCount()))
 	}

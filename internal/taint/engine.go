@@ -334,12 +334,13 @@ func (e *engine) run(ctx context.Context, entries []*ir.Method) *Results {
 	return &Results{Leaks: e.leaks, Stats: stats, Status: e.q.finalStatus()}
 }
 
-// exportMetrics publishes the run's counters into the recorder. The
-// solver-effort counters are novel-insertion (or once-per-novel-item)
-// counts, schedule-independent on completed runs, so they go into the
-// deterministic section; the worker count and queue peak are scheduling
-// facts and stay in the schedule section. Counters accumulate with Add
-// so a recorder shared across a corpus sums per-app effort.
+// exportMetrics publishes the solver counters that have no field in the
+// pipeline's run record (core.Counters publishes the rest: propagations,
+// summaries, abstractions, workers and the store counters). They are
+// novel-insertion (or once-per-novel-item) counts, schedule-independent
+// on completed runs, so they go into the deterministic section. Counters
+// accumulate with Add so a recorder shared across a corpus sums per-app
+// effort.
 func (e *engine) exportMetrics(s Stats) {
 	rec := e.rec
 	if rec == nil {
@@ -347,26 +348,9 @@ func (e *engine) exportMetrics(s Stats) {
 	}
 	rec.Counter("taint.forward_edges", metrics.Deterministic).Add(int64(s.ForwardEdges))
 	rec.Counter("taint.backward_edges", metrics.Deterministic).Add(int64(s.BackwardEdges))
-	rec.Counter("taint.propagations", metrics.Deterministic).Add(int64(s.Propagations))
 	rec.Counter("taint.alias_queries", metrics.Deterministic).Add(int64(s.AliasQueries))
 	rec.Counter("taint.alias_queries_gated", metrics.Deterministic).Add(int64(s.GatedAliasQueries))
-	rec.Counter("taint.summaries", metrics.Deterministic).Add(int64(s.Summaries))
-	rec.Counter("taint.abstractions", metrics.Deterministic).Add(int64(s.PeakAbstractions))
 	rec.Counter("taint.access_paths", metrics.Deterministic).Add(int64(e.in.size()))
-	rec.Gauge("taint.workers", metrics.Schedule).Set(int64(s.Workers))
-	if e.conf.Cone != nil {
-		rec.Gauge("taint.cone_methods", metrics.Deterministic).Set(int64(s.ConeMethods))
-		rec.Gauge("taint.skipped_components", metrics.Deterministic).Set(int64(s.SkippedComponents))
-	}
-	if st := s.Store; st != nil {
-		rec.Counter("summary.store.hit", metrics.Deterministic).Add(int64(st.Hits))
-		rec.Counter("summary.store.miss", metrics.Deterministic).Add(int64(st.Misses))
-		rec.Counter("summary.store.invalidated", metrics.Deterministic).Add(int64(st.Invalidated))
-		rec.Counter("summary.store.corrupt", metrics.Deterministic).Add(int64(st.Corrupt))
-		rec.Counter("summary.store.methods_explored", metrics.Deterministic).Add(int64(st.MethodsExplored))
-		rec.Counter("summary.store.methods_reused", metrics.Deterministic).Add(int64(st.MethodsReused))
-		rec.Counter("summary.store.persisted", metrics.Deterministic).Add(int64(st.Persisted))
-	}
 }
 
 // fwPropagate inserts a forward path edge. Only a novel edge is charged

@@ -16,6 +16,14 @@ if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
     check_tree=1
 fi
 
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt would reformat:" >&2
+    printf '%s\n' "$unformatted" >&2
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 

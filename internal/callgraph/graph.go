@@ -130,7 +130,10 @@ func callsIn(m *ir.Method) []ir.Stmt {
 type Resolver struct {
 	h ir.Hierarchy
 	// nameIndex maps (name, nargs) to all concrete declarations, for the
-	// fallback when no declared type is available.
+	// fallback when no declared type is available. It is built on the
+	// first fallback: a resolver that only ever sees typed receivers
+	// never walks the whole program.
+	nameOnce  sync.Once
 	nameIndex map[nameKey][]*ir.Method
 
 	mu        sync.Mutex
@@ -151,23 +154,25 @@ type virtKey struct {
 	nargs int
 }
 
-// NewResolver builds a resolver (and its name index) over a program
-// model. Passing a cached hierarchy (scene.Scene) makes the subtype and
-// member lookups O(1); passing *ir.Program preserves the historical
-// walk-per-query behaviour.
+// NewResolver builds a resolver over a program model. Passing a cached
+// hierarchy (scene.Scene) makes the subtype and member lookups O(1);
+// passing *ir.Program preserves the historical walk-per-query behaviour.
 func NewResolver(h ir.Hierarchy) *Resolver {
-	r := &Resolver{
-		h:         h,
-		nameIndex: make(map[nameKey][]*ir.Method),
-		virtCache: make(map[virtKey][]*ir.Method),
-	}
-	for _, c := range h.Classes() {
-		for _, m := range c.Methods() {
-			k := nameKey{m.Name, len(m.Params)}
-			r.nameIndex[k] = append(r.nameIndex[k], m)
+	return &Resolver{h: h, virtCache: make(map[virtKey][]*ir.Method)}
+}
+
+// byName returns every declaration of (name, nargs) program-wide.
+func (r *Resolver) byName(name string, nargs int) []*ir.Method {
+	r.nameOnce.Do(func() {
+		r.nameIndex = make(map[nameKey][]*ir.Method)
+		for _, c := range r.h.Classes() {
+			for _, m := range c.Methods() {
+				k := nameKey{m.Name, len(m.Params)}
+				r.nameIndex[k] = append(r.nameIndex[k], m)
+			}
 		}
-	}
-	return r
+	})
+	return r.nameIndex[nameKey{name, nargs}]
 }
 
 // ResolverProvider is implemented by program models that keep a shared,
@@ -231,7 +236,7 @@ func (r *Resolver) VirtualTargets(e *ir.InvokeExpr) []*ir.Method {
 		}
 	}
 	if len(targets) == 0 {
-		for _, m := range r.nameIndex[nameKey{e.Ref.Name, e.Ref.NArgs}] {
+		for _, m := range r.byName(e.Ref.Name, e.Ref.NArgs) {
 			targets[m] = true
 		}
 	}

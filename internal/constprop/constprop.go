@@ -19,6 +19,9 @@
 // unknown class, or dynamic loading — so a clean analysis result
 // distinguishes "no leaks" from "no leaks among what I could see".
 //
+// The pass is demand-driven: its fixpoint runs only over the slice of
+// methods whose facts can reach a reflective site (see analysis).
+//
 // The lattice is deliberately small: per local, either "unknown" (top),
 // "no constant observed" (bottom), or a bounded set (maxSet) of strings,
 // class names, (class, method) pairs, or StringBuilder contents. All
@@ -28,6 +31,8 @@ package constprop
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sort"
 
 	"flowdroid/internal/callgraph"
@@ -39,10 +44,10 @@ import (
 // and the resolved edge fan-out bounded.
 const maxSet = 8
 
-// maxRounds bounds the interprocedural fixpoint; the lattice height is
-// tiny (sets only grow until maxSet, then top), so the bound exists only
-// as a safety net against a transfer-function bug looping forever.
-const maxRounds = 32
+// maxRises bounds how often one interprocedural fact can change: it
+// only rises, through bot, sets of 1..maxSet elements, and top. The
+// worklist's step bound is derived from it.
+const maxRises = maxSet + 1
 
 type kind uint8
 
@@ -195,78 +200,146 @@ func concat(a, b fact) fact {
 	return fact{k: strs, set: dedup(out)}
 }
 
-// state is the per-program-point environment: local → fact. Locals
-// absent from the map are bot.
-type state map[*ir.Local]fact
-
-func (st state) clone() state {
-	out := make(state, len(st))
-	for l, f := range st {
-		out[l] = f
-	}
-	return out
-}
-
-func (st state) joinInto(other state) bool {
+// joinInto joins src into dst slot by slot, reporting whether dst rose.
+// Both are state vectors over one method's slots; an unvisited slot is
+// bot, the zero fact.
+func joinInto(dst, src []fact) bool {
 	changed := false
-	for l, f := range other {
-		j := join(st[l], f)
-		if !equalFacts(st[l], j) {
-			st[l] = j
+	for l, f := range src {
+		if f.k == bot || equalFacts(dst[l], f) {
+			continue
+		}
+		if j := join(dst[l], f); !equalFacts(dst[l], j) {
+			dst[l] = j
 			changed = true
 		}
 	}
 	return changed
 }
 
-// analysis holds the interprocedural fixpoint state.
+// methodInfo is the fixpoint state of one method in the demand slice.
+type methodInfo struct {
+	m *ir.Method
+	// slots numbers the method's locals; a state is a []fact indexed by
+	// slot.
+	slots map[*ir.Local]int
+	// external pins the parameters top: framework callbacks (overriding a
+	// bodyless declaration), static initializers, and methods with no
+	// observed call site (callable from outside the analyzed code).
+	external bool
+	// paramIn[i] joins the i-th argument facts over every observed call
+	// site; retOut joins the method's return-value facts.
+	paramIn []fact
+	retOut  fact
+	// callers are the slice methods with a call site resolving here; a
+	// change of retOut re-enqueues them.
+	callers []*methodInfo
+	// targets holds the resolved targets of each call statement, by
+	// statement index.
+	targets [][]*ir.Method
+	queued  bool
+}
+
+// get reads l's fact from the state vector st.
+func (mi *methodInfo) get(st []fact, l *ir.Local) fact {
+	if i, ok := mi.slots[l]; ok {
+		return st[i]
+	}
+	return fact{}
+}
+
+// set writes l's fact into the state vector st.
+func (mi *methodInfo) set(st []fact, l *ir.Local, f fact) {
+	if i, ok := mi.slots[l]; ok {
+		st[i] = f
+	}
+}
+
+// operand evaluates a call argument or binop operand under st.
+func (mi *methodInfo) operand(st []fact, v ir.Value) fact {
+	switch v := v.(type) {
+	case *ir.Local:
+		return mi.get(st, v)
+	case *ir.Const:
+		if v.Kind == ir.StringConst {
+			return strsOf(v.Str)
+		}
+		return fact{} // null / int: no string constant, but no poison either
+	}
+	return topFact
+}
+
+// callSite is one call statement of an analyzed method; the prescan
+// lists them all so the slice can find a method's callers.
+type callSite struct {
+	in   *ir.Method
+	call *ir.InvokeExpr
+}
+
+// analysis is the demand-driven interprocedural fixpoint: it solves only
+// the slice of methods that can influence a reflective site's arguments.
 type analysis struct {
 	ctx context.Context
 	h   ir.Hierarchy
 	res *callgraph.Resolver
 
-	// methods are the analyzed (app, non-synthetic, bodied) methods in
-	// deterministic (class name, method name, arity) order.
-	methods []*ir.Method
-	inSet   map[*ir.Method]bool
+	// methods are the analyzed (non-synthetic, non-interface, bodied)
+	// methods in deterministic (class name, method name, arity) order;
+	// reflective are those among them holding a reflective site, in the
+	// same order.
+	methods    []*ir.Method
+	reflective []*ir.Method
 
-	// external marks methods whose parameters are pinned top: framework
-	// callbacks (overriding a bodyless declaration), static initializers,
-	// and methods with no observed call site (callable from outside the
-	// analyzed code).
-	external map[*ir.Method]bool
-
-	// paramIn[m][i] joins the i-th argument facts over every observed
-	// call site of m; retOut[m] joins m's return-value facts.
-	paramIn map[*ir.Method][]fact
-	retOut  map[*ir.Method]fact
-
-	// fieldFacts holds the constant for fields with exactly one writer
-	// program-wide whose written value is a string literal; every other
-	// written field maps to top.
+	// calls lists every call site of methods; fieldFacts holds the
+	// constant for fields with exactly one writer program-wide whose
+	// written value is a string literal, top for every other written
+	// field.
+	calls      []callSite
 	fieldFacts map[*ir.Field]fact
 
-	// targets memoizes the resolver per call expression: transferCall
-	// re-evaluates every call site on every worklist visit of every
-	// fixpoint round, and the targets never change mid-pass.
-	targets map[*ir.InvokeExpr][]*ir.Method
+	// info holds the state of each slice method; slice lists them in
+	// methods order.
+	info  map[*ir.Method]*methodInfo
+	slice []*methodInfo
+
+	// queue is the method worklist. maxSteps bounds the method analyses
+	// it may run (a safety net: facts only rise, so the bound is never
+	// reached unless a transfer function is broken); steps counts them.
+	queue    []*methodInfo
+	maxSteps int
+	steps    int
+
+	// in and cur are the reused state buffers of analyzeMethod: the
+	// in-state of every statement, and the state of the visited one.
+	in      []fact
+	cur     []fact
+	reached []bool
+	inWork  []bool
+	work    []int
 
 	truncated bool
 }
 
-func newAnalysis(ctx context.Context, h ir.Hierarchy) *analysis {
-	a := &analysis{
-		ctx:        ctx,
-		h:          h,
-		res:        callgraph.ResolverFor(h),
-		inSet:      make(map[*ir.Method]bool),
-		external:   make(map[*ir.Method]bool),
-		paramIn:    make(map[*ir.Method][]fact),
-		retOut:     make(map[*ir.Method]fact),
-		fieldFacts: make(map[*ir.Field]fact),
-		targets:    make(map[*ir.InvokeExpr][]*ir.Method),
-	}
-	for _, c := range h.Classes() {
+// isReflectiveSite reports whether call is one the classification pass
+// records. getName alone does not count: it produces a fact but never a
+// site.
+func isReflectiveSite(call *ir.InvokeExpr) bool {
+	k, _ := reflectiveAPI(call)
+	return k != apiNone && k != apiGetName
+}
+
+// analyzed reports whether m is one of the methods the pass analyzes.
+func analyzed(m *ir.Method) bool {
+	return !m.Abstract() && !m.Class.Synthetic && !m.Class.Interface
+}
+
+// prescan is the one walk over every class: it collects the analyzed
+// methods and those holding a reflective site, and reports whether there
+// is any. That answer is the cheap early exit the dominant
+// reflection-free program takes; only when it is yes are the collected
+// bodies indexed (call sites, field writes) and the slice seeded.
+func (a *analysis) prescan() bool {
+	for _, c := range a.h.Classes() {
 		if c.Synthetic || c.Interface {
 			continue
 		}
@@ -275,28 +348,36 @@ func newAnalysis(ctx context.Context, h ir.Hierarchy) *analysis {
 				continue
 			}
 			a.methods = append(a.methods, m)
-			a.inSet[m] = true
+			for _, s := range m.Body() {
+				if call := ir.CallOf(s); call != nil && isReflectiveSite(call) {
+					a.reflective = append(a.reflective, m)
+					break
+				}
+			}
 		}
 	}
-	a.prescan()
-	return a
+	if len(a.reflective) == 0 {
+		return false
+	}
+	a.res = callgraph.ResolverFor(a.h)
+	a.info = make(map[*ir.Method]*methodInfo)
+	a.index()
+	a.buildSlice()
+	return true
 }
 
-// prescan classifies externally-callable methods and collects the
-// single-constant-writer field facts in one walk over every body.
-func (a *analysis) prescan() {
+// index records every call site and folds every field write into
+// fieldFacts.
+func (a *analysis) index() {
 	type fieldWrite struct {
 		count int
 		f     fact
 	}
 	writes := make(map[*ir.Field]*fieldWrite)
-	hasSite := make(map[*ir.Method]bool)
 	for _, m := range a.methods {
 		for _, s := range m.Body() {
 			if call := ir.CallOf(s); call != nil {
-				for _, t := range a.targetsOf(call) {
-					hasSite[t] = true
-				}
+				a.calls = append(a.calls, callSite{in: m, call: call})
 			}
 			as, ok := s.(*ir.AssignStmt)
 			if !ok {
@@ -325,6 +406,7 @@ func (a *analysis) prescan() {
 			}
 		}
 	}
+	a.fieldFacts = make(map[*ir.Field]fact, len(writes))
 	for fld, w := range writes {
 		if w.count == 1 && w.f.k == strs {
 			a.fieldFacts[fld] = w.f
@@ -332,11 +414,75 @@ func (a *analysis) prescan() {
 			a.fieldFacts[fld] = topFact
 		}
 	}
-	for _, m := range a.methods {
-		if a.overridesExternal(m) || m.Name == "clinit" || !hasSite[m] {
-			a.external[m] = true
+}
+
+// buildSlice closes the reflective methods over the methods whose facts
+// reach them: callers (they feed paramIn) and callees whose return value
+// is read (they feed retOut), transitively. Field facts are syntactic,
+// so fields add nothing. It then sizes the worklist's step bound.
+func (a *analysis) buildSlice() {
+	var work []*methodInfo
+	enter := func(m *ir.Method) *methodInfo {
+		mi := a.info[m]
+		if mi == nil {
+			mi = newInfo(m)
+			a.info[m] = mi
+			work = append(work, mi)
+		}
+		return mi
+	}
+	for _, m := range a.reflective {
+		enter(m)
+	}
+	for len(work) > 0 {
+		mi := work[len(work)-1]
+		work = work[:len(work)-1]
+		m := mi.m
+		for _, cs := range a.calls {
+			if cs.call.Ref.Name != m.Name || cs.call.Ref.NArgs != len(m.Params) || !slices.Contains(a.res.TargetsOf(cs.call), m) {
+				continue
+			}
+			if n := len(mi.callers); n == 0 || mi.callers[n-1].m != cs.in {
+				mi.callers = append(mi.callers, enter(cs.in))
+			}
+		}
+		mi.external = len(mi.callers) == 0 || m.Name == "clinit" || a.overridesExternal(m)
+		mi.targets = make([][]*ir.Method, len(m.Body()))
+		for i, s := range m.Body() {
+			call := ir.CallOf(s)
+			if call == nil {
+				continue
+			}
+			mi.targets[i] = a.res.TargetsOf(call)
+			if ir.CallResult(s) == nil {
+				continue
+			}
+			for _, t := range mi.targets[i] {
+				if analyzed(t) {
+					enter(t)
+				}
+			}
 		}
 	}
+	a.maxSteps = 0
+	for _, m := range a.methods {
+		if mi := a.info[m]; mi != nil {
+			a.slice = append(a.slice, mi)
+			a.maxSteps += 1 + maxRises*(len(m.Params)+len(mi.callers))
+		}
+	}
+}
+
+// newInfo gives each of m's locals a slot. A statement only mentions
+// locals registered with its method (irlint reports any other as a
+// foreign local), so Locals covers every local a transfer touches.
+func newInfo(m *ir.Method) *methodInfo {
+	locals := m.Locals()
+	mi := &methodInfo{m: m, slots: make(map[*ir.Local]int, len(locals)), paramIn: make([]fact, len(m.Params))}
+	for i, l := range locals {
+		mi.slots[l] = i
+	}
+	return mi
 }
 
 // overridesExternal reports whether m overrides a declaration visible
@@ -356,151 +502,153 @@ func (a *analysis) overridesExternal(m *ir.Method) bool {
 	return false
 }
 
-// entryState is the environment at a method's start point.
-func (a *analysis) entryState(m *ir.Method) state {
-	st := make(state, len(m.Params)+1)
-	if m.This != nil {
-		st[m.This] = topFact
+func (a *analysis) enqueue(mi *methodInfo) {
+	if !mi.queued {
+		mi.queued = true
+		a.queue = append(a.queue, mi)
 	}
-	pin := a.paramIn[m]
-	for i, p := range m.Params {
-		switch {
-		case a.external[m]:
-			st[p] = topFact
-		case i < len(pin):
-			// Starts at bot before any caller was analyzed and only ever
-			// rises — the join over observed call sites is monotone.
-			st[p] = pin[i]
-		}
-	}
-	return st
 }
 
-// run drives the interprocedural fixpoint: every method is analyzed
-// intraprocedurally; argument facts observed at its call sites feed the
-// callees' parameter environments and return facts feed call results,
-// until a full round changes nothing.
-func (a *analysis) run() {
-	for round := 0; round < maxRounds; round++ {
-		changed := false
-		for _, m := range a.methods {
-			if a.ctx.Err() != nil {
-				a.truncated = true
-				return
-			}
-			if a.analyzeMethod(m, nil) {
-				changed = true
-			}
+// solve drives the interprocedural fixpoint over the slice: a method is
+// re-analyzed when its paramIn or a callee's retOut changed, until the
+// worklist drains. Running out of maxSteps means the facts did not
+// converge; classifying sites on them would be wrong, so it panics, and
+// the pipeline's stage recovery reports the run as Recovered.
+func (a *analysis) solve() {
+	for _, mi := range a.slice {
+		a.enqueue(mi)
+	}
+	for len(a.queue) > 0 {
+		if a.ctx.Err() != nil {
+			a.truncated = true
+			return
 		}
-		if !changed {
+		mi := a.queue[0]
+		a.queue = a.queue[1:]
+		mi.queued = false
+		if a.steps == a.maxSteps {
+			panic(fmt.Errorf("constprop: fixpoint did not converge within %d method analyses, at %s", a.maxSteps, mi.m))
+		}
+		a.steps++
+		a.analyzeMethod(mi, nil)
+		if a.truncated {
 			return
 		}
 	}
 }
 
 // analyzeMethod runs the flow-sensitive intraprocedural worklist over
-// m's body under the current interprocedural environment, returning
-// whether any callee's paramIn or m's retOut changed. When visit is
-// non-nil it is invoked at every call statement with the state holding
-// immediately before the call (the classification pass of reflect.go).
-func (a *analysis) analyzeMethod(m *ir.Method, visit func(s ir.Stmt, call *ir.InvokeExpr, st state)) bool {
-	body := m.Body()
+// mi's body under the current interprocedural environment; a change of a
+// callee's paramIn or of mi's retOut enqueues the methods it affects.
+// When visit is non-nil it is invoked at every call statement with the
+// state holding immediately before the call (the classification pass of
+// reflect.go).
+func (a *analysis) analyzeMethod(mi *methodInfo, visit func(s ir.Stmt, call *ir.InvokeExpr, st []fact)) {
+	body := mi.m.Body()
 	if len(body) == 0 {
-		return false
+		return
 	}
-	in := make([]state, len(body))
-	in[0] = a.entryState(m)
-	changed := false
+	// Only the entry state and the flags need zeroing: a statement's
+	// in-state is written whole when it is first reached, and cur is
+	// overwritten at every visit.
+	n := len(mi.slots)
+	a.in = resize(a.in, len(body)*n)
+	a.cur = resize(a.cur, n)
+	a.reached = resize(a.reached, len(body))
+	a.inWork = resize(a.inWork, len(body))
+	in, cur, reached, inWork := a.in, a.cur, a.reached, a.inWork
+	clear(in[:n])
+	clear(reached)
+	clear(inWork)
 
-	// succs mirrors cfg.MethodCFG's edge rules without allocating the
-	// statement-slice wrappers on every visit.
-	succsOf := func(i int) []int {
-		switch s := body[i].(type) {
-		case *ir.GotoStmt:
-			return []int{s.TargetIndex}
-		case *ir.IfStmt:
-			if s.TargetIndex != i+1 {
-				return []int{i + 1, s.TargetIndex}
-			}
-			return []int{i + 1}
-		case *ir.ReturnStmt:
-			return nil
-		}
-		if i+1 < len(body) {
-			return []int{i + 1}
-		}
-		return nil
+	// Entry state.
+	if m := mi.m; m.This != nil {
+		mi.set(in, m.This, topFact)
 	}
+	for i, p := range mi.m.Params {
+		if mi.external {
+			mi.set(in, p, topFact)
+		} else {
+			// Starts at bot before any caller was analyzed and only ever
+			// rises — the join over observed call sites is monotone.
+			mi.set(in, p, mi.paramIn[i])
+		}
+	}
+	reached[0] = true
 
-	work := []int{0}
-	inWork := make([]bool, len(body))
+	// flow joins cur into statement j's in-state and schedules j when it
+	// rose (or was first reached). It mirrors cfg.MethodCFG's edge rules.
+	flow := func(j int) {
+		if j >= len(body) {
+			return
+		}
+		dst := in[j*n : (j+1)*n]
+		if !reached[j] {
+			copy(dst, cur)
+			reached[j] = true
+		} else if !joinInto(dst, cur) {
+			return
+		}
+		if !inWork[j] {
+			inWork[j] = true
+			a.work = append(a.work, j)
+		}
+	}
+	a.work = append(a.work[:0], 0)
 	inWork[0] = true
 	steps := 0
-	for len(work) > 0 {
+	for len(a.work) > 0 {
 		steps++
 		if steps%1024 == 0 && a.ctx.Err() != nil {
 			a.truncated = true
-			return changed
+			return
 		}
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
+		i := a.work[len(a.work)-1]
+		a.work = a.work[:len(a.work)-1]
 		inWork[i] = false
-		st := in[i].clone()
+		copy(cur, in[i*n:(i+1)*n])
 		if call := ir.CallOf(body[i]); call != nil && visit != nil {
-			visit(body[i], call, st)
+			visit(body[i], call, cur)
 		}
-		if a.transfer(m, body[i], st) {
-			changed = true
-		}
-		for _, j := range succsOf(i) {
-			if j >= len(body) {
-				continue
+		a.transfer(mi, body[i], cur)
+		switch s := body[i].(type) {
+		case *ir.GotoStmt:
+			flow(s.TargetIndex)
+		case *ir.IfStmt:
+			flow(i + 1)
+			if s.TargetIndex != i+1 {
+				flow(s.TargetIndex)
 			}
-			if in[j] == nil {
-				in[j] = st.clone()
-			} else if !in[j].joinInto(st) {
-				continue
-			}
-			if !inWork[j] {
-				inWork[j] = true
-				work = append(work, j)
-			}
+		case *ir.ReturnStmt:
+		default:
+			flow(i + 1)
 		}
 	}
-	return changed
 }
 
-// operand evaluates a call argument or binop operand under st.
-func operand(st state, v ir.Value) fact {
-	switch v := v.(type) {
-	case *ir.Local:
-		return st[v]
-	case *ir.Const:
-		if v.Kind == ir.StringConst {
-			return strsOf(v.Str)
-		}
-		return fact{} // null / int: no string constant, but no poison either
+// resize returns buf with length n, reusing its storage when it can.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return topFact
+	return buf[:n]
 }
 
-// transfer applies one statement to st in place, reporting whether it
-// changed any interprocedural fact (callee params, own return).
-func (a *analysis) transfer(m *ir.Method, s ir.Stmt, st state) bool {
+// transfer applies one statement to st in place.
+func (a *analysis) transfer(mi *methodInfo, s ir.Stmt, st []fact) {
 	switch stm := s.(type) {
 	case *ir.ReturnStmt:
 		if stm.Value == nil {
-			return false
+			return
 		}
-		f := operand(st, stm.Value)
-		j := join(a.retOut[m], f)
-		if !equalFacts(a.retOut[m], j) {
-			a.retOut[m] = j
-			return true
+		if j := join(mi.retOut, mi.operand(st, stm.Value)); !equalFacts(mi.retOut, j) {
+			mi.retOut = j
+			for _, c := range mi.callers {
+				a.enqueue(c)
+			}
 		}
-		return false
 	case *ir.InvokeStmt:
-		return a.transferCall(s, stm.Call, nil, st)
+		a.transferCall(mi, s, stm.Call, nil, st)
 	case *ir.AssignStmt:
 		lhs, isLocal := stm.LHS.(*ir.Local)
 		if call, ok := stm.RHS.(*ir.InvokeExpr); ok {
@@ -508,61 +656,54 @@ func (a *analysis) transfer(m *ir.Method, s ir.Stmt, st state) bool {
 			if isLocal {
 				dst = lhs
 			}
-			return a.transferCall(s, call, dst, st)
+			a.transferCall(mi, s, call, dst, st)
+			return
 		}
 		if !isLocal {
 			// Writing a tracked builder into the heap lets unseen code
 			// mutate it; drop every alias of its origin to stay sound.
 			if src, ok := stm.RHS.(*ir.Local); ok {
-				degradeBuilder(st, st[src])
+				degradeBuilder(st, mi.get(st, src))
 			}
-			return false
+			return
 		}
+		var f fact
 		switch rhs := stm.RHS.(type) {
 		case *ir.Const:
 			if rhs.Kind == ir.StringConst {
-				st[lhs] = strsOf(rhs.Str)
+				f = strsOf(rhs.Str)
 			} else {
-				st[lhs] = topFact
+				f = topFact
 			}
 		case *ir.Local:
-			st[lhs] = st[rhs]
+			f = mi.get(st, rhs)
 		case *ir.Cast:
 			if x, ok := rhs.X.(*ir.Local); ok {
-				st[lhs] = st[x]
+				f = mi.get(st, x)
 			} else {
-				st[lhs] = topFact
+				f = topFact
 			}
 		case *ir.Binop:
 			if rhs.Op == "+" {
-				st[lhs] = concat(operand(st, rhs.L), operand(st, rhs.R))
+				f = concat(mi.operand(st, rhs.L), mi.operand(st, rhs.R))
 			} else {
-				st[lhs] = topFact
+				f = topFact
 			}
 		case *ir.New:
 			if rhs.Type.Name == "java.lang.StringBuilder" || rhs.Type.Name == "java.lang.StringBuffer" {
-				st[lhs] = fact{k: builder, set: []string{""}, origin: s}
+				f = fact{k: builder, set: []string{""}, origin: s}
 			} else {
-				st[lhs] = topFact
+				f = topFact
 			}
 		case *ir.FieldRef:
-			st[lhs] = a.fieldFact(rhs.Field)
+			f = a.fieldFact(rhs.Field)
 		case *ir.StaticFieldRef:
-			st[lhs] = a.fieldFact(rhs.Field)
+			f = a.fieldFact(rhs.Field)
 		default:
-			st[lhs] = topFact
+			f = topFact
 		}
+		mi.set(st, lhs, f)
 	}
-	return false
-}
-
-func (a *analysis) targetsOf(call *ir.InvokeExpr) []*ir.Method {
-	if t, ok := a.targets[call]; ok {
-		return t
-	}
-	t := a.res.TargetsOf(call)
-	a.targets[call] = t
-	return t
 }
 
 func (a *analysis) fieldFact(f *ir.Field) fact {
@@ -578,7 +719,7 @@ func (a *analysis) fieldFact(f *ir.Field) fact {
 }
 
 // degradeBuilder drops every alias of f's builder origin to top.
-func degradeBuilder(st state, f fact) {
+func degradeBuilder(st []fact, f fact) {
 	if f.k != builder {
 		return
 	}
@@ -590,7 +731,7 @@ func degradeBuilder(st state, f fact) {
 }
 
 // setBuilder updates every alias of origin to the new contents.
-func setBuilder(st state, origin ir.Stmt, contents fact) {
+func setBuilder(st []fact, origin ir.Stmt, contents fact) {
 	nf := topFact
 	if contents.k == strs {
 		nf = fact{k: builder, set: contents.set, origin: origin}
@@ -604,11 +745,11 @@ func setBuilder(st state, origin ir.Stmt, contents fact) {
 
 // transferCall models one invocation: the string/Class/Method APIs get
 // precise transfer functions; everything else propagates argument facts
-// to resolvable callees and reads back their joined return fact.
-func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local, st state) bool {
+// to resolvable slice callees and reads back their joined return fact.
+func (a *analysis) transferCall(mi *methodInfo, s ir.Stmt, call *ir.InvokeExpr, result *ir.Local, st []fact) {
 	setResult := func(f fact) {
 		if result != nil {
-			st[result] = f
+			mi.set(st, result, f)
 		}
 	}
 
@@ -616,12 +757,12 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 	// a builder fact (not the declared type — a builder that escaped is
 	// already top and falls through to the generic path).
 	if call.Base != nil {
-		if bf := st[call.Base]; bf.k == builder {
+		if bf := mi.get(st, call.Base); bf.k == builder {
 			switch {
 			case call.Ref.Name == "append" && len(call.Args) == 1:
-				contents := concat(fact{k: strs, set: bf.set}, operand(st, call.Args[0]))
+				contents := concat(fact{k: strs, set: bf.set}, mi.operand(st, call.Args[0]))
 				setBuilder(st, bf.origin, contents)
-				setResult(st[call.Base])
+				setResult(mi.get(st, call.Base))
 			case call.Ref.Name == "toString" && len(call.Args) == 0:
 				setResult(fact{k: strs, set: bf.set})
 			case call.Ref.Name == "init":
@@ -633,7 +774,7 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 				degradeBuilder(st, bf)
 				setResult(topFact)
 			}
-			return false
+			return
 		}
 	}
 
@@ -641,7 +782,7 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 	// fixpoint round) yield bot, keeping the transfer monotone.
 	switch api, _ := reflectiveAPI(call); api {
 	case apiForName:
-		switch f := operand(st, call.Args[0]); f.k {
+		switch f := mi.operand(st, call.Args[0]); f.k {
 		case strs:
 			setResult(fact{k: classes, set: f.set})
 		case bot:
@@ -649,10 +790,10 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 		default:
 			setResult(topFact)
 		}
-		return false
+		return
 	case apiGetMethod:
-		cf := st[call.Base]
-		nf := operand(st, call.Args[0])
+		cf := mi.get(st, call.Base)
+		nf := mi.operand(st, call.Args[0])
 		switch {
 		case cf.k == classes && nf.k == strs && len(cf.set)*len(nf.set) <= maxSet:
 			pairs := make([]methodKey, 0, len(cf.set)*len(nf.set))
@@ -667,9 +808,9 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 		default:
 			setResult(topFact)
 		}
-		return false
+		return
 	case apiGetName:
-		switch cf := st[call.Base]; cf.k {
+		switch cf := mi.get(st, call.Base); cf.k {
 		case classes:
 			setResult(fact{k: strs, set: cf.set})
 		case bot:
@@ -677,53 +818,49 @@ func (a *analysis) transferCall(s ir.Stmt, call *ir.InvokeExpr, result *ir.Local
 		default:
 			setResult(topFact)
 		}
-		return false
+		return
 	case apiNewInstance, apiInvoke, apiLoadClass:
 		// Edges (or soundness entries) are handled by the classification
 		// pass; the produced value itself is not a tracked constant.
 		setResult(topFact)
-		return false
+		return
 	}
 
-	// Generic call: push argument facts into resolvable callees, pull
+	// Generic call: push argument facts into the slice's callees, pull
 	// the joined return fact back. A builder passed to unmodeled code
-	// escapes.
+	// escapes. A callee outside the slice has no reader of its facts.
 	for _, arg := range call.Args {
 		if l, ok := arg.(*ir.Local); ok {
-			degradeBuilder(st, st[l])
+			degradeBuilder(st, mi.get(st, l))
 		}
 	}
-	changed := false
-	targets := a.targetsOf(call)
+	targets := mi.targets[s.Index()]
 	allKnown := len(targets) > 0
 	ret := fact{}
 	for _, t := range targets {
-		if !a.inSet[t] {
+		if !analyzed(t) {
 			allKnown = false
 			continue
 		}
-		pin := a.paramIn[t]
-		if pin == nil {
-			pin = make([]fact, len(t.Params))
-			a.paramIn[t] = pin
+		ti := a.info[t]
+		if ti == nil {
+			continue
 		}
-		for i := range t.Params {
+		for i := range ti.paramIn {
 			var af fact = topFact
 			if i < len(call.Args) {
-				af = operand(st, call.Args[i])
+				af = mi.operand(st, call.Args[i])
 			}
-			j := join(pin[i], af)
-			if !equalFacts(pin[i], j) {
-				pin[i] = j
-				changed = true
+			if j := join(ti.paramIn[i], af); !equalFacts(ti.paramIn[i], j) {
+				ti.paramIn[i] = j
+				a.enqueue(ti)
 			}
 		}
-		ret = join(ret, a.retOut[t])
+		ret = join(ret, ti.retOut)
 	}
 	if allKnown {
 		setResult(ret)
 	} else {
 		setResult(topFact)
 	}
-	return changed
 }

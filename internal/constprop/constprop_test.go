@@ -22,7 +22,7 @@ func parse(t *testing.T, src string) *ir.Program {
 	return prog
 }
 
-func analyze(t *testing.T, src string) (*ir.Program, *Result) {
+func analyzeSrc(t *testing.T, src string) (*ir.Program, *Result) {
 	t.Helper()
 	prog := parse(t, src)
 	res := Analyze(context.Background(), scene.New(prog))
@@ -33,7 +33,7 @@ func analyze(t *testing.T, src string) (*ir.Program, *Result) {
 }
 
 func TestConstantForNameInvokeResolves(t *testing.T) {
-	prog, res := analyze(t, `
+	prog, res := analyzeSrc(t, `
 class app.Target {
   method init(): void { return }
   method leak(s: java.lang.String): void { return }
@@ -90,7 +90,7 @@ class app.Main {
 }
 
 func TestStringBuilderLaunderedNameResolves(t *testing.T) {
-	_, res := analyze(t, `
+	_, res := analyzeSrc(t, `
 class app.Target {
   method init(): void { return }
   method leak(s: java.lang.String): void { return }
@@ -118,7 +118,7 @@ class app.Main {
 }
 
 func TestInterproceduralConstantArgument(t *testing.T) {
-	_, res := analyze(t, `
+	_, res := analyzeSrc(t, `
 class app.Target {
   method init(): void { return }
   method leak(s: java.lang.String): void { return }
@@ -148,7 +148,7 @@ class app.Main {
 }
 
 func TestDynamicNameReportedUnresolved(t *testing.T) {
-	_, res := analyze(t, `
+	_, res := analyzeSrc(t, `
 class app.Main extends android.app.Activity {
   method onCreate(b: android.os.Bundle): void {
     i = this.getIntent()
@@ -173,7 +173,7 @@ class app.Main extends android.app.Activity {
 }
 
 func TestUnknownClassReported(t *testing.T) {
-	_, res := analyze(t, `
+	_, res := analyzeSrc(t, `
 class app.Main {
   static method run(): void {
     clz = java.lang.Class.forName("no.such.Class")
@@ -187,7 +187,7 @@ class app.Main {
 }
 
 func TestClassLoaderIsDynamicLoading(t *testing.T) {
-	_, res := analyze(t, `
+	_, res := analyzeSrc(t, `
 class app.Main {
   static method run(o: java.lang.Object): void {
     c = o.getClass()
@@ -203,7 +203,7 @@ class app.Main {
 }
 
 func TestSingleConstantFieldWriterResolves(t *testing.T) {
-	_, res := analyze(t, `
+	_, res := analyzeSrc(t, `
 class app.Target {
   method init(): void { return }
   method leak(s: java.lang.String): void { return }
@@ -233,7 +233,7 @@ class app.Main {
 }
 
 func TestBranchJoinKeepsBoundedSet(t *testing.T) {
-	_, res := analyze(t, `
+	_, res := analyzeSrc(t, `
 class app.A { method init(): void { return } method go(): void { return } }
 class app.B { method init(): void { return } method go(): void { return } }
 class app.Main {
@@ -275,7 +275,7 @@ class app.Main {
   }
 }
 `
-	prog, res := analyze(t, src)
+	prog, res := analyzeSrc(t, src)
 	e1, err := res.Materialize(prog)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package constprop
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"flowdroid/internal/ir"
 )
@@ -142,11 +141,22 @@ type Result struct {
 	Truncated bool
 }
 
-// Analyze runs constant propagation over every non-synthetic class of h
+// Analyze runs constant propagation over the non-synthetic classes of h
 // and classifies each reflective call site. It never mutates the
 // program; Materialize turns the resolved sites into callable bridge
 // methods.
+//
+// The pass is demand-driven: the fixpoint runs only over the slice of
+// methods whose facts can reach a reflective site's arguments, and a
+// program with no reflective site skips it entirely.
 func Analyze(ctx context.Context, h ir.Hierarchy) *Result {
+	res, _ := analyze(ctx, h)
+	return res
+}
+
+// analyze is Analyze, also returning the fixpoint state (nil when the
+// program has no reflective site) for the package's tests.
+func analyze(ctx context.Context, h ir.Hierarchy) (*Result, *analysis) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -154,44 +164,39 @@ func Analyze(ctx context.Context, h ir.Hierarchy) *Result {
 	// "unresolved_sites" as [] rather than null, the same discipline the
 	// leak report follows.
 	res := &Result{Report: &SoundnessReport{Unresolved: []UnresolvedSite{}}}
-	// The dominant case is an app with no reflective surface at all; one
-	// flat scan detects it and skips the interprocedural fixpoint, whose
-	// facts nothing would consume. This keeps reflection resolution
-	// effectively free on reflection-free programs.
-	if !hasReflection(h) {
-		return res
+	a := &analysis{ctx: ctx, h: h}
+	if !a.prescan() {
+		return res, nil
 	}
-	a := newAnalysis(ctx, h)
-	a.run()
+	if n, ok := ctx.Value(stepBoundKey{}).(int); ok {
+		a.maxSteps = n
+	}
+	a.solve()
 	if a.truncated {
 		res.Truncated = true
-		return res
+		return res, a
 	}
-	// One more stable pass per method, collecting the classification at
-	// each reflective site under its final entry state. A statement can
-	// be visited more than once while the intraprocedural worklist
+	// One more pass per reflective method, collecting the classification
+	// at each site under its final entry state. A statement can be
+	// visited more than once while the intraprocedural worklist
 	// converges; the last visit sees the full joined state, so later
 	// classifications overwrite earlier ones.
-	for _, m := range a.methods {
-		perStmt := make(map[ir.Stmt]Site)
-		var order []ir.Stmt
-		a.analyzeMethod(m, func(s ir.Stmt, call *ir.InvokeExpr, st state) {
-			site, ok := a.classify(m, s, call, st)
-			if !ok {
-				return
+	for _, m := range a.reflective {
+		mi := a.info[m]
+		perStmt := make([]Site, len(m.Body()))
+		a.analyzeMethod(mi, func(s ir.Stmt, call *ir.InvokeExpr, st []fact) {
+			if site, ok := a.classify(mi, s, call, st); ok {
+				perStmt[s.Index()] = site
 			}
-			if _, seen := perStmt[s]; !seen {
-				order = append(order, s)
-			}
-			perStmt[s] = site
 		})
 		if a.truncated {
 			res.Truncated = true
-			return res
+			return res, a
 		}
-		sort.Slice(order, func(i, j int) bool { return order[i].Index() < order[j].Index() })
-		for _, s := range order {
-			res.Sites = append(res.Sites, perStmt[s])
+		for _, site := range perStmt {
+			if site.Stmt != nil {
+				res.Sites = append(res.Sites, site)
+			}
 		}
 	}
 	for _, s := range res.Sites {
@@ -201,38 +206,19 @@ func Analyze(ctx context.Context, h ir.Hierarchy) *Result {
 			res.Report.ResolvedSites++
 		}
 	}
-	return res
+	return res, a
 }
 
-// hasReflection reports whether any analyzed body contains a reflective
-// call the classification pass would act on. getName alone does not
-// count: it produces a fact but never a site, so a program whose only
-// reflective API use is Class.getName still has nothing to classify.
-func hasReflection(h ir.Hierarchy) bool {
-	for _, c := range h.Classes() {
-		if c.Synthetic || c.Interface {
-			continue
-		}
-		for _, m := range c.Methods() {
-			if m.Abstract() {
-				continue
-			}
-			for _, s := range m.Body() {
-				if call := ir.CallOf(s); call != nil {
-					if k, _ := reflectiveAPI(call); k != apiNone && k != apiGetName {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
+// stepBoundKey keys a context value overriding the worklist's step
+// bound. Only the package's tests set it, to force the non-convergence
+// panic.
+type stepBoundKey struct{}
 
 // classify evaluates one reflective call site under the final state,
 // returning the Site record and whether the statement is reflective at
 // all.
-func (a *analysis) classify(m *ir.Method, s ir.Stmt, call *ir.InvokeExpr, st state) (Site, bool) {
+func (a *analysis) classify(mi *methodInfo, s ir.Stmt, call *ir.InvokeExpr, st []fact) (Site, bool) {
+	m := mi.m
 	kind, name := reflectiveAPI(call)
 	if kind == apiNone || kind == apiGetName {
 		return Site{}, false
@@ -251,7 +237,7 @@ func (a *analysis) classify(m *ir.Method, s ir.Stmt, call *ir.InvokeExpr, st sta
 	case apiLoadClass:
 		return unresolved(DynamicLoading)
 	case apiForName:
-		f := operand(st, call.Args[0])
+		f := mi.operand(st, call.Args[0])
 		if f.k != strs {
 			return unresolved(NonConstantString)
 		}
@@ -262,14 +248,14 @@ func (a *analysis) classify(m *ir.Method, s ir.Stmt, call *ir.InvokeExpr, st sta
 		}
 		return site, true
 	case apiGetMethod:
-		cf := st[call.Base]
-		nf := operand(st, call.Args[0])
+		cf := mi.get(st, call.Base)
+		nf := mi.operand(st, call.Args[0])
 		if cf.k != classes || nf.k != strs || len(cf.set)*len(nf.set) > maxSet {
 			return unresolved(NonConstantString)
 		}
 		return site, true
 	case apiNewInstance:
-		cf := st[call.Base]
+		cf := mi.get(st, call.Base)
 		if cf.k != classes {
 			return unresolved(NonConstantString)
 		}
@@ -282,7 +268,7 @@ func (a *analysis) classify(m *ir.Method, s ir.Stmt, call *ir.InvokeExpr, st sta
 		}
 		return site, true
 	case apiInvoke:
-		mf := st[call.Base]
+		mf := mi.get(st, call.Base)
 		if mf.k != methods {
 			return unresolved(NonConstantString)
 		}
@@ -369,12 +355,14 @@ func (r *Result) Materialize(prog *ir.Program) (map[ir.Stmt][]*ir.Method, error)
 		if err := cb.Err(); err != nil {
 			return nil, fmt.Errorf("constprop: %w", err)
 		}
-		edges[b.site] = append(edges[b.site], findBridge(cls, b.name))
-	}
-	if cb != nil {
-		if err := prog.Link(); err != nil {
+		// A bridge is fully typed, touches no field and is called by no
+		// existing method, so finalizing its body is all the linking it
+		// needs; the rest of the program is already linked.
+		m := findBridge(cls, b.name)
+		if err := m.Finalize(); err != nil {
 			return nil, fmt.Errorf("constprop: %w", err)
 		}
+		edges[b.site] = append(edges[b.site], m)
 	}
 	return edges, nil
 }

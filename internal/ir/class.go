@@ -2,7 +2,9 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Field is a field declaration. Identity is pointer identity; access paths
@@ -112,11 +114,11 @@ func (c *Class) Methods() []*Method {
 	for _, m := range c.methods {
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
+	slices.SortFunc(out, func(a, b *Method) int {
+		if c := strings.Compare(a.Name, b.Name); c != 0 {
+			return c
 		}
-		return len(out[i].Params) < len(out[j].Params)
+		return len(a.Params) - len(b.Params)
 	})
 	return out
 }

@@ -2,7 +2,9 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Program is a closed world of classes: the app's own classes plus the
@@ -35,7 +37,7 @@ func (p *Program) Classes() []*Class {
 	for _, c := range p.classes {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *Class) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 

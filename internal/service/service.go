@@ -374,7 +374,11 @@ func (s *Server) Submit(req Request) (JobView, error) {
 	select {
 	case s.queue <- j:
 		s.jobs[j.id] = j
-		s.gQueue.Add(1)
+		// The gauge reads the channel's own length at both ends, so it
+		// can never exceed the queue's capacity: counting +1 here and -1
+		// in runJob would read capacity+1 when a submit lands between
+		// the executor's receive and its decrement.
+		s.gQueue.Set(int64(len(s.queue)))
 		view := snapshot(j)
 		s.mu.Unlock()
 		s.cSubmitted.Add(1)
@@ -459,7 +463,7 @@ func (s *Server) executor() {
 // outcome. Panics that escape core's own stage recovery are contained
 // here so an executor can never die.
 func (s *Server) runJob(j *job) {
-	s.gQueue.Add(-1)
+	s.gQueue.Set(int64(len(s.queue)))
 	grant := s.budget.acquire()
 	s.gLeased.Set(int64(s.budget.leasedNow()))
 	s.mu.Lock()

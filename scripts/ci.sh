@@ -48,6 +48,9 @@ rm -f "$lint_file"
 echo "==> fuzz smoke (parse-then-verify, seeded with the defect-injector corpus)"
 go test -fuzz FuzzParseAndVerify -fuzztime 10s -run '^$' ./internal/irlint/
 
+echo "==> fuzz smoke (constprop: no panic, deterministic sites, idempotent Materialize)"
+go test -fuzz FuzzConstprop -fuzztime 10s -run '^$' ./internal/constprop/
+
 echo "==> trace smoke (flowdroid -insecurebank -trace) + checktrace"
 trace_file=$(mktemp)
 # InsecureBank finds leaks, so exit 1 is the expected outcome here; any

@@ -68,9 +68,10 @@ func renderConstprop(t testing.TB, files map[string]string) string {
 	return out
 }
 
-// TestBridgesNeedNoWholeProgramLink: Materialize only finalizes the
-// bridges it generates. That is all the linking they need — every local
-// is typed and a whole-program Link afterwards changes nothing in them.
+// TestBridgesNeedNoWholeProgramLink: Materialize's Link links only the
+// bridges class it adds. That is all the linking the bridges need: every
+// statement is bound, every local typed, and linking every class again
+// afterwards changes nothing in them.
 func TestBridgesNeedNoWholeProgramLink(t *testing.T) {
 	for _, in := range goldenInputs() {
 		app, err := apk.LoadFiles(in.files)
@@ -88,6 +89,11 @@ func TestBridgesNeedNoWholeProgramLink(t *testing.T) {
 		types := func() string {
 			var b strings.Builder
 			for _, m := range c.Methods() {
+				for i, s := range m.Body() {
+					if s.Method() != m || s.Index() != i {
+						t.Errorf("%s: bridge %s statement %d is not finalized", in.name, m, i)
+					}
+				}
 				for _, l := range m.Locals() {
 					if l.Type.IsUnknown() {
 						t.Errorf("%s: bridge %s local %s is untyped", in.name, m, l.Name)
@@ -98,13 +104,24 @@ func TestBridgesNeedNoWholeProgramLink(t *testing.T) {
 			return b.String() + ir.PrintClass(c)
 		}
 		before := types()
-		if err := app.Program.Link(); err != nil {
+		if err := linkEveryClass(app.Program); err != nil {
 			t.Fatal(err)
 		}
 		if after := types(); after != before {
-			t.Errorf("%s: a whole-program Link changed the bridges:\n%s\nvs\n%s", in.name, after, before)
+			t.Errorf("%s: a full link changed the bridges:\n%s\nvs\n%s", in.name, after, before)
 		}
 	}
+}
+
+// linkEveryClass links every class with a body again: installing a body
+// anew marks its class for the next Link.
+func linkEveryClass(prog *ir.Program) error {
+	for _, m := range prog.Methods() {
+		if !m.Abstract() {
+			m.SetBody(m.Body())
+		}
+	}
+	return prog.Link()
 }
 
 func TestConstpropGolden(t *testing.T) {

@@ -355,14 +355,11 @@ func (r *Result) Materialize(prog *ir.Program) (map[ir.Stmt][]*ir.Method, error)
 		if err := cb.Err(); err != nil {
 			return nil, fmt.Errorf("constprop: %w", err)
 		}
-		// A bridge is fully typed, touches no field and is called by no
-		// existing method, so finalizing its body is all the linking it
-		// needs; the rest of the program is already linked.
-		m := findBridge(cls, b.name)
-		if err := m.Finalize(); err != nil {
-			return nil, fmt.Errorf("constprop: %w", err)
-		}
-		edges[b.site] = append(edges[b.site], m)
+		edges[b.site] = append(edges[b.site], findBridge(cls, b.name))
+	}
+	// Link is incremental: it links only the new bridges class.
+	if err := prog.Link(); err != nil {
+		return nil, fmt.Errorf("constprop: %w", err)
 	}
 	return edges, nil
 }

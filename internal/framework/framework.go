@@ -10,6 +10,7 @@ package framework
 
 import (
 	"fmt"
+	"sync"
 
 	"flowdroid/internal/ir"
 	"flowdroid/internal/irtext"
@@ -191,19 +192,23 @@ func IsOverridableMethod(name string, nargs int) bool {
 	return false
 }
 
-// NewProgram returns a fresh program preloaded with the framework model.
-func NewProgram() *ir.Program {
+// NewProgram returns a fresh program preloaded with the linked framework
+// model. The stubs are parsed and linked once per process; every program
+// NewProgram returns shares those classes read-only, and the classes added
+// to it are its own. Call prog.Link() after adding the app classes.
+func NewProgram() *ir.Program { return base().Clone() }
+
+// base is the linked framework model every NewProgram result clones.
+var base = sync.OnceValue(func() *ir.Program {
 	prog := ir.NewProgram()
-	if err := AddTo(prog); err != nil {
+	err := irtext.ParseInto(prog, stubSource, "framework.ir")
+	if err == nil {
+		err = prog.Link()
+	}
+	if err != nil {
 		// The framework source is a compile-time constant; failing to
-		// parse it is a programming error in this package.
+		// parse or link it is a programming error in this package.
 		panic(fmt.Sprintf("framework: %v", err))
 	}
 	return prog
-}
-
-// AddTo parses the framework stubs into an existing program. Call
-// prog.Link() after adding the app classes.
-func AddTo(prog *ir.Program) error {
-	return irtext.ParseInto(prog, stubSource, "framework.ir")
-}
+})

@@ -37,6 +37,9 @@ type Class struct {
 
 	fields  map[string]*Field
 	methods map[methodKey]*Method
+	// linked is set by Program.Link and cleared when the class gains a
+	// method or one of its methods a new body.
+	linked bool
 }
 
 type methodKey struct {
@@ -86,6 +89,7 @@ func (c *Class) AddMethod(m *Method) error {
 	}
 	m.Class = c
 	c.methods[k] = m
+	c.linked = false
 	return nil
 }
 
@@ -217,10 +221,14 @@ func (m *Method) Body() []Stmt { return m.body }
 // Abstract reports whether the method has no body (framework stub).
 func (m *Method) Abstract() bool { return len(m.body) == 0 }
 
-// SetBody installs the statement list. Call Finalize afterwards.
+// SetBody installs the statement list. Call Finalize afterwards, or
+// Program.Link, which re-links the method's class.
 func (m *Method) SetBody(body []Stmt) {
 	m.body = body
 	m.finalized = false
+	if m.Class != nil {
+		m.Class.linked = false
+	}
 }
 
 // Finalize numbers the statements, binds them to the method, resolves

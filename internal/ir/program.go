@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Program is a closed world of classes: the app's own classes plus the
@@ -12,11 +13,27 @@ import (
 // subtyping) happens against a Program.
 type Program struct {
 	classes map[string]*Class
+	// sorted caches Classes(); AddClass clears it. It is atomic so that
+	// concurrent readers of a finished program may fill it.
+	sorted atomic.Pointer[[]*Class]
 }
 
 // NewProgram returns an empty program.
 func NewProgram() *Program {
 	return &Program{classes: make(map[string]*Class)}
+}
+
+// Clone returns a program holding the same classes as p. The two share
+// their *Class values, which both must then treat as read-only; a class
+// added to either program is invisible to the other. The framework model
+// is linked once and cloned into every app's program this way.
+func (p *Program) Clone() *Program {
+	c := &Program{classes: make(map[string]*Class, 2*len(p.classes))} // room for an app's classes
+	for name, cls := range p.classes {
+		c.classes[name] = cls
+	}
+	c.sorted.Store(p.sorted.Load())
+	return c
 }
 
 // AddClass registers a class; it returns an error on duplicate names.
@@ -25,19 +42,25 @@ func (p *Program) AddClass(c *Class) error {
 		return fmt.Errorf("duplicate class %s", c.Name)
 	}
 	p.classes[c.Name] = c
+	p.sorted.Store(nil)
 	return nil
 }
 
 // Class returns the named class, or nil.
 func (p *Program) Class(name string) *Class { return p.classes[name] }
 
-// Classes returns all classes in name order.
+// Classes returns all classes in name order. The slice is cached until
+// the next AddClass; callers must not modify it.
 func (p *Program) Classes() []*Class {
+	if out := p.sorted.Load(); out != nil {
+		return *out
+	}
 	out := make([]*Class, 0, len(p.classes))
 	for _, c := range p.classes {
 		out = append(out, c)
 	}
 	slices.SortFunc(out, func(a, b *Class) int { return strings.Compare(a.Name, b.Name) })
+	p.sorted.Store(&out)
 	return out
 }
 
@@ -137,18 +160,37 @@ func (p *Program) ResolveField(class, name string) *Field {
 	return nil
 }
 
-// Link prepares the program for analysis: it finalizes every method body,
-// runs local type inference to a fixed point, and resolves all field
-// references to their declarations. It must be called after all classes
-// have been added and before any analysis runs. Linking is idempotent.
+// Link prepares the program for analysis: it finalizes method bodies,
+// runs local type inference to a fixed point, and resolves field
+// references to their declarations. It links what changed since the last
+// Link: the classes added since then and the classes that gained a
+// method or a new body. Link must be called after classes are added and
+// before any analysis of them runs.
 func (p *Program) Link() error {
+	var stale []*Class
 	for _, c := range p.Classes() {
+		if !c.linked {
+			stale = append(stale, c)
+		}
+	}
+	return p.link(stale)
+}
+
+// link links the given classes against the whole program. Inference and
+// field resolution read only declarations and the method's own locals, so
+// linking a class never needs another class's bodies to be linked.
+func (p *Program) link(cs []*Class) error {
+	var bodies []*Method
+	for _, c := range cs {
 		for _, m := range c.Methods() {
 			if m.This != nil && m.This.Type.IsUnknown() {
 				m.This.Type = Ref(c.Name)
 			}
 			if err := m.Finalize(); err != nil {
 				return err
+			}
+			if !m.Abstract() {
+				bodies = append(bodies, m)
 			}
 		}
 	}
@@ -158,20 +200,20 @@ func (p *Program) Link() error {
 	// never correctness (callers fall back to name-based CHA).
 	for changed := true; changed; {
 		changed = false
-		for _, c := range p.Classes() {
-			for _, m := range c.Methods() {
-				if p.inferMethod(m) {
-					changed = true
-				}
+		for _, m := range bodies {
+			if p.inferMethod(m) {
+				changed = true
 			}
 		}
 	}
-	// Field resolution.
-	for _, c := range p.Classes() {
-		for _, m := range c.Methods() {
-			if err := p.resolveFields(m); err != nil {
-				return err
-			}
+	for _, m := range bodies {
+		if err := p.resolveFields(m); err != nil {
+			return err
+		}
+	}
+	for _, c := range cs {
+		if !c.linked { // a linked class may be shared: never write to it
+			c.linked = true
 		}
 	}
 	return nil
@@ -300,9 +342,10 @@ func (p *Program) resolveFields(m *Method) error {
 				return nil
 			}
 		}
-		// Unique-name fallback across the whole program.
+		// Unique-name fallback across the whole program, in class-name
+		// order so an ambiguity is reported the same way every time.
 		var found *Field
-		for _, c := range p.classes {
+		for _, c := range p.Classes() {
 			if f := c.Field(r.Name); f != nil {
 				if found != nil {
 					return fmt.Errorf("%s: ambiguous field %q on %s (declared in both %s and %s)",

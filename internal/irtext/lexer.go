@@ -167,11 +167,11 @@ scan:
 
 	case strings.IndexByte("{}()[]:,=;.", c) >= 0:
 		l.pos++
-		return token{kind: tokPunct, text: string(c), line: line}, nil
+		return token{kind: tokPunct, text: l.src[start:l.pos], line: line}, nil
 
 	case strings.IndexByte("+-*/%&|^", c) >= 0:
 		l.pos++
-		return token{kind: tokOp, text: string(c), line: line}, nil
+		return token{kind: tokOp, text: l.src[start:l.pos], line: line}, nil
 	}
 	return token{}, l.errf(line, "unexpected character %q", string(c))
 }

@@ -47,6 +47,8 @@ type parser struct {
 	prog *ir.Program
 	cur  token
 	next token
+	// segs is parsePath's reused segment buffer.
+	segs []string
 }
 
 func (p *parser) advance() error {

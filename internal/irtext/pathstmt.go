@@ -14,14 +14,16 @@ type path struct {
 	line int
 }
 
+// parsePath parses a path into the parser's segment buffer, so the path
+// is valid only until the next parsePath; every caller is done with it by
+// then (call arguments are operands, never paths).
 func (p *parser) parsePath() (path, error) {
 	line := p.cur.line
-	var segs []string
 	seg, err := p.expectIdent()
 	if err != nil {
 		return path{}, err
 	}
-	segs = append(segs, seg)
+	segs := append(p.segs[:0], seg)
 	for p.isPunct(".") {
 		if err := p.advance(); err != nil {
 			return path{}, err
@@ -32,6 +34,7 @@ func (p *parser) parsePath() (path, error) {
 		}
 		segs = append(segs, seg)
 	}
+	p.segs = segs
 	return path{segs: segs, line: line}, nil
 }
 

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 
@@ -58,14 +57,13 @@ func main() {
 func run(args []string) int {
 	flags := flag.NewFlagSet("corpus", flag.ContinueOnError)
 	var (
-		profile     = flags.String("profile", "malware", "population profile: play, malware, or stress")
+		profile     = flags.String("profile", "malware", "population profile: play, malware, stress, or reflection")
 		n           = flags.Int("n", 100, "number of apps to generate and analyze")
 		seed        = flags.Int64("seed", 1, "generation seed")
 		export      = flags.String("export", "", "also write the generated app packages under this directory")
 		timeout     = flags.Duration("timeout", 0, "per-app analysis deadline (0 = none)")
 		maxProps    = flags.Int("max-propagations", 0, "per-app taint-propagation budget (0 = unlimited)")
 		degrade     = flags.Bool("degrade", false, "retry budget-exhausted apps with cheaper configurations")
-		workers     = flags.Int("workers", runtime.GOMAXPROCS(0), "per-app taint solver worker-pool size (<=1 = sequential)")
 		forcePanic  = flags.String("force-panic", "", "inject a panic while analyzing the named app (tests batch isolation)")
 		lint        = flags.Bool("lint", false, "run the IR verifier before each app's solvers")
 		sinks       = flags.String("sinks", "", "comma-separated sink selectors for a demand-driven query (empty = all sinks)")
@@ -106,7 +104,6 @@ func run(args []string) int {
 	opts := core.DefaultOptions()
 	opts.MaxPropagations = *maxProps
 	opts.Degrade = *degrade
-	opts.Taint.Workers = *workers
 	opts.Lint = *lint
 	opts.SummaryStore = summarystore.Open(*summaryDir)
 	opts.ResolveReflection = !*noReflect

@@ -31,7 +31,7 @@ func runCaptured(t *testing.T, args ...string) (int, string) {
 // TestCorpusRun: a small malware batch finds exactly its injected leaks,
 // exits 0 and prints the rollup; an unknown profile is a usage error.
 func TestCorpusRun(t *testing.T) {
-	code, out := runCaptured(t, "-profile", "malware", "-n", "4", "-workers", "1")
+	code, out := runCaptured(t, "-profile", "malware", "-n", "4")
 	if code != exitOK {
 		t.Fatalf("exit code %d, want %d\n%s", code, exitOK, out)
 	}

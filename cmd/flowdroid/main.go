@@ -43,10 +43,6 @@
 // stops at the next stage boundary and the partial result is reported as
 // DeadlineExceeded (exit 2). A second signal kills the process.
 //
-// -workers sets the taint solver's worker-pool size (default GOMAXPROCS).
-// The distinct leak report is identical at any worker count; only the
-// path witnesses (-paths) may pick different derivations.
-//
 // -summary-dir DIR enables the persistent method-summary store: completed
 // runs record per-method summaries under DIR, and later runs on updated
 // versions of the app replay the summaries of unchanged methods instead
@@ -83,7 +79,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -133,7 +128,6 @@ func run() int {
 		timeout     = flags.Duration("timeout", 0, "abort the analysis after this long and report the partial result (0 = no limit)")
 		maxProps    = flags.Int("max-propagations", 0, "taint-propagation budget; 0 = unlimited")
 		degrade     = flags.Bool("degrade", false, "on budget exhaustion retry with cheaper configurations (CHA, shorter access paths)")
-		workers     = flags.Int("workers", runtime.GOMAXPROCS(0), "taint solver worker-pool size (<=1 = sequential)")
 		summaryDir  = flags.String("summary-dir", "", "persistent method-summary store directory for warm re-analysis (empty = disabled)")
 		lint        = flags.Bool("lint", false, "run the IR verifier before the solvers; Error diagnostics abort with status InvalidProgram")
 		lintEnable  = flags.String("lint.enable", "", "comma-separated analyzer names to run (default: all)")
@@ -159,7 +153,6 @@ func run() int {
 	opts.UseCHA = *useCHA
 	opts.MaxPropagations = *maxProps
 	opts.Degrade = *degrade
-	opts.Taint.Workers = *workers
 	opts.SummaryStore = summarystore.Open(*summaryDir)
 	opts.Lint = *lint || *lintJSON || *lintEnable != "" || *lintDisable != ""
 	opts.LintEnable = *lintEnable
@@ -336,7 +329,7 @@ func run() int {
 				setup += d
 			}
 		}
-		fmt.Printf("\nsetup %v, taint analysis %v (%d worker(s))\n", setup, res.PassTimes["taint"], st.Workers)
+		fmt.Printf("\nsetup %v, taint analysis %v\n", setup, res.PassTimes["taint"])
 		fmt.Printf("forward edges %d, backward edges %d, alias queries %d (%d gated), summaries %d, peak abstractions %d\n",
 			st.ForwardEdges, st.BackwardEdges, st.AliasQueries, st.GatedAliasQueries, st.Summaries, st.PeakAbstractions)
 		if c := res.Counters; c.ReflectionResolved > 0 || c.ReflectionUnresolved > 0 {

@@ -24,7 +24,7 @@ func TestJSONEnvelopeIsServiceReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	stdout, args := os.Stdout, os.Args
-	os.Stdout, os.Args = w, []string{"flowdroid", "-workers", "1", "-json", "-insecurebank"}
+	os.Stdout, os.Args = w, []string{"flowdroid", "-json", "-insecurebank"}
 	out := make(chan []byte)
 	go func() {
 		data, _ := io.ReadAll(r)
@@ -54,9 +54,7 @@ func TestJSONEnvelopeIsServiceReport(t *testing.T) {
 		got.Leaks[i].Path = nil
 	}
 
-	opts := core.DefaultOptions()
-	opts.Taint.Workers = 1
-	res, err := core.AnalyzeFiles(context.Background(), insecurebank.Files, opts)
+	res, err := core.AnalyzeFiles(context.Background(), insecurebank.Files, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@
 //   - Every job is deadline- and budget-bounded (-default-timeout,
 //     -max-timeout, -max-propagations) through the core resilience
 //     layer, so the worst case is a partial, explained result.
-//   - A global worker budget (-worker-budget) is shared fairly across
-//     the -analyses concurrent executors.
+//   - Up to -analyses jobs run at once, each single-threaded on its own
+//     executor goroutine: the app is the unit of parallelism.
 //   - Repeated Recovered/InvalidProgram outcomes for one app
 //     fingerprint trip a circuit breaker (-breaker-trip,
 //     -breaker-cooldown): known-poison inputs are rejected up front.
@@ -46,7 +46,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -73,7 +72,6 @@ func run() int {
 		addr         = flags.String("addr", "127.0.0.1:8040", "HTTP listen address")
 		queueSize    = flags.Int("queue", 64, "job queue bound; submissions beyond it are rejected with 429")
 		analyses     = flags.Int("analyses", 2, "concurrent analysis executors")
-		workerBudget = flags.Int("worker-budget", runtime.GOMAXPROCS(0), "global taint-worker budget shared fairly across executors")
 		defTimeout   = flags.Duration("default-timeout", 2*time.Minute, "per-job deadline for requests that set none")
 		maxTimeout   = flags.Duration("max-timeout", 10*time.Minute, "cap on requested per-job deadlines")
 		maxProps     = flags.Int("max-propagations", 0, "default per-job taint-propagation budget (0 = unlimited)")
@@ -115,7 +113,6 @@ func run() int {
 	svc := service.New(service.Config{
 		QueueSize:              *queueSize,
 		Analyses:               *analyses,
-		WorkerBudget:           *workerBudget,
 		DefaultDeadline:        *defTimeout,
 		MaxDeadline:            *maxTimeout,
 		DefaultMaxPropagations: *maxProps,
@@ -135,8 +132,11 @@ func run() int {
 	httpSrv := &http.Server{Handler: svc.Handler(*pprofOn)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "flowdroidd: listening on http://%s (queue %d, analyses %d, worker budget %d)\n",
-		ln.Addr(), *queueSize, *analyses, *workerBudget)
+	// The banner reports the effective configuration: New replaces a
+	// non-positive -queue or -analyses with its default.
+	eff := svc.Config()
+	fmt.Fprintf(os.Stderr, "flowdroidd: listening on http://%s (queue %d, analyses %d)\n",
+		ln.Addr(), eff.QueueSize, eff.Analyses)
 
 	// SIGINT/SIGTERM starts the drain; a second signal kills the process
 	// the default way (NotifyContext unregisters after the first).

@@ -8,35 +8,37 @@ import (
 	"flowdroid/internal/core"
 )
 
-// TestCorpusWorkerCountEquivalence: a corpus batch must aggregate to the
-// same leak statistics at any taint worker count — same total, same
-// apps-with-leaks count, same per-sink distribution.
+// TestCorpusWorkerCountEquivalence pins the one-schedule relation that
+// replaced equivalence across solver worker counts at corpus level: a
+// repeated batch must aggregate to the same leak statistics — same
+// total, same apps-with-leaks count, same per-sink distribution — and
+// the same summed counters.
 func TestCorpusWorkerCountEquivalence(t *testing.T) {
 	const n, seed = 6, 42
-	opts := core.DefaultOptions()
-	opts.Taint.Workers = 1
-	base, err := RunCorpusWith(context.Background(), Stress, n, seed, opts, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
+	run := func() CorpusStats {
+		t.Helper()
+		stats, err := RunCorpusWith(context.Background(), Stress, n, seed, core.DefaultOptions(), RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
 	}
+	base := run()
 	if base.TotalFound == 0 {
 		t.Fatal("stress corpus found no leaks; the equivalence check would be vacuous")
 	}
 	if base.Times["Error"].Apps+base.Times[core.Recovered.String()].Apps+base.Incomplete > 0 {
-		t.Fatalf("sequential baseline had abnormal outcomes: %+v", base.Failures)
+		t.Fatalf("baseline had abnormal outcomes: %+v", base.Failures)
 	}
-	for _, w := range []int{2, 8} {
-		opts.Taint.Workers = w
-		stats, err := RunCorpusWith(context.Background(), Stress, n, seed, opts, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.TotalFound != base.TotalFound || stats.AppsWithLeaks != base.AppsWithLeaks {
-			t.Errorf("workers=%d: found %d leaks in %d apps, want %d in %d",
-				w, stats.TotalFound, stats.AppsWithLeaks, base.TotalFound, base.AppsWithLeaks)
-		}
-		if got, want := fmt.Sprint(stats.BySink), fmt.Sprint(base.BySink); got != want {
-			t.Errorf("workers=%d: sink distribution %s, want %s", w, got, want)
-		}
+	stats := run()
+	if stats.TotalFound != base.TotalFound || stats.AppsWithLeaks != base.AppsWithLeaks {
+		t.Errorf("found %d leaks in %d apps, want %d in %d",
+			stats.TotalFound, stats.AppsWithLeaks, base.TotalFound, base.AppsWithLeaks)
+	}
+	if got, want := fmt.Sprint(stats.BySink), fmt.Sprint(base.BySink); got != want {
+		t.Errorf("sink distribution %s, want %s", got, want)
+	}
+	if stats.Counters != base.Counters {
+		t.Errorf("summed counters %+v, want %+v", stats.Counters, base.Counters)
 	}
 }

@@ -8,7 +8,6 @@ package callgraph
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"flowdroid/internal/ir"
 )
@@ -131,12 +130,10 @@ type Resolver struct {
 	h ir.Hierarchy
 	// nameIndex maps (name, nargs) to all concrete declarations, for the
 	// fallback when no declared type is available. It is built on the
-	// first fallback: a resolver that only ever sees typed receivers
-	// never walks the whole program.
-	nameOnce  sync.Once
+	// first fallback (nil until then): a resolver that only ever sees
+	// typed receivers never walks the whole program.
 	nameIndex map[nameKey][]*ir.Method
 
-	mu        sync.Mutex
 	virtCache map[virtKey][]*ir.Method
 }
 
@@ -163,7 +160,7 @@ func NewResolver(h ir.Hierarchy) *Resolver {
 
 // byName returns every declaration of (name, nargs) program-wide.
 func (r *Resolver) byName(name string, nargs int) []*ir.Method {
-	r.nameOnce.Do(func() {
+	if r.nameIndex == nil {
 		r.nameIndex = make(map[nameKey][]*ir.Method)
 		for _, c := range r.h.Classes() {
 			for _, m := range c.Methods() {
@@ -171,7 +168,7 @@ func (r *Resolver) byName(name string, nargs int) []*ir.Method {
 				r.nameIndex[k] = append(r.nameIndex[k], m)
 			}
 		}
-	})
+	}
 	return r.nameIndex[nameKey{name, nargs}]
 }
 
@@ -218,10 +215,7 @@ func (r *Resolver) VirtualTargets(e *ir.InvokeExpr) []*ir.Method {
 		declared = e.Base.Type.Name
 	}
 	k := virtKey{declared, e.Ref.Name, e.Ref.NArgs}
-	r.mu.Lock()
-	cached, ok := r.virtCache[k]
-	r.mu.Unlock()
-	if ok {
+	if cached, ok := r.virtCache[k]; ok {
 		return cached
 	}
 	targets := make(map[*ir.Method]bool)
@@ -245,9 +239,7 @@ func (r *Resolver) VirtualTargets(e *ir.InvokeExpr) []*ir.Method {
 		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	r.mu.Lock()
 	r.virtCache[k] = out
-	r.mu.Unlock()
 	return out
 }
 

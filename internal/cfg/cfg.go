@@ -7,8 +7,7 @@
 package cfg
 
 import (
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"flowdroid/internal/callgraph"
 	"flowdroid/internal/ir"
@@ -72,15 +71,12 @@ func (c *MethodCFG) stmtsAt(idx []int) []ir.Stmt {
 	return out
 }
 
-// Cache is a concurrency-safe store of per-method CFGs. It can be shared
-// across ICFGs (the scene layer shares one per program, so degrade-ladder
-// retries and call-graph swaps never rebuild a method's CFG) and is safe
-// for the parallel IFDS workers that reach CFGOf concurrently.
+// Cache is a store of per-method CFGs. It can be shared across ICFGs
+// (the scene layer shares one per program, so degrade-ladder retries and
+// call-graph swaps never rebuild a method's CFG). Like the scene that
+// owns it, it belongs to one single-threaded analysis.
 type Cache struct {
-	mu   sync.RWMutex
 	cfgs map[*ir.Method]*MethodCFG
-
-	hits, misses atomic.Int64
 }
 
 // NewCache creates an empty CFG cache.
@@ -90,45 +86,12 @@ func NewCache() *Cache {
 
 // CFGOf returns the cached CFG of m, building it on first use.
 func (c *Cache) CFGOf(m *ir.Method) *MethodCFG {
-	c.mu.RLock()
-	cached := c.cfgs[m]
-	c.mu.RUnlock()
-	if cached != nil {
-		c.hits.Add(1)
-		return cached
+	g := c.cfgs[m]
+	if g == nil {
+		g = New(m)
+		c.cfgs[m] = g
 	}
-	built := New(m)
-	c.mu.Lock()
-	if prior, ok := c.cfgs[m]; ok {
-		// Another goroutine built it first; keep one canonical CFG.
-		built = prior
-	} else {
-		c.cfgs[m] = built
-	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-	return built
-}
-
-// Prebuild populates the cache for the given methods up front.
-func (c *Cache) Prebuild(methods []*ir.Method) {
-	for _, m := range methods {
-		if !m.Abstract() {
-			c.CFGOf(m)
-		}
-	}
-}
-
-// Stats returns the cumulative hit and miss (= build) counts.
-func (c *Cache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// Len returns the number of cached CFGs.
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.cfgs)
+	return g
 }
 
 // CacheProvider is implemented by program models (the scene layer) that
@@ -139,8 +102,7 @@ type CacheProvider interface {
 }
 
 // ICFG is the interprocedural control-flow graph: per-method CFGs stitched
-// together by a call graph. CFGs are built lazily through a synchronized
-// cache, so the parallel IFDS workers may query concurrently.
+// together by a call graph. CFGs are built lazily through the cache.
 type ICFG struct {
 	Prog  ir.Hierarchy
 	Graph *callgraph.Graph
@@ -175,7 +137,9 @@ func (g *ICFG) IsCall(s ir.Stmt) bool { return ir.IsCall(s) }
 
 // CalleesOf returns the callees of call site s that have bodies the solver
 // can descend into; bodyless stubs are handled by call-to-return flow
-// functions instead.
+// functions instead. They come in ir.CompareMethods order: the call graph
+// lists targets in the order its builder discovered them, which varies
+// between runs with the points-to solver's set iteration.
 func (g *ICFG) CalleesOf(s ir.Stmt) []*ir.Method {
 	var out []*ir.Method
 	for _, m := range g.Graph.CalleesOf(s) {
@@ -183,6 +147,7 @@ func (g *ICFG) CalleesOf(s ir.Stmt) []*ir.Method {
 			out = append(out, m)
 		}
 	}
+	slices.SortFunc(out, ir.CompareMethods)
 	return out
 }
 

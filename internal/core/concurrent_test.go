@@ -39,9 +39,7 @@ func TestConcurrentAnalyzeSharedRecorder(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			opts := core.DefaultOptions()
-			opts.Taint.Workers = 2
-			results[i], errs[i] = core.AnalyzeFiles(ctx, apps[i].Files, opts)
+			results[i], errs[i] = core.AnalyzeFiles(ctx, apps[i].Files, core.DefaultOptions())
 		}(i)
 	}
 	// Snapshots taken mid-flight must be consistent, not crash, and not
@@ -94,7 +92,6 @@ func TestConcurrentAnalyzeSameAppSharedScene(t *testing.T) {
 	rec := metrics.New()
 	ctx := metrics.Into(context.Background(), rec)
 	opts := core.DefaultOptions()
-	opts.Taint.Workers = 2
 
 	warm, err := core.AnalyzeApp(ctx, app, opts)
 	if err != nil {

@@ -65,11 +65,7 @@ func schemaOf(s metrics.Snapshot) map[string][]string {
 
 func TestMetricsSnapshotSchema(t *testing.T) {
 	rec := metrics.New()
-	opts := core.DefaultOptions()
-	// Two workers are pinned so the schedule section's per-worker keys
-	// (taint.worker<i>.drained) are stable regardless of the host.
-	opts.Taint.Workers = 2
-	res, err := core.AnalyzeFiles(metrics.Into(context.Background(), rec), testapps.LeakageApp, opts)
+	res, err := core.AnalyzeFiles(metrics.Into(context.Background(), rec), testapps.LeakageApp, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

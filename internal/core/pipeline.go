@@ -111,10 +111,9 @@ type artifact[T any] struct {
 // its key (directly, or through the lifecycle skip set), so two queries
 // against the same loaded app never cross-contaminate.
 //
-// The taint configuration — including Taint.Workers — is deliberately
-// absent from every artifact key: the worker count only changes how the
-// solve is scheduled, never what any upstream pass computes, so changing
-// it between runs on the same pipeline reuses every artifact
+// The taint configuration is deliberately absent from every artifact
+// key: it never changes what any upstream pass computes, so changing it
+// between runs on the same pipeline reuses every artifact
 // (fingerprint-neutral).
 type pipeline struct {
 	app *apk.App
@@ -170,9 +169,9 @@ type reflArtifact struct {
 // summaryFingerprint digests every configuration input that changes the
 // taint solver's transfer functions or seeds, scoping the persistent
 // summary store's namespace: two runs may only share summaries when they
-// would compute identical per-method-context facts. Schedule-only knobs
-// (Workers, MaxPropagations, MaxLeaks) are deliberately excluded — they
-// change how much is explored, never what a completed run computes.
+// would compute identical per-method-context facts. The budget knobs
+// (MaxPropagations, MaxLeaks) are deliberately excluded — they change
+// how much is explored, never what a completed run computes.
 // The store format version is folded in so a scheme change invalidates
 // wholesale, and the layout password controls are included because they
 // synthesize per-app source rules.

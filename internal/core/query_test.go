@@ -6,7 +6,7 @@ package core_test
 // suites cover the three app shapes the pipeline handles — DroidBench
 // (Android lifecycle micro benchmarks), SecuriBench Micro (plain-Java
 // servlet entry points) and two seeded appgen corpora (multi-component apps
-// with cross-component flows) — each at worker counts 1, 2 and 8.
+// with cross-component flows).
 
 import (
 	"bytes"
@@ -21,8 +21,6 @@ import (
 	"flowdroid/internal/sourcesink"
 	"flowdroid/internal/taint"
 )
-
-var queryWorkers = []int{1, 2, 8}
 
 // matchesQuery is the filtering side of the contract: does the leak's
 // matched sink rule belong to the query?
@@ -74,22 +72,19 @@ func TestQueryEquivalence(t *testing.T) {
 			}
 			for _, q := range queriesFor(whole.Taint, "log") {
 				want := filteredJSON(t, whole.Taint, q)
-				for _, w := range queryWorkers {
-					opts := core.DefaultOptions()
-					opts.Query = q
-					opts.Taint.Workers = w
-					res, err := core.AnalyzeFiles(context.Background(), c.Files, opts)
-					if err != nil {
-						t.Fatalf("%s query %v: %v", c.Name, q.Sinks, err)
-					}
-					js, err := res.Taint.CanonicalJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(want, js) {
-						t.Errorf("%s query %v workers=%d: report differs from filtered whole-program:\nwhole filtered:\n%s\nquery mode:\n%s",
-							c.Name, q.Sinks, w, want, js)
-					}
+				opts := core.DefaultOptions()
+				opts.Query = q
+				res, err := core.AnalyzeFiles(context.Background(), c.Files, opts)
+				if err != nil {
+					t.Fatalf("%s query %v: %v", c.Name, q.Sinks, err)
+				}
+				js, err := res.Taint.CanonicalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, js) {
+					t.Errorf("%s query %v: report differs from filtered whole-program:\nwhole filtered:\n%s\nquery mode:\n%s",
+						c.Name, q.Sinks, want, js)
 				}
 			}
 		}
@@ -118,21 +113,17 @@ func TestQueryEquivalence(t *testing.T) {
 			}
 			for _, q := range queries {
 				want := filteredJSON(t, whole, q)
-				for _, w := range queryWorkers {
-					conf := securibench.Config()
-					conf.Workers = w
-					res, err := core.AnalyzeJavaQuery(context.Background(), prog, securibench.Rules(), conf, q, entries...)
-					if err != nil {
-						t.Fatalf("%s query %v: %v", c.Name, q.Sinks, err)
-					}
-					js, err := res.CanonicalJSON()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(want, js) {
-						t.Errorf("%s query %v workers=%d: report differs from filtered whole-program:\nwhole filtered:\n%s\nquery mode:\n%s",
-							c.Name, q.Sinks, w, want, js)
-					}
+				res, err := core.AnalyzeJavaQuery(context.Background(), prog, securibench.Rules(), securibench.Config(), q, entries...)
+				if err != nil {
+					t.Fatalf("%s query %v: %v", c.Name, q.Sinks, err)
+				}
+				js, err := res.CanonicalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want, js) {
+					t.Errorf("%s query %v: report differs from filtered whole-program:\nwhole filtered:\n%s\nquery mode:\n%s",
+						c.Name, q.Sinks, want, js)
 				}
 			}
 		}
@@ -162,32 +153,29 @@ func TestQueryEquivalence(t *testing.T) {
 				wholeProps += whole.Counters.Propagations
 				for _, q := range queriesFor(whole.Taint, "sms") {
 					want := filteredJSON(t, whole.Taint, q)
-					for _, w := range queryWorkers {
-						opts := core.DefaultOptions()
-						opts.Query = q
-						opts.Taint.Workers = w
-						res, err := core.AnalyzeFiles(context.Background(), app.Files, opts)
-						if err != nil {
-							t.Fatalf("%s query %v: %v", app.Name, q.Sinks, err)
-						}
-						if res.Status != core.Complete {
-							t.Fatalf("%s query %v: status %v, want complete", app.Name, q.Sinks, res.Status)
-						}
-						js, err := res.Taint.CanonicalJSON()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(want, js) {
-							t.Errorf("%s query %v workers=%d: report differs from filtered whole-program:\nwhole filtered:\n%s\nquery mode:\n%s",
-								app.Name, q.Sinks, w, want, js)
-						}
-						if res.Counters.ConeMethods == 0 && len(res.Taint.Leaks) > 0 {
-							t.Errorf("%s query %v: leaks found but ConeMethods = 0; the cone was not wired", app.Name, q.Sinks)
-						}
-						if w == 1 && q.Sinks[0] == "sms" {
-							smsProps += res.Counters.Propagations
-							smsCone += res.Counters.ConeMethods
-						}
+					opts := core.DefaultOptions()
+					opts.Query = q
+					res, err := core.AnalyzeFiles(context.Background(), app.Files, opts)
+					if err != nil {
+						t.Fatalf("%s query %v: %v", app.Name, q.Sinks, err)
+					}
+					if res.Status != core.Complete {
+						t.Fatalf("%s query %v: status %v, want complete", app.Name, q.Sinks, res.Status)
+					}
+					js, err := res.Taint.CanonicalJSON()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(want, js) {
+						t.Errorf("%s query %v: report differs from filtered whole-program:\nwhole filtered:\n%s\nquery mode:\n%s",
+							app.Name, q.Sinks, want, js)
+					}
+					if res.Counters.ConeMethods == 0 && len(res.Taint.Leaks) > 0 {
+						t.Errorf("%s query %v: leaks found but ConeMethods = 0; the cone was not wired", app.Name, q.Sinks)
+					}
+					if q.Sinks[0] == "sms" {
+						smsProps += res.Counters.Propagations
+						smsCone += res.Counters.ConeMethods
 					}
 				}
 			}

@@ -60,7 +60,6 @@ func TestRecorderAgreesWithCounters(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := metrics.New()
 			opts := core.DefaultOptions()
-			opts.Taint.Workers = 1
 			tc.opts(&opts)
 			res, err := core.AnalyzeFiles(metrics.Into(context.Background(), rec), tc.files, opts)
 			if err != nil {

@@ -79,7 +79,7 @@ func (f *Failure) Error() string {
 // series tagged `metric:"name,counter|gauge[,schedule]"` from them. A
 // series is published when its `pass` was reached or, with no pass tag,
 // when it is nonzero. So a new counter is one field, with its wire and
-// metric names. The first seven are always emitted on the wire; the rest
+// metric names. The first six are always emitted on the wire; the rest
 // are mode-specific and omitted when zero.
 type Counters struct {
 	// CallGraphEdges is the number of call edges in the final graph.
@@ -95,8 +95,6 @@ type Counters struct {
 	Summaries int `json:"summaries" metric:"taint.summaries,counter" pass:"taint"`
 	// PeakAbstractions is the taint solver's interned fact count.
 	PeakAbstractions int `json:"peakAbstractions" metric:"taint.abstractions,counter" pass:"taint"`
-	// Workers is the taint solver's worker-pool size (1 = sequential).
-	Workers int `json:"workers" metric:"taint.workers,gauge,schedule" pass:"taint"`
 	// ConeMethods is the size of the query's sink-reaching cone and
 	// SkippedComponents the number of components left out of dummy-main
 	// modeling because they were entirely outside it (both zero on
@@ -182,7 +180,6 @@ func countersFromTaint(c *Counters, st taint.Stats) {
 	c.PathEdges = st.PathEdges()
 	c.Summaries = st.Summaries
 	c.PeakAbstractions = st.PeakAbstractions
-	c.Workers = st.Workers
 	c.ConeMethods = st.ConeMethods
 	c.SkippedComponents = st.SkippedComponents
 	if ss := st.Store; ss != nil {

@@ -44,9 +44,8 @@ func fingerprint(prog *ir.Program) string {
 }
 
 // TestSharedBaseIsImmutable analyzes small corpora of every benchmark
-// workload profile, DroidBench, SecuriBench and InsecureBank concurrently,
-// with 8 taint workers each, and checks the shared framework classes are
-// unchanged afterwards. Under -race it also catches any write to them.
+// workload profile, DroidBench, SecuriBench and InsecureBank concurrently
+// and checks the shared framework classes are unchanged afterwards. Under -race it also catches any write to them.
 func TestSharedBaseIsImmutable(t *testing.T) {
 	base := framework.NewProgram()
 	if n := len(base.Classes()); n < 50 {
@@ -54,11 +53,7 @@ func TestSharedBaseIsImmutable(t *testing.T) {
 	}
 	before := fingerprint(base)
 
-	opts := func() core.Options {
-		o := core.DefaultOptions()
-		o.Taint.Workers = 8
-		return o
-	}
+	opts := core.DefaultOptions
 	analyze := func(name string, files map[string]string, o core.Options) error {
 		res, err := core.AnalyzeFiles(context.Background(), files, o)
 		if err != nil {
@@ -109,8 +104,6 @@ func TestSharedBaseIsImmutable(t *testing.T) {
 			return nil
 		},
 		"securibench": func() error {
-			conf := securibench.Config()
-			conf.Workers = 8
 			for _, c := range securibench.Cases() {
 				prog, err := securibench.Program(c)
 				if err != nil {
@@ -122,7 +115,7 @@ func TestSharedBaseIsImmutable(t *testing.T) {
 						entries = append(entries, m)
 					}
 				}
-				if _, err := core.AnalyzeJava(context.Background(), prog, securibench.Rules(), conf, entries...); err != nil {
+				if _, err := core.AnalyzeJava(context.Background(), prog, securibench.Rules(), securibench.Config(), entries...); err != nil {
 					return fmt.Errorf("%s: %w", c.Name, err)
 				}
 			}

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -162,11 +163,26 @@ func (m *Method) Ref() MethodRef {
 
 // String renders the method as "Class.Name/NArgs".
 func (m *Method) String() string {
-	cls := "?"
-	if m.Class != nil {
-		cls = m.Class.Name
+	return fmt.Sprintf("%s.%s/%d", m.className(), m.Name, len(m.Params))
+}
+
+// CompareMethods orders methods by class name, then name, then arity —
+// the order of their String forms' parts, without rendering them.
+func CompareMethods(a, b *Method) int {
+	if c := cmp.Compare(a.className(), b.className()); c != 0 {
+		return c
 	}
-	return fmt.Sprintf("%s.%s/%d", cls, m.Name, len(m.Params))
+	if c := cmp.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	return cmp.Compare(len(a.Params), len(b.Params))
+}
+
+func (m *Method) className() string {
+	if m.Class == nil {
+		return "?"
+	}
+	return m.Class.Name
 }
 
 // AddParam declares a parameter local.

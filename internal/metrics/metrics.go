@@ -14,10 +14,11 @@
 //
 //  2. Deterministic reporting is segregated from wall-clock reporting.
 //     Instruments are registered under a Class; Snapshot splits them into
-//     a Deterministic section (schedule-independent on completed runs —
-//     byte-identical across worker counts), a Schedule section (depends
-//     on worker scheduling or configuration: peaks, per-worker work
-//     splits, pool sizes) and a Timings section (wall clock). Trace
+//     a Deterministic section (a function of the programs and the
+//     configuration on completed runs — byte-identical across repeated
+//     runs), a Schedule section (depends on how concurrent analyses
+//     interleave or on the environment: queue depths and peaks, service
+//     gauges) and a Timings section (wall clock). Trace
 //     events always carry wall times; the snapshot is the canonical
 //     surface.
 //
@@ -39,14 +40,14 @@ type Class int
 
 const (
 	// Deterministic marks counters whose final value is a pure function
-	// of the analyzed program and configuration on completed runs —
-	// independent of worker count and scheduling. Truncated runs stop at
-	// a schedule-dependent frontier, so the guarantee is scoped to
-	// completed runs, exactly like the solver's leak-set determinism.
+	// of the analyzed programs and configuration on completed runs. A
+	// deadline stops a run at a wall-clock-dependent point, so the
+	// guarantee is scoped to completed runs.
 	Deterministic Class = iota
-	// Schedule marks values that legitimately vary with scheduling or
-	// pool configuration: queue-depth peaks, per-worker items drained,
-	// the worker count itself.
+	// Schedule marks values that legitimately vary with how concurrent
+	// analyses interleave on a shared recorder, or with the environment:
+	// queue depths and their peaks, the service's admission counters,
+	// summary-store write failures.
 	Schedule
 )
 
@@ -281,7 +282,7 @@ type TimingSnapshot struct {
 }
 
 // Snapshot is the exported state of a Recorder. Deterministic holds the
-// schedule-independent counters (byte-identical across worker counts on
+// schedule-independent counters (byte-identical across repeated runs on
 // completed runs once JSON-marshaled — Go sorts map keys); Schedule and
 // Timings hold everything scheduling- or wall-clock-dependent.
 type Snapshot struct {

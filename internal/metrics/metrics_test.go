@@ -126,7 +126,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestSnapshotSectionSegregation(t *testing.T) {
 	r := New()
 	r.Counter("taint.forward_edges", Deterministic).Add(10)
-	r.Counter("taint.workers", Schedule).Add(8)
+	r.Counter("service.submitted", Schedule).Add(8)
 	r.Gauge("taint.queue", Schedule).Set(5)
 	sp := r.StartSpan("taint")
 	sp.End()
@@ -135,10 +135,10 @@ func TestSnapshotSectionSegregation(t *testing.T) {
 	if s.Deterministic["taint.forward_edges"] != 10 {
 		t.Error("deterministic counter missing from Deterministic section")
 	}
-	if _, ok := s.Deterministic["taint.workers"]; ok {
+	if _, ok := s.Deterministic["service.submitted"]; ok {
 		t.Error("schedule counter leaked into Deterministic section")
 	}
-	if s.Schedule["taint.workers"] != 8 {
+	if s.Schedule["service.submitted"] != 8 {
 		t.Error("schedule counter missing from Schedule section")
 	}
 	if s.Schedule["taint.queue.peak"] != 5 {
@@ -156,8 +156,8 @@ func TestSnapshotSectionSegregation(t *testing.T) {
 
 // TestSnapshotJSONDeterminism: two recorders fed the same deterministic
 // counters in different orders must marshal byte-identical
-// Deterministic sections — the property the cross-worker equivalence
-// suite depends on.
+// Deterministic sections — the property the run-to-run reproducibility
+// tests depend on.
 func TestSnapshotJSONDeterminism(t *testing.T) {
 	a, b := New(), New()
 	a.Counter("x", Deterministic).Add(1)

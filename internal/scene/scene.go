@@ -2,22 +2,20 @@
 // phase queries: the analogue of Soot's Scene in FlowDroid's pipeline
 // (Arzt et al., PLDI 2014). A Scene wraps an ir.Program with precomputed
 // subtype sets, memoized method and field resolution, a shared
-// invoke-target resolver, and a synchronized per-method CFG cache, so the
+// invoke-target resolver, and a per-method CFG cache, so the
 // callback analysis, Spark stand-in (pta), CHA builder, ICFG and taint
 // engine all hit one memoized substrate instead of re-walking the class
 // graph per query.
 //
 // A Scene implements ir.Hierarchy with semantics identical to
 // *ir.Program (the tests cross-check both on adversarial hierarchies,
-// including cyclic ones). Reads are safe for concurrent use; Refresh —
-// required after the program gains classes, e.g. dummy-main generation —
-// must not race with readers.
+// including cyclic ones). A Scene belongs to one analysis, which runs on
+// one goroutine, so its memo tables are unsynchronized. Refresh is
+// required after the program gains classes, e.g. dummy-main generation.
 package scene
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"flowdroid/internal/callgraph"
 	"flowdroid/internal/cfg"
@@ -34,20 +32,14 @@ type Scene struct {
 	supers   map[string]map[string]bool // transitive supertypes (self excluded)
 	subtypes map[string][]string        // inverted, sorted, self included
 
-	// Lazy, synchronized resolution caches.
-	mu          sync.RWMutex
+	// Lazy resolution caches.
 	methodCache map[memberKey]*ir.Method
 	fieldCache  map[memberKey]*ir.Field
 
-	resolverOnce sync.Once
-	resolver     *callgraph.Resolver
+	// resolver is built on first use; nil until then and after Refresh.
+	resolver *callgraph.Resolver
 
 	cfgs *cfg.Cache
-
-	subtypeQueries           atomic.Int64
-	methodHits, methodMisses atomic.Int64
-	fieldHits, fieldMisses   atomic.Int64
-	refreshes                int64
 }
 
 // memberKey identifies a member-resolution question. nargs is unused
@@ -77,15 +69,9 @@ func (s *Scene) Program() *ir.Program { return s.prog }
 // the underlying program changed (classes or members added). The CFG
 // cache is kept: method bodies are immutable once finalized, so existing
 // CFGs stay valid and new methods fill in lazily.
-func (s *Scene) Refresh() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rebuild()
-	s.refreshes++
-}
+func (s *Scene) Refresh() { s.rebuild() }
 
-// rebuild recomputes every program-derived index. Callers hold s.mu (or
-// own s exclusively, as New does).
+// rebuild recomputes every program-derived index.
 func (s *Scene) rebuild() {
 	s.classes = s.prog.Classes()
 	s.supers = make(map[string]map[string]bool, len(s.classes))
@@ -107,7 +93,6 @@ func (s *Scene) rebuild() {
 	s.methodCache = make(map[memberKey]*ir.Method)
 	s.fieldCache = make(map[memberKey]*ir.Field)
 	// The resolver indexes the old class set; rebuild it lazily.
-	s.resolverOnce = sync.Once{}
 	s.resolver = nil
 }
 
@@ -151,35 +136,24 @@ func (s *Scene) Classes() []*ir.Class { return s.classes }
 // SubtypeOf reports whether sub is the same as, a subclass of, or an
 // implementor of super. O(1) against the precomputed sets.
 func (s *Scene) SubtypeOf(sub, super string) bool {
-	s.subtypeQueries.Add(1)
 	return sub == super || s.supers[sub][super]
 }
 
 // SubtypesOf returns the names of every class that is a subtype of the
 // named class or interface (including itself if declared), in name
 // order. The slice is shared and must not be mutated.
-func (s *Scene) SubtypesOf(name string) []string {
-	s.subtypeQueries.Add(1)
-	return s.subtypes[name]
-}
+func (s *Scene) SubtypesOf(name string) []string { return s.subtypes[name] }
 
 // ResolveMethod finds the method (name, nargs) starting at class and
 // walking up the superclass chain, then the transitive interfaces.
 // Results — including misses — are memoized.
 func (s *Scene) ResolveMethod(class, name string, nargs int) *ir.Method {
 	k := memberKey{class, name, nargs}
-	s.mu.RLock()
 	m, ok := s.methodCache[k]
-	s.mu.RUnlock()
-	if ok {
-		s.methodHits.Add(1)
-		return m
+	if !ok {
+		m = s.prog.ResolveMethod(class, name, nargs)
+		s.methodCache[k] = m
 	}
-	s.methodMisses.Add(1)
-	m = s.prog.ResolveMethod(class, name, nargs)
-	s.mu.Lock()
-	s.methodCache[k] = m
-	s.mu.Unlock()
 	return m
 }
 
@@ -187,18 +161,11 @@ func (s *Scene) ResolveMethod(class, name string, nargs int) *ir.Method {
 // the superclass chain. Results — including misses — are memoized.
 func (s *Scene) ResolveField(class, name string) *ir.Field {
 	k := memberKey{class, name, -1}
-	s.mu.RLock()
 	f, ok := s.fieldCache[k]
-	s.mu.RUnlock()
-	if ok {
-		s.fieldHits.Add(1)
-		return f
+	if !ok {
+		f = s.prog.ResolveField(class, name)
+		s.fieldCache[k] = f
 	}
-	s.fieldMisses.Add(1)
-	f = s.prog.ResolveField(class, name)
-	s.mu.Lock()
-	s.fieldCache[k] = f
-	s.mu.Unlock()
 	return f
 }
 
@@ -206,7 +173,9 @@ func (s *Scene) ResolveField(class, name string) *ir.Field {
 // first use. It implements callgraph.ResolverProvider, so BuildCHA and
 // the points-to builder adopt it automatically.
 func (s *Scene) Resolver() *callgraph.Resolver {
-	s.resolverOnce.Do(func() { s.resolver = callgraph.NewResolver(s) })
+	if s.resolver == nil {
+		s.resolver = callgraph.NewResolver(s)
+	}
 	return s.resolver
 }
 
@@ -214,39 +183,6 @@ func (s *Scene) Resolver() *callgraph.Resolver {
 // cfg.CacheProvider, so NewICFG adopts it automatically: CFGs survive
 // call-graph swaps and degrade-ladder retries.
 func (s *Scene) CFGs() *cfg.Cache { return s.cfgs }
-
-// Stats is a snapshot of the scene's cache effectiveness counters.
-type Stats struct {
-	Classes        int
-	SubtypeQueries int64
-	MethodHits     int64
-	MethodMisses   int64
-	FieldHits      int64
-	FieldMisses    int64
-	CFGHits        int64
-	CFGMisses      int64
-	Refreshes      int64
-}
-
-// Stats returns a snapshot of the scene's counters.
-func (s *Scene) Stats() Stats {
-	s.mu.RLock()
-	refreshes := s.refreshes
-	classes := len(s.classes)
-	s.mu.RUnlock()
-	cfgHits, cfgMisses := s.cfgs.Stats()
-	return Stats{
-		Classes:        classes,
-		SubtypeQueries: s.subtypeQueries.Load(),
-		MethodHits:     s.methodHits.Load(),
-		MethodMisses:   s.methodMisses.Load(),
-		FieldHits:      s.fieldHits.Load(),
-		FieldMisses:    s.fieldMisses.Load(),
-		CFGHits:        cfgHits,
-		CFGMisses:      cfgMisses,
-		Refreshes:      refreshes,
-	}
-}
 
 // Hierarchy interface conformance (compile-time checks).
 var (

@@ -3,48 +3,56 @@ package securibench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"flowdroid/internal/core"
 	"flowdroid/internal/ir"
+	"flowdroid/internal/taint"
 )
 
-// TestWorkerCountEquivalence: every SecuriBench case must produce a
-// byte-identical canonical leak report with the sequential and the
-// 8-worker taint solver.
+// analyzeCase parses a case afresh and runs its doGet entry points.
+func analyzeCase(t *testing.T, c Case) *taint.Results {
+	t.Helper()
+	prog, err := Program(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []*ir.Method
+	for _, cls := range prog.Classes() {
+		if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
+			entries = append(entries, m)
+		}
+	}
+	res, err := core.AnalyzeJava(context.Background(), prog, rules, Config(), entries...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// reportJSON renders the report with its path witnesses.
+func reportJSON(t *testing.T, r *taint.Results) []byte {
+	t.Helper()
+	js, err := json.Marshal(r.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
+}
+
+// TestWorkerCountEquivalence pins the one-schedule relation that
+// replaced equivalence across solver worker counts: an analysis runs on
+// one goroutine in a fixed exploration order, so every SecuriBench case
+// must produce a byte-identical report, path witnesses included, on
+// repeated runs.
 func TestWorkerCountEquivalence(t *testing.T) {
 	for _, c := range Cases() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			var base []byte
-			for _, w := range []int{1, 8} {
-				prog, err := core.ParseJava(servletStubs+c.Source, c.Name+".ir")
-				if err != nil {
-					t.Fatal(err)
-				}
-				var entries []*ir.Method
-				for _, cls := range prog.Classes() {
-					if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
-						entries = append(entries, m)
-					}
-				}
-				conf := Config()
-				conf.Workers = w
-				res, err := core.AnalyzeJava(context.Background(), prog, rules, conf, entries...)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				js, err := res.CanonicalJSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if w == 1 {
-					base = js
-					continue
-				}
-				if !bytes.Equal(base, js) {
-					t.Errorf("workers=%d report differs from workers=1:\n%s\nvs\n%s", w, base, js)
-				}
+			base := reportJSON(t, analyzeCase(t, c))
+			if again := reportJSON(t, analyzeCase(t, c)); !bytes.Equal(base, again) {
+				t.Errorf("report differs between runs:\n%s\nvs\n%s", base, again)
 			}
 		})
 	}

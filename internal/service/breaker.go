@@ -18,7 +18,7 @@ const (
 // An app whose analyses keep ending badly — Recovered panics,
 // InvalidProgram verdicts, load errors — trips its circuit after
 // `trip` consecutive failures: further submissions of the same package
-// are rejected up front instead of re-burning a worker share on a
+// are rejected up front instead of re-burning an executor on a
 // known-poison input. After the cooldown one probe submission is
 // admitted (half-open); a good probe closes the circuit, a bad one
 // re-opens it for another cooldown.

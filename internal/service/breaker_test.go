@@ -201,43 +201,3 @@ func TestBreakerDisabled(t *testing.T) {
 		t.Fatal("disabled breaker denied a submission")
 	}
 }
-
-func TestWorkerBudgetFairShare(t *testing.T) {
-	b := newWorkerBudget(8, 4)
-	var grants []int
-	for i := 0; i < 4; i++ {
-		grants = append(grants, b.acquire())
-	}
-	for _, g := range grants {
-		if g != 2 {
-			t.Fatalf("grants %v, want fair share 2 each (budget 8 over 4 analyses)", grants)
-		}
-	}
-	if leased := b.leasedNow(); leased != 8 {
-		t.Fatalf("leased %d, want 8", leased)
-	}
-	for _, g := range grants {
-		b.release(g)
-	}
-	if leased := b.leasedNow(); leased != 0 {
-		t.Fatalf("leased %d after releases, want 0", leased)
-	}
-}
-
-func TestWorkerBudgetSingleExecutorGetsAll(t *testing.T) {
-	b := newWorkerBudget(8, 1)
-	if g := b.acquire(); g != 8 {
-		t.Fatalf("grant %d, want the whole budget 8", g)
-	}
-}
-
-func TestWorkerBudgetNeverStarves(t *testing.T) {
-	// More executors than workers: everyone still gets a sequential
-	// solver (share 1), and the lease may oversubscribe by design.
-	b := newWorkerBudget(2, 4)
-	for i := 0; i < 4; i++ {
-		if g := b.acquire(); g != 1 {
-			t.Fatalf("grant %d, want 1", g)
-		}
-	}
-}

@@ -41,7 +41,6 @@ type JobStatus struct {
 	ID          string    `json:"id"`
 	Fingerprint string    `json:"fingerprint"`
 	State       string    `json:"state"`
-	Workers     int       `json:"workers,omitempty"`
 	Submitted   time.Time `json:"submitted"`
 	Started     time.Time `json:"started,omitzero"`
 	Finished    time.Time `json:"finished,omitzero"`
@@ -57,8 +56,9 @@ type JobStatus struct {
 // are the counter schema), pass reuse, lint diagnostics, the soundness
 // report and the leaks. ResultReport fills Leaks with the canonical
 // (path-witness-free) form, so two analyses of the same app under the
-// same configuration serialize byte-identically regardless of worker
-// count; the CLI swaps in the path-witness report.
+// same configuration serialize byte-identically whether or not the
+// summary store replayed part of the solve; the CLI swaps in the
+// path-witness report.
 type Report struct {
 	Status   string              `json:"status"`
 	Failure  string              `json:"failure,omitempty"`
@@ -100,7 +100,6 @@ func statusOf(v JobView) JobStatus {
 		ID:          v.ID,
 		Fingerprint: v.Fingerprint,
 		State:       v.State.String(),
-		Workers:     v.Workers,
 		Submitted:   v.Submitted,
 		Started:     v.Started,
 		Finished:    v.Finished,

@@ -113,8 +113,8 @@ func TestHTTPSubmitPollResult(t *testing.T) {
 	if len(rep.Leaks) != app.InjectedLeaks {
 		t.Fatalf("reported %d leaks, ground truth %d", len(rep.Leaks), app.InjectedLeaks)
 	}
-	if rep.Counters.Workers == 0 {
-		t.Fatal("report carries no worker count")
+	if rep.Counters.Propagations == 0 {
+		t.Fatal("report carries no solver counters")
 	}
 
 	// The list endpoint knows the job too.

@@ -56,7 +56,6 @@ func TestReportSchema(t *testing.T) {
 	keys := make(map[string]bool)
 	analyze := func(name string, files map[string]string, opts core.Options) *core.Result {
 		t.Helper()
-		opts.Taint.Workers = 1
 		res, err := core.AnalyzeFiles(context.Background(), files, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

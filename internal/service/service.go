@@ -1,7 +1,7 @@
 // Package service turns the batch analysis pipeline into a resident
 // daemon: a bounded job queue with explicit admission control, a pool of
-// analysis executors sharing a global taint-worker budget, per-request
-// deadlines and propagation budgets mapped onto the core resilience
+// analysis executors each running one single-threaded analysis at a
+// time, per-request deadlines and propagation budgets mapped onto the core resilience
 // knobs, a per-app-fingerprint circuit breaker, and a graceful drain.
 //
 // The design rules mirror the rest of the repository:
@@ -19,7 +19,7 @@
 //     stage recovery, with a service-level backstop), counted, and fed
 //     to the circuit breaker; repeated Recovered/InvalidProgram
 //     outcomes for the same app fingerprint trip the breaker so the
-//     daemon stops re-burning workers on a poison input.
+//     daemon stops re-burning executors on a poison input.
 //
 //  4. Drain is a first-class operation: stop admitting, let queued and
 //     in-flight jobs finish (or deadline-cancel them when the drain
@@ -32,7 +32,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -49,14 +48,9 @@ type Config struct {
 	// finds the queue full is rejected with ErrQueueFull, never buffered.
 	QueueSize int
 	// Analyses is the number of concurrent analysis executors
-	// (default 2). Each executor runs one whole-app analysis at a time.
+	// (default 2). Each executor runs one whole-app analysis at a time,
+	// on its own goroutine, so Analyses is the daemon's parallelism.
 	Analyses int
-	// WorkerBudget is the global taint-solver worker budget shared
-	// across concurrent analyses (default GOMAXPROCS). Each job is
-	// granted the fair share max(1, WorkerBudget/Analyses) via
-	// taint.Config.Workers; grants are leased and released around the
-	// run so the lease gauge never exceeds the budget.
-	WorkerBudget int
 	// DefaultDeadline bounds a job whose request carries no deadline
 	// (default 2m). MaxDeadline caps any requested deadline (default
 	// 10m); requests asking for more are clamped, not rejected.
@@ -101,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Analyses <= 0 {
 		c.Analyses = 2
-	}
-	if c.WorkerBudget <= 0 {
-		c.WorkerBudget = runtime.GOMAXPROCS(0)
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 2 * time.Minute
@@ -189,7 +180,6 @@ type job struct {
 	id          string
 	fingerprint string
 	state       JobState
-	workers     int
 	submitted   time.Time
 	started     time.Time
 	finished    time.Time
@@ -202,12 +192,9 @@ type job struct {
 // server lock. Result is nil until the job is Done; a Done result is
 // never mutated afterwards, so sharing the pointer is safe.
 type JobView struct {
-	ID          string
-	Fingerprint string
-	State       JobState
-	// Workers is the taint-worker share granted from the global budget
-	// (0 until the job starts).
-	Workers                      int
+	ID                           string
+	Fingerprint                  string
+	State                        JobState
 	Submitted, Started, Finished time.Time
 	Result                       *core.Result
 	Err                          error
@@ -275,10 +262,9 @@ type Server struct {
 	runCtx    context.Context
 	cancelRun context.CancelFunc
 
-	queue  chan *job
-	wg     sync.WaitGroup
-	budget *workerBudget
-	brk    *breaker
+	queue chan *job
+	wg    sync.WaitGroup
+	brk   *breaker
 	// store is the shared persistent summary store (nil without
 	// Config.SummaryDir); core scopes sessions by app and configuration
 	// fingerprint, so concurrent jobs share it safely.
@@ -303,7 +289,6 @@ type Server struct {
 	cTripped       *metrics.Counter
 	gQueue         *metrics.Gauge
 	gActive        *metrics.Gauge
-	gLeased        *metrics.Gauge
 }
 
 // New starts a Server: its executors begin waiting for jobs
@@ -317,7 +302,6 @@ func New(cfg Config) *Server {
 		runCtx:    ctx,
 		cancelRun: cancel,
 		queue:     make(chan *job, cfg.QueueSize),
-		budget:    newWorkerBudget(cfg.WorkerBudget, cfg.Analyses),
 		brk:       newBreaker(cfg.BreakerTrip, cfg.BreakerCooldown),
 		store:     summarystore.Open(cfg.SummaryDir),
 		jobs:      make(map[string]*job),
@@ -331,7 +315,6 @@ func New(cfg Config) *Server {
 		cTripped:       cfg.Recorder.Counter("service.breaker.tripped", metrics.Schedule),
 		gQueue:         cfg.Recorder.Gauge("service.queue.depth", metrics.Schedule),
 		gActive:        cfg.Recorder.Gauge("service.active", metrics.Schedule),
-		gLeased:        cfg.Recorder.Gauge("service.workers.leased", metrics.Schedule),
 	}
 	for i := 0; i < cfg.Analyses; i++ {
 		s.wg.Add(1)
@@ -442,7 +425,6 @@ func snapshot(j *job) JobView {
 		ID:          j.id,
 		Fingerprint: j.fingerprint,
 		State:       j.state,
-		Workers:     j.workers,
 		Submitted:   j.submitted,
 		Started:     j.started,
 		Finished:    j.finished,
@@ -464,12 +446,9 @@ func (s *Server) executor() {
 // here so an executor can never die.
 func (s *Server) runJob(j *job) {
 	s.gQueue.Set(int64(len(s.queue)))
-	grant := s.budget.acquire()
-	s.gLeased.Set(int64(s.budget.leasedNow()))
 	s.mu.Lock()
 	j.state = Running
 	j.started = time.Now()
-	j.workers = grant
 	s.mu.Unlock()
 	s.gActive.Add(1)
 
@@ -488,7 +467,6 @@ func (s *Server) runJob(j *job) {
 	}
 
 	opts := core.DefaultOptions()
-	opts.Taint.Workers = grant
 	opts.MaxPropagations = j.req.MaxPropagations
 	if opts.MaxPropagations == 0 {
 		opts.MaxPropagations = s.cfg.DefaultMaxPropagations
@@ -505,8 +483,6 @@ func (s *Server) runJob(j *job) {
 
 	res, err := analyze(ctx, j.req.Files, opts)
 	cancel()
-	s.budget.release(grant)
-	s.gLeased.Set(int64(s.budget.leasedNow()))
 	s.gActive.Add(-1)
 
 	bad := err != nil || res.Status == core.Recovered || res.Status == core.InvalidProgram

@@ -69,7 +69,7 @@ func shutdown(t *testing.T, s *Server) {
 
 func TestSubmitAndComplete(t *testing.T) {
 	rec := metrics.New()
-	s := New(Config{QueueSize: 4, Analyses: 2, WorkerBudget: 4, Recorder: rec})
+	s := New(Config{QueueSize: 4, Analyses: 2, Recorder: rec})
 	defer shutdown(t, s)
 
 	view, err := s.Submit(Request{Files: genApp(t, appgen.Play, 7)})
@@ -85,9 +85,6 @@ func TestSubmitAndComplete(t *testing.T) {
 	}
 	if done.Result.Status != core.Complete {
 		t.Fatalf("status %v, want Complete", done.Result.Status)
-	}
-	if done.Workers != 2 {
-		t.Fatalf("granted %d workers, want fair share 2 of budget 4 over 2 analyses", done.Workers)
 	}
 	if done.Finished.Before(done.Started) || done.Started.Before(done.Submitted) {
 		t.Fatalf("timestamps out of order: %v / %v / %v", done.Submitted, done.Started, done.Finished)

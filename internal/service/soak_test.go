@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,8 +22,8 @@ import (
 
 // TestServiceSoak is the deterministic soak: concurrent clients push a
 // generated corpus through the HTTP API against a small queue, so
-// admission control, the worker budget, and the drain all get exercised
-// under the race detector. Asserted invariants:
+// admission control, the concurrent executors and the drain all get
+// exercised under the race detector. Asserted invariants:
 //
 //   - the queue depth never exceeds its bound;
 //   - every 429 the clients saw is matched by the rejection counter
@@ -40,10 +39,9 @@ func TestServiceSoak(t *testing.T) {
 	rec := metrics.New()
 	const queueSize = 4
 	s := New(Config{
-		QueueSize:    queueSize,
-		Analyses:     4,
-		WorkerBudget: 8,
-		Recorder:     rec,
+		QueueSize: queueSize,
+		Analyses:  4,
+		Recorder:  rec,
 	})
 	ts := httptest.NewServer(s.Handler(false))
 
@@ -141,9 +139,7 @@ func TestServiceSoak(t *testing.T) {
 			t.Fatalf("job %s: %v", id, err)
 		}
 
-		opts := core.DefaultOptions()
-		opts.Taint.Workers = runtime.GOMAXPROCS(0)
-		oneShot, err := core.AnalyzeFiles(context.Background(), apps[i].Files, opts)
+		oneShot, err := core.AnalyzeFiles(context.Background(), apps[i].Files, core.DefaultOptions())
 		if err != nil {
 			t.Fatalf("one-shot %s: %v", apps[i].Name, err)
 		}
@@ -273,9 +269,9 @@ func oneShotLeaks(t *testing.T, files map[string]string) []byte {
 // TestServiceWarmResubmit models the daemon's warm re-analysis path: a
 // corpus is submitted cold into a per-daemon summary store, then every
 // app is resubmitted with a simulated update (2% of methods mutated).
-// At every worker budget the warm results must be byte-identical to a
-// store-less cold run of the updated app, and the daemon's metrics must
-// show the store actually served summaries.
+// The warm results must be byte-identical to a store-less cold run of
+// the updated app, and the daemon's metrics must show the store actually
+// served summaries.
 func TestServiceWarmResubmit(t *testing.T) {
 	apps := appgen.GenerateCorpus(appgen.Play, 4, 7)
 	updated := make([]map[string]string, len(apps))
@@ -291,37 +287,32 @@ func TestServiceWarmResubmit(t *testing.T) {
 		want[i] = oneShotLeaks(t, updated[i])
 	}
 
-	for _, budget := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", budget), func(t *testing.T) {
-			rec := metrics.New()
-			s := New(Config{
-				QueueSize:    16,
-				Analyses:     2,
-				WorkerBudget: budget,
-				Recorder:     rec,
-				SummaryDir:   t.TempDir(),
-			})
-			ts := httptest.NewServer(s.Handler(false))
-			defer ts.Close()
+	rec := metrics.New()
+	s := New(Config{
+		QueueSize:  16,
+		Analyses:   2,
+		Recorder:   rec,
+		SummaryDir: t.TempDir(),
+	})
+	ts := httptest.NewServer(s.Handler(false))
+	defer ts.Close()
 
-			for i := range apps {
-				submitAndWait(t, ts, s, apps[i].Files)
-				if got := submitAndWait(t, ts, s, updated[i]); !bytes.Equal(got, want[i]) {
-					t.Fatalf("app %s: warm resubmission report differs from cold run\nwarm: %s\ncold: %s",
-						apps[i].Name, got, want[i])
-				}
-			}
+	for i := range apps {
+		submitAndWait(t, ts, s, apps[i].Files)
+		if got := submitAndWait(t, ts, s, updated[i]); !bytes.Equal(got, want[i]) {
+			t.Fatalf("app %s: warm resubmission report differs from cold run\nwarm: %s\ncold: %s",
+				apps[i].Name, got, want[i])
+		}
+	}
 
-			snap := rec.Snapshot()
-			if snap.Deterministic["summary.store.hit"] == 0 {
-				t.Fatal("resubmissions never hit the daemon's summary store")
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if err := s.Shutdown(ctx); err != nil {
-				t.Fatalf("drain: %v", err)
-			}
-		})
+	snap := rec.Snapshot()
+	if snap.Deterministic["summary.store.hit"] == 0 {
+		t.Fatal("resubmissions never hit the daemon's summary store")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }
 
@@ -335,7 +326,7 @@ func TestServiceWarmStoreCorruption(t *testing.T) {
 	apps := appgen.GenerateCorpus(appgen.Play, 3, 11)
 	dir := t.TempDir()
 
-	cold := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir})
+	cold := New(Config{QueueSize: 8, Analyses: 1, SummaryDir: dir})
 	tsCold := httptest.NewServer(cold.Handler(false))
 	for i := range apps {
 		submitAndWait(t, tsCold, cold, apps[i].Files)
@@ -375,7 +366,7 @@ func TestServiceWarmStoreCorruption(t *testing.T) {
 	}
 
 	rec := metrics.New()
-	warm := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir, Recorder: rec})
+	warm := New(Config{QueueSize: 8, Analyses: 1, SummaryDir: dir, Recorder: rec})
 	tsWarm := httptest.NewServer(warm.Handler(false))
 	defer tsWarm.Close()
 	for i := range apps {
@@ -414,7 +405,7 @@ func TestServiceReflectionToggleInvalidatesStore(t *testing.T) {
 	dir := t.TempDir()
 
 	// Round 1: cold, reflection on (the default), populating the store.
-	on := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir})
+	on := New(Config{QueueSize: 8, Analyses: 1, SummaryDir: dir})
 	tsOn := httptest.NewServer(on.Handler(false))
 	want := submitAndWait(t, tsOn, on, app.Files)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -428,7 +419,7 @@ func TestServiceReflectionToggleInvalidatesStore(t *testing.T) {
 	// the submission must run fully cold (zero hits) yet report the same
 	// leaks — this app has no reflective sites for the pass to matter on.
 	rec := metrics.New()
-	off := New(Config{QueueSize: 8, Analyses: 1, WorkerBudget: 2, SummaryDir: dir,
+	off := New(Config{QueueSize: 8, Analyses: 1, SummaryDir: dir,
 		DisableReflection: true, Recorder: rec})
 	tsOff := httptest.NewServer(off.Handler(false))
 	defer tsOff.Close()

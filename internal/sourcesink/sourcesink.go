@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"flowdroid/internal/apk"
 	"flowdroid/internal/ir"
@@ -66,9 +65,9 @@ func (s Sink) String() string {
 }
 
 // Manager answers "is this call a source/sink?" queries for the taint
-// analysis. Queries are safe for concurrent use (the taint engine calls
-// them from worker goroutines); configuration — AttachApp, AddSource,
-// AddSink — must happen before analysis starts.
+// analysis. It belongs to one single-threaded analysis: queries memoize
+// without locks, and configuration — AttachApp, AddSource, AddSink —
+// must happen before analysis starts.
 type Manager struct {
 	prog    ir.Hierarchy
 	sources []Source
@@ -81,10 +80,9 @@ type Manager struct {
 	// its answers filtered to the enabled rules.
 	enabledSinks map[int]bool
 
-	// widgetMu guards the lazily-populated widget maps below: the
-	// per-method password-widget dataflow runs on first query at solve
-	// time, so concurrent SourceAtCall calls race on it without the lock.
-	widgetMu sync.Mutex
+	// The widget maps below are populated lazily: the per-method
+	// password-widget dataflow runs on a method's first query.
+	//
 	// passwordWidget marks locals that hold password-field widgets
 	// (per-method dataflow from findViewById with a password control id).
 	passwordWidget map[*ir.Local]bool
@@ -180,11 +178,8 @@ func (m *Manager) SourceAtCall(s ir.Stmt) (Source, bool) {
 	}
 	// Layout source: getText() on a password widget.
 	if call.Ref.Name == "getText" && call.Ref.NArgs == 0 && call.Base != nil {
-		m.widgetMu.Lock()
 		m.ensureWidgets(s.Method())
-		isPwd := m.passwordWidget[call.Base]
-		m.widgetMu.Unlock()
-		if isPwd {
+		if m.passwordWidget[call.Base] {
 			return Source{
 				Class: cls, Name: "getText", NArgs: 0, Param: Return,
 				Label: "password-field",
@@ -245,8 +240,7 @@ func (m *Manager) SinkAtCall(s ir.Stmt) (Sink, []int, bool) {
 
 // ensureWidgets runs the per-method password-widget dataflow once: a
 // local is a password widget if it is assigned from findViewById with a
-// password control id, possibly through copies and casts. Callers hold
-// m.widgetMu.
+// password control id, possibly through copies and casts.
 func (m *Manager) ensureWidgets(method *ir.Method) {
 	if method == nil || m.analyzed[method] || len(m.pwdIDs) == 0 {
 		return

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"flowdroid/internal/ir"
 	"flowdroid/internal/taint"
@@ -96,13 +95,12 @@ type fileState struct {
 	status taint.LookupStatus // LookupHit means "readable and parsed"
 }
 
-// Session is one run's view of the store. Safe for concurrent use by
-// the solver's workers.
+// Session is one run's view of the store, used by that run's
+// single-threaded solver.
 type Session struct {
 	dir    string
 	hashes map[*ir.Method]string
 
-	mu      sync.Mutex
 	files   map[string]*fileState
 	pending map[*ir.Method]map[string]*taint.MethodSummary
 }
@@ -122,13 +120,11 @@ func (ss *Session) Lookup(m *ir.Method, shape string) (*taint.MethodSummary, tai
 		return nil, taint.LookupMiss
 	}
 	path := ss.path(m)
-	ss.mu.Lock()
 	st := ss.files[path]
 	if st == nil {
 		st = loadFile(path)
 		ss.files[path] = st
 	}
-	ss.mu.Unlock()
 	if st.status != taint.LookupHit {
 		return nil, st.status
 	}
@@ -172,8 +168,6 @@ func (ss *Session) Persist(m *ir.Method, shape string, rec *taint.MethodSummary)
 	if _, ok := ss.hashes[m]; !ok {
 		return
 	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	per := ss.pending[m]
 	if per == nil {
 		per = make(map[string]*taint.MethodSummary)
@@ -187,10 +181,8 @@ func (ss *Session) Persist(m *ir.Method, shape string, rec *taint.MethodSummary)
 // merged (new shapes win); a stale or unreadable file is overwritten
 // wholesale. Errors are collected, not fatal — the store is a cache.
 func (ss *Session) Flush() error {
-	ss.mu.Lock()
 	pending := ss.pending
 	ss.pending = make(map[*ir.Method]map[string]*taint.MethodSummary)
-	ss.mu.Unlock()
 	if len(pending) == 0 {
 		return nil
 	}

@@ -2,7 +2,6 @@ package taint
 
 import (
 	"fmt"
-	"sync"
 
 	"flowdroid/internal/ir"
 	"flowdroid/internal/sourcesink"
@@ -68,10 +67,9 @@ type absKey struct {
 	src    *SourceRecord
 }
 
-// absInterner deduplicates abstractions. It is safe for concurrent use:
-// both solvers allocate facts through it from worker goroutines.
+// absInterner deduplicates abstractions; both solvers allocate facts
+// through it.
 type absInterner struct {
-	mu  sync.RWMutex
 	abs map[absKey]*Abstraction
 }
 
@@ -80,34 +78,21 @@ func newAbsInterner() *absInterner {
 }
 
 // get interns the abstraction with the given identity; pred/predStmt are
-// recorded only on first creation (whichever racer inserts first wins,
-// which is why path witnesses are schedule-dependent while the fact
-// domain itself is not).
+// recorded only on first creation, so the path witness is the first
+// derivation in the solver's exploration order.
 func (ai *absInterner) get(ap *AccessPath, active bool, act ir.Stmt, src *SourceRecord, pred *Abstraction, predStmt ir.Stmt) *Abstraction {
 	k := absKey{ap, active, act, src}
-	ai.mu.RLock()
-	a, ok := ai.abs[k]
-	ai.mu.RUnlock()
-	if ok {
-		return a
-	}
-	ai.mu.Lock()
-	defer ai.mu.Unlock()
 	if a, ok := ai.abs[k]; ok {
 		return a
 	}
-	a = &Abstraction{AP: ap, Active: active, Activation: act, Source: src, pred: pred, predStmt: predStmt}
+	a := &Abstraction{AP: ap, Active: active, Activation: act, Source: src, pred: pred, predStmt: predStmt}
 	a.self = []*Abstraction{a}
 	ai.abs[k] = a
 	return a
 }
 
 // size returns the number of distinct abstractions interned so far.
-func (ai *absInterner) size() int {
-	ai.mu.RLock()
-	defer ai.mu.RUnlock()
-	return len(ai.abs)
-}
+func (ai *absInterner) size() int { return len(ai.abs) }
 
 // derive interns a successor abstraction of parent with a new access path
 // but the same activation state and source.

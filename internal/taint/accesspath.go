@@ -9,7 +9,6 @@ package taint
 import (
 	"encoding/binary"
 	"strings"
-	"sync"
 	"unsafe"
 
 	"flowdroid/internal/ir"
@@ -49,11 +48,9 @@ func (ap *AccessPath) String() string {
 func (ap *AccessPath) IsStatic() bool { return ap.StaticRoot != nil }
 
 // interner deduplicates access paths so the solvers can use pointer
-// equality in their fact maps. It is safe for concurrent use; the key is
-// built outside the lock so the critical sections stay short.
+// equality in their fact maps.
 type interner struct {
 	maxLen int
-	mu     sync.RWMutex
 	paths  map[string]*AccessPath
 }
 
@@ -62,33 +59,20 @@ func newInterner(maxLen int) *interner {
 }
 
 // intern returns the canonical path for key k, building it with mk when
-// absent. Double-checked under the RWMutex: the common hit path takes
-// only the read lock. k is a scratch byte key; the map lookups via
-// string(k) compile to allocation-free probes, and the key is cloned to a
-// real string only when a new entry is inserted.
+// absent. k is a scratch byte key; the map lookup via string(k) compiles
+// to an allocation-free probe, and the key is cloned to a real string
+// only when a new entry is inserted.
 func (in *interner) intern(k []byte, mk func() *AccessPath) *AccessPath {
-	in.mu.RLock()
-	ap, ok := in.paths[string(k)]
-	in.mu.RUnlock()
-	if ok {
-		return ap
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	if ap, ok := in.paths[string(k)]; ok {
 		return ap
 	}
-	ap = mk()
+	ap := mk()
 	in.paths[string(k)] = ap
 	return ap
 }
 
 // size is the number of distinct access paths interned so far.
-func (in *interner) size() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.paths)
-}
+func (in *interner) size() int { return len(in.paths) }
 
 // keyScratch is the stack buffer key() fills: a tag byte plus one 8-byte
 // pointer per component covers the root and the default path lengths

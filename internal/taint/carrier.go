@@ -1,10 +1,6 @@
 package taint
 
-import (
-	"sync"
-
-	"flowdroid/internal/ir"
-)
+import "flowdroid/internal/ir"
 
 // carrier.go holds the per-call-site memoization and the string-carrier
 // alias gate.
@@ -57,20 +53,20 @@ type callSite struct {
 	// carrier sites consult the alias gate.
 	carrier bool
 
-	gateOnce sync.Once
-	gate     bool
+	// gate is the alias-gate verdict, computed on the first carrierGate
+	// call (gateKnown).
+	gateKnown, gate bool
 }
 
 // siteOf returns the memoized record for call statement n, computing it on
-// first use. Sites are static program facts, so racing workers compute
-// identical values and LoadOrStore picks one winner.
+// first use.
 func (e *engine) siteOf(n ir.Stmt) *callSite {
-	if v, ok := e.sites.Load(n); ok {
-		return v.(*callSite)
+	s := e.sites[n]
+	if s == nil {
+		s = e.buildSite(n)
+		e.sites[n] = s
 	}
-	s := e.buildSite(n)
-	actual, _ := e.sites.LoadOrStore(n, s)
-	return actual.(*callSite)
+	return s
 }
 
 func (e *engine) buildSite(n ir.Stmt) *callSite {
@@ -96,12 +92,11 @@ func (e *engine) buildSite(n ir.Stmt) *callSite {
 // semantics (an alias fact born from the skipped search could only become
 // leak-relevant by crossing its activation statement).
 func (e *engine) carrierGate(n ir.Stmt, si *callSite) bool {
-	si.gateOnce.Do(func() {
-		if e.conf.noAliasGate || !e.conf.EnableAliasing || !e.conf.EnableActivation || !e.conf.FlowSensitive || si.call.Base == nil {
-			return
-		}
-		si.gate = e.aliasGateRedundant(n, si.call.Base)
-	})
+	if !si.gateKnown {
+		si.gateKnown = true
+		si.gate = !e.conf.noAliasGate && e.conf.EnableAliasing && e.conf.EnableActivation && e.conf.FlowSensitive &&
+			si.call.Base != nil && e.aliasGateRedundant(n, si.call.Base)
+	}
 	return si.gate
 }
 

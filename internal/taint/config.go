@@ -52,10 +52,8 @@ type Config struct {
 	// MaxPropagations bounds the solver's novel path-edge insertions
 	// (forward plus backward); duplicates the jump tables absorb are
 	// free. 0 is unlimited. When the budget runs out the analysis stops
-	// cleanly with Status == BudgetExhausted and the leaks found so far.
-	// With Workers > 1, workers already past the abort check may each
-	// record one final insertion, so Stats.Propagations can exceed the
-	// budget by at most Workers-1.
+	// cleanly with Status == BudgetExhausted, the leaks found so far and
+	// Stats.Propagations == MaxPropagations.
 	MaxPropagations int
 	// Cone, when non-nil, is the demand-driven query cone: the solver
 	// prunes zero-fact exploration at its boundary (descending the zero
@@ -77,16 +75,6 @@ type Config struct {
 	// Like the Cone it never changes the leak report, only how much of
 	// it is recomputed.
 	Summaries Summaries
-	// Workers is the solver worker-pool size. Values <= 1 drain the work
-	// queue sequentially on the calling goroutine; higher values run that
-	// many concurrent workers over the shared queue. For runs that reach
-	// Status == Completed, the distinct leak set and the edge counts are
-	// worker-count-independent — the exploded-supergraph closure is
-	// confluent — only discovery order (and hence path witnesses) may
-	// differ. A truncated run (budget, leak cap, cancellation) stops at a
-	// schedule-dependent frontier, so its partial leak set and counters
-	// may vary across worker counts.
-	Workers int
 
 	// noAliasGate selects the un-gated reference mode: every carrier
 	// receiver gen spawns its backward alias search (see carrier.go).
@@ -221,8 +209,6 @@ type Stats struct {
 	// PeakAbstractions is the number of distinct taint abstractions
 	// interned over the run — the solver's fact-domain footprint.
 	PeakAbstractions int
-	// Workers is the worker-pool size the run used (1 = sequential drain).
-	Workers int
 	// ConeMethods and SkippedComponents mirror the query cone the run was
 	// pruned against (zero on whole-program runs).
 	ConeMethods       int
@@ -239,7 +225,7 @@ func (s Stats) PathEdges() int { return s.ForwardEdges + s.BackwardEdges }
 // stmt index, sink method, sink stmt index, access path). Statement
 // indices — not their rendered strings, which need not be unique within a
 // method — make the order total and independent of worklist discovery
-// order, so report output is stable across runs and worker counts.
+// order.
 type leakOrd struct {
 	srcMethod string
 	srcIdx    int

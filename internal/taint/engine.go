@@ -3,8 +3,7 @@ package taint
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"flowdroid/internal/cfg"
@@ -33,14 +32,15 @@ import (
 //     forward solver and stop — the backward solver never returns into
 //     callers itself.
 //
-// Both directions feed one shared counting-tracked work queue, drained
-// either by the calling goroutine (Workers <= 1) or by a pool of workers
-// (see parallel.go). All state reachable from a flow function is
-// concurrency-safe: the jump tables are striped, incoming/endSum share
-// one lock whose critical sections keep the summary-application invariant
-// (see registerIncoming), the leak recorder and activation cache are
-// locked, the interners synchronize internally, and the counters are
-// atomic.
+// Both directions feed one LIFO work queue, drained on the calling
+// goroutine. An analysis is single-threaded: the unit of parallelism is
+// the app (the service runs several analyses at once), so no engine
+// state is shared and none of it is synchronized. Every iteration that
+// feeds the queue walks slices in a fixed order — callees and seeded
+// methods in ir.CompareMethods order, callers in registration order — so
+// one configuration over one app always explores in the same order and
+// yields the same report, path witnesses and counters included —
+// truncated runs too.
 type engine struct {
 	icfg *cfg.ICFG
 	mgr  *sourcesink.Manager
@@ -50,34 +50,27 @@ type engine struct {
 	ai   *absInterner
 	zero *Abstraction
 
-	fwJump *jumpTable
-	bwJump *jumpTable
+	fwJump jumpTable
+	bwJump jumpTable
 
-	// callMu guards incoming and endSum together: the pairing of caller
-	// contexts with end summaries must be atomic so no (caller, summary)
-	// combination is lost when both sides race (same discipline as the
-	// generic parallel solver).
-	callMu   sync.Mutex
-	incoming map[methodCtx]map[callerCtx]bool
+	// incoming and endSum pair caller contexts with end summaries:
+	// whichever of the two arrives second applies the pair, so every
+	// (caller, summary) pair is applied exactly once.
+	incoming map[methodCtx]*callers
 	endSum   map[methodCtx][]exitRec
 
-	leakMu   sync.Mutex
 	leaks    []*Leak
 	leakSeen map[leakKey]bool
 
-	actMu    sync.RWMutex
 	actCache map[actKey]bool
 
-	// sumMu guards the per-context summary-store decision map; the first
-	// worker to reach a context looks it up (and installs on a hit) for
-	// everyone. nil maps when no summary session is configured. Lock
-	// order: sumMu before callMu / leakMu, never the reverse.
-	sumMu       sync.Mutex
+	// sumDecision memoizes the per-context summary-store decision; nil
+	// when no summary session is configured.
 	sumDecision map[methodCtx]sumDec
 	// leakAttr attributes every leak to the method context whose subtree
 	// it was found in (before global deduplication — a context's record
 	// must carry the leak even when another context reported it first).
-	// Guarded by leakMu; nil when no summary session is configured.
+	// nil when no summary session is configured.
 	leakAttr map[methodCtx]map[leakKey]*Leak
 
 	// entrySet marks the analysis entry methods (the synthetic lifecycle
@@ -90,9 +83,8 @@ type engine struct {
 	// pointer (absKey in abstraction.go), so the same conceptual source
 	// must always yield the same record: a fresh allocation per
 	// flow-function evaluation would make abstraction identity — and with
-	// it Stats.PeakAbstractions — depend on how often workers happened to
-	// re-evaluate a source, i.e. on the schedule.
-	srcMu   sync.Mutex
+	// it Stats.PeakAbstractions — depend on how often a source happened
+	// to be re-evaluated.
 	srcRecs map[srcKey]*SourceRecord
 
 	stats engineStats
@@ -104,33 +96,32 @@ type engine struct {
 
 	// idxFields interns the pseudo-fields that model constant array
 	// indices when ArrayIndexSensitive is on.
-	idxMu     sync.Mutex
 	idxFields map[int64]*ir.Field
 	idxClass  *ir.Class
 
 	// sites memoizes per-call-site static facts (resolved wrapper rules,
 	// stub dispatch, carrier classification, alias gate); see carrier.go.
-	sites sync.Map // ir.Stmt -> *callSite
+	sites map[ir.Stmt]*callSite
 
-	q *workQueue
+	q workQueue
 }
 
-// engineStats are the live counters; workers update them with atomic
-// increments and run snapshots them into the exported Stats.
+// engineStats are the live counters; run copies them into the exported
+// Stats.
 type engineStats struct {
-	propagations      atomic.Int64
-	forwardEdges      atomic.Int64
-	backwardEdges     atomic.Int64
-	aliasQueries      atomic.Int64
-	gatedAliasQueries atomic.Int64
-	summaries         atomic.Int64
+	propagations      int
+	forwardEdges      int
+	backwardEdges     int
+	aliasQueries      int
+	gatedAliasQueries int
+	summaries         int
 
 	// Summary-store outcome counters, one per distinct method context.
-	storeHits        atomic.Int64
-	storeMisses      atomic.Int64
-	storeInvalidated atomic.Int64
-	storeCorrupt     atomic.Int64
-	storeUncacheable atomic.Int64
+	storeHits        int
+	storeMisses      int
+	storeInvalidated int
+	storeCorrupt     int
+	storeUncacheable int
 }
 
 type edge struct{ d1, d2 *Abstraction }
@@ -138,6 +129,60 @@ type edge struct{ d1, d2 *Abstraction }
 type item struct {
 	n      ir.Stmt
 	d1, d2 *Abstraction
+}
+
+// task is one queued path-edge processing step, tagged with the solver
+// direction it belongs to.
+type task struct {
+	backward bool
+	item
+}
+
+// workQueue is the LIFO worklist both solvers feed, plus how the run
+// ended: Completed until stop records an abort reason (cancellation,
+// exhausted budget, leak cap).
+type workQueue struct {
+	items  []task
+	status Status
+	// depth, when metrics are enabled, tracks the live queue depth (and
+	// with it the high-water mark); nil otherwise — Gauge methods no-op
+	// on nil, so the disabled cost is one predictable branch.
+	depth *metrics.Gauge
+}
+
+func (q *workQueue) push(t task) {
+	q.items = append(q.items, t)
+	q.depth.Add(1)
+}
+
+// stop aborts the run with the given status; the first reason wins.
+func (q *workQueue) stop(st Status) {
+	if q.status == Completed {
+		q.status = st
+	}
+}
+
+// aborted reports whether stop was called.
+func (q *workQueue) aborted() bool { return q.status != Completed }
+
+// jumpTable is a solver direction's set of path edges ⟨d1⟩ → ⟨n, d2⟩,
+// bucketed by statement.
+type jumpTable map[ir.Stmt]map[edge]bool
+
+// insert adds the path edge at n and reports whether it was novel.
+func (t jumpTable) insert(n ir.Stmt, pe edge) bool {
+	edges := t[n]
+	if edges == nil {
+		// Most statements accumulate a handful of edges; pre-sizing the
+		// bucket skips the first grow-and-rehash cycles.
+		edges = make(map[edge]bool, 8)
+		t[n] = edges
+	}
+	if edges[pe] {
+		return false
+	}
+	edges[pe] = true
+	return true
 }
 
 type methodCtx struct {
@@ -148,6 +193,13 @@ type methodCtx struct {
 type callerCtx struct {
 	site ir.Stmt
 	d1   *Abstraction // the caller's own path-edge context
+}
+
+// callers is the incoming set of one method context, kept in
+// registration order so returns are applied in a fixed order.
+type callers struct {
+	seen map[callerCtx]bool
+	list []callerCtx
 }
 
 type exitRec struct {
@@ -177,8 +229,6 @@ type srcKey struct {
 // same source returns the same pointer.
 func (e *engine) sourceRecord(n ir.Stmt, src sourcesink.Source) *SourceRecord {
 	k := srcKey{n, src}
-	e.srcMu.Lock()
-	defer e.srcMu.Unlock()
 	if r, ok := e.srcRecs[k]; ok {
 		return r
 	}
@@ -199,7 +249,6 @@ func (e *engine) sourceRecord(n ir.Stmt, src sourcesink.Source) *SourceRecord {
 // of its subtree even if another context reported the same leak first.
 func (e *engine) recordLeak(ctx methodCtx, n ir.Stmt, snk sourcesink.Sink, d *Abstraction) {
 	k := leakKey{n, d.Source, d.AP}
-	e.leakMu.Lock()
 	if e.leakAttr != nil {
 		per := e.leakAttr[ctx]
 		if per == nil {
@@ -211,14 +260,11 @@ func (e *engine) recordLeak(ctx methodCtx, n ir.Stmt, snk sourcesink.Sink, d *Ab
 		}
 	}
 	if e.leakSeen[k] || (e.conf.MaxLeaks > 0 && len(e.leaks) >= e.conf.MaxLeaks) {
-		e.leakMu.Unlock()
 		return
 	}
 	e.leakSeen[k] = true
 	e.leaks = append(e.leaks, &Leak{Sink: n, SinkSpec: snk, Abstraction: d})
-	capped := e.conf.MaxLeaks > 0 && len(e.leaks) >= e.conf.MaxLeaks
-	e.leakMu.Unlock()
-	if capped {
+	if e.conf.MaxLeaks > 0 && len(e.leaks) >= e.conf.MaxLeaks {
 		e.q.stop(LeakLimitReached)
 	}
 }
@@ -233,14 +279,17 @@ func newEngine(icfg *cfg.ICFG, mgr *sourcesink.Manager, conf Config) *engine {
 		conf:     conf,
 		in:       newInterner(conf.APLength),
 		ai:       newAbsInterner(),
-		fwJump:   newJumpTable(),
-		bwJump:   newJumpTable(),
-		incoming: make(map[methodCtx]map[callerCtx]bool),
+		fwJump:   make(jumpTable),
+		bwJump:   make(jumpTable),
+		incoming: make(map[methodCtx]*callers),
 		endSum:   make(map[methodCtx][]exitRec),
 		leakSeen: make(map[leakKey]bool),
 		actCache: make(map[actKey]bool),
 		srcRecs:  make(map[srcKey]*SourceRecord),
-		q:        newWorkQueue(),
+		sites:    make(map[ir.Stmt]*callSite),
+		// Even small apps enqueue thousands of path edges; starting with
+		// a real backing array skips the first several append growths.
+		q: workQueue{items: make([]task, 0, 1024)},
 	}
 	if conf.Summaries != nil {
 		e.sumDecision = make(map[methodCtx]sumDec)
@@ -254,8 +303,6 @@ func newEngine(icfg *cfg.ICFG, mgr *sourcesink.Manager, conf Config) *engine {
 
 // indexField interns the pseudo-field standing for a constant array index.
 func (e *engine) indexField(v int64) *ir.Field {
-	e.idxMu.Lock()
-	defer e.idxMu.Unlock()
 	if f, ok := e.idxFields[v]; ok {
 		return f
 	}
@@ -273,10 +320,6 @@ func (e *engine) indexField(v int64) *ir.Field {
 const ctxCheckEvery = 256
 
 func (e *engine) run(ctx context.Context, entries []*ir.Method) *Results {
-	workers := e.conf.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	if e.rec = metrics.From(ctx); e.rec != nil {
 		e.aliasHist = e.rec.Histogram("taint.alias_query_us")
 		e.q.depth = e.rec.Gauge("taint.queue_depth", metrics.Schedule)
@@ -290,57 +333,83 @@ func (e *engine) run(ctx context.Context, entries []*ir.Method) *Results {
 		}
 	}
 	// Seed callback-parameter sources (e.g. onLocationChanged) for every
-	// reachable method.
+	// reachable method, in ir.CompareMethods order: the call graph's
+	// discovery order varies between runs.
+	type paramSeed struct {
+		m    *ir.Method
+		srcs []sourcesink.Source
+	}
+	var seeds []paramSeed
 	for _, m := range e.icfg.Graph.Reachable() {
 		if m.Abstract() {
 			continue
 		}
-		for _, src := range e.mgr.ParamSources(m) {
-			rec := e.sourceRecord(m.EntryStmt(), src)
-			ap := e.in.local(m.Params[src.Param])
-			abs := e.ai.get(ap, true, nil, rec, nil, m.EntryStmt())
-			e.fwPropagate(e.zero, m.EntryStmt(), abs)
+		if srcs := e.mgr.ParamSources(m); len(srcs) > 0 {
+			seeds = append(seeds, paramSeed{m, srcs})
+		}
+	}
+	slices.SortFunc(seeds, func(a, b paramSeed) int { return ir.CompareMethods(a.m, b.m) })
+	for _, sd := range seeds {
+		for _, src := range sd.srcs {
+			rec := e.sourceRecord(sd.m.EntryStmt(), src)
+			ap := e.in.local(sd.m.Params[src.Param])
+			abs := e.ai.get(ap, true, nil, rec, nil, sd.m.EntryStmt())
+			e.fwPropagate(e.zero, sd.m.EntryStmt(), abs)
 		}
 	}
 
-	switch {
-	case ctx.Err() != nil:
+	if ctx.Err() != nil {
 		e.q.stop(Cancelled)
-	case workers == 1:
-		e.drainSequential(ctx)
-	default:
-		e.drainParallel(ctx, workers)
 	}
+	e.drain(ctx)
 
 	stats := Stats{
-		ForwardEdges:      int(e.stats.forwardEdges.Load()),
-		BackwardEdges:     int(e.stats.backwardEdges.Load()),
-		AliasQueries:      int(e.stats.aliasQueries.Load()),
-		GatedAliasQueries: int(e.stats.gatedAliasQueries.Load()),
-		Propagations:      int(e.stats.propagations.Load()),
-		Summaries:         int(e.stats.summaries.Load()),
+		ForwardEdges:      e.stats.forwardEdges,
+		BackwardEdges:     e.stats.backwardEdges,
+		AliasQueries:      e.stats.aliasQueries,
+		GatedAliasQueries: e.stats.gatedAliasQueries,
+		Propagations:      e.stats.propagations,
+		Summaries:         e.stats.summaries,
 		PeakAbstractions:  e.ai.size(),
-		Workers:           workers,
 	}
 	if e.conf.Cone != nil {
 		stats.ConeMethods = e.conf.Cone.Methods
 		stats.SkippedComponents = e.conf.Cone.SkippedComponents
 	}
 	if e.conf.Summaries != nil {
-		st := e.finalizeSummaries(e.q.finalStatus() == Completed)
+		st := e.finalizeSummaries(e.q.status == Completed)
 		stats.Store = &st
 	}
 	e.exportMetrics(stats)
-	return &Results{Leaks: e.leaks, Stats: stats, Status: e.q.finalStatus()}
+	return &Results{Leaks: e.leaks, Stats: stats, Status: e.q.status}
+}
+
+// drain processes the queue until it is empty (the fixed point) or the
+// run is aborted, which abandons the remaining items.
+func (e *engine) drain(ctx context.Context) {
+	q := &e.q
+	for steps := 1; len(q.items) > 0 && !q.aborted(); steps++ {
+		t := q.items[len(q.items)-1]
+		q.items = q.items[:len(q.items)-1]
+		q.depth.Add(-1)
+		if steps%ctxCheckEvery == 0 && ctx.Err() != nil {
+			q.stop(Cancelled)
+			return
+		}
+		if t.backward {
+			e.processBackward(t.item)
+		} else {
+			e.processForward(t.item)
+		}
+	}
 }
 
 // exportMetrics publishes the solver counters that have no field in the
 // pipeline's run record (core.Counters publishes the rest: propagations,
-// summaries, abstractions, workers and the store counters). They are
-// novel-insertion (or once-per-novel-item) counts, schedule-independent
-// on completed runs, so they go into the deterministic section. Counters
-// accumulate with Add so a recorder shared across a corpus sums per-app
-// effort.
+// summaries, abstractions and the store counters). They are
+// novel-insertion (or once-per-novel-item) counts, so they go into the
+// deterministic section. Counters accumulate with Add so a recorder
+// shared across a corpus sums per-app effort.
 func (e *engine) exportMetrics(s Stats) {
 	rec := e.rec
 	if rec == nil {
@@ -358,38 +427,31 @@ func (e *engine) exportMetrics(s Stats) {
 // absorbs are free, exactly like the generic solver's accounting. Once
 // the run is aborted (budget, leak cap, cancellation) propagation stops
 // recording entirely, so the edge counters and the propagation counter
-// stay in lockstep and stop growing; concurrent workers already past the
-// abort check can each land at most one final insertion.
+// stay in lockstep and stop growing.
 func (e *engine) fwPropagate(d1 *Abstraction, n ir.Stmt, d2 *Abstraction) {
-	if e.q.aborted.Load() {
+	if e.q.aborted() || !e.fwJump.insert(n, edge{d1, d2}) {
 		return
 	}
-	if !e.fwJump.insert(n, edge{d1, d2}) {
-		return
-	}
-	e.stats.forwardEdges.Add(1)
+	e.stats.forwardEdges++
 	e.charge(task{backward: false, item: item{n, d1, d2}})
 }
 
 // bwPropagate is fwPropagate for the backward alias solver.
 func (e *engine) bwPropagate(d1 *Abstraction, n ir.Stmt, d2 *Abstraction) {
-	if e.q.aborted.Load() {
+	if e.q.aborted() || !e.bwJump.insert(n, edge{d1, d2}) {
 		return
 	}
-	if !e.bwJump.insert(n, edge{d1, d2}) {
-		return
-	}
-	e.stats.backwardEdges.Add(1)
+	e.stats.backwardEdges++
 	e.charge(task{backward: true, item: item{n, d1, d2}})
 }
 
 // charge counts a novel path-edge insertion against MaxPropagations and
-// enqueues it. Crossing the budget aborts the run: the edge stays
-// recorded in the jump table but is never processed, and workers abandon
-// the remaining queue.
+// enqueues it. Reaching the budget aborts the run: the edge stays
+// recorded in the jump table but is never processed, so a budgeted run
+// ends with exactly MaxPropagations propagations.
 func (e *engine) charge(t task) {
-	props := e.stats.propagations.Add(1)
-	if e.conf.MaxPropagations > 0 && props >= int64(e.conf.MaxPropagations) {
+	e.stats.propagations++
+	if e.conf.MaxPropagations > 0 && e.stats.propagations >= e.conf.MaxPropagations {
 		e.q.stop(BudgetExhausted)
 		return
 	}
@@ -466,30 +528,23 @@ func (e *engine) fwCall(it item) {
 }
 
 // registerIncoming records a caller context for (callee, entry fact) and
-// applies any summaries already computed for that context. The backward
-// solver uses the same mechanism to inject contexts.
-//
-// The critical section covers both the incoming insertion and the summary
-// snapshot so that no (caller, summary) pair is lost: whichever of
-// registerIncoming and fwExit enters the lock second observes the other's
-// write. Duplicate applications are harmless — propagate deduplicates.
+// applies the end summaries already computed for that context; fwExit
+// applies the later ones. The backward solver uses the same mechanism to
+// inject contexts.
 func (e *engine) registerIncoming(callee *ir.Method, d3 *Abstraction, site ir.Stmt, callerD1 *Abstraction) {
 	key := methodCtx{callee, d3}
 	cc := callerCtx{site, callerD1}
-	e.callMu.Lock()
 	inc := e.incoming[key]
 	if inc == nil {
-		inc = make(map[callerCtx]bool)
+		inc = &callers{seen: make(map[callerCtx]bool)}
 		e.incoming[key] = inc
 	}
-	if inc[cc] {
-		e.callMu.Unlock()
+	if inc.seen[cc] {
 		return
 	}
-	inc[cc] = true
-	sums := append([]exitRec(nil), e.endSum[key]...)
-	e.callMu.Unlock()
-	for _, ep := range sums {
+	inc.seen[cc] = true
+	inc.list = append(inc.list, cc)
+	for _, ep := range e.endSum[key] {
 		e.applyReturn(cc, callee, ep)
 	}
 }
@@ -498,16 +553,18 @@ func (e *engine) fwExit(it item) {
 	m := it.n.Method()
 	key := methodCtx{m, it.d1}
 	ep := exitRec{it.n, it.d2}
-	e.callMu.Lock()
 	e.endSum[key] = append(e.endSum[key], ep)
-	callers := make([]callerCtx, 0, len(e.incoming[key]))
-	for cc := range e.incoming[key] {
-		callers = append(callers, cc)
-	}
-	e.callMu.Unlock()
-	e.stats.summaries.Add(1)
-	for _, cc := range callers {
-		e.applyReturn(cc, m, ep)
+	e.stats.summaries++
+	e.applyToCallers(key, ep)
+}
+
+// applyToCallers applies one end summary to every caller registered so
+// far, in registration order.
+func (e *engine) applyToCallers(key methodCtx, ep exitRec) {
+	if inc := e.incoming[key]; inc != nil {
+		for _, cc := range inc.list {
+			e.applyReturn(cc, key.m, ep)
+		}
 	}
 }
 
@@ -539,23 +596,14 @@ func (e *engine) maybeActivateAtCall(site ir.Stmt, d *Abstraction) *Abstraction 
 	return d
 }
 
-// canActivate memoizes the call-graph reachability query. The underlying
-// ReachesTransitively walk is a pure read of the built call graph, so
-// concurrent workers may recompute a missing entry redundantly; the
-// result is identical and the last write wins.
+// canActivate memoizes the call-graph reachability query.
 func (e *engine) canActivate(site ir.Stmt, act ir.Stmt) bool {
-	m := act.Method()
-	k := actKey{site, m}
-	e.actMu.RLock()
+	k := actKey{site, act.Method()}
 	v, ok := e.actCache[k]
-	e.actMu.RUnlock()
-	if ok {
-		return v
+	if !ok {
+		v = e.icfg.Graph.ReachesTransitively(site, k.m)
+		e.actCache[k] = v
 	}
-	v = e.icfg.Graph.ReachesTransitively(site, m)
-	e.actMu.Lock()
-	e.actCache[k] = v
-	e.actMu.Unlock()
 	return v
 }
 
@@ -577,7 +625,7 @@ func (e *engine) doSpawnAliasSearch(n ir.Stmt, d1 *Abstraction, t *Abstraction) 
 	if !e.conf.EnableAliasing || t.AP == nil || t.AP.IsStatic() {
 		return
 	}
-	e.stats.aliasQueries.Add(1)
+	e.stats.aliasQueries++
 	var alias *Abstraction
 	if !e.conf.EnableActivation {
 		// Andromeda-style mode: aliases are active immediately

@@ -281,7 +281,7 @@ func (e *engine) libraryFlow(n ir.Stmt, si *callSite, d1, d2 *Abstraction) []*Ab
 		// in a field elsewhere, for instance. A carrier receiver's search
 		// is skipped where the site's gate proves it report-neutral.
 		if slot == SlotBase && si.carrier && e.carrierGate(n, si) {
-			e.stats.gatedAliasQueries.Add(1)
+			e.stats.gatedAliasQueries++
 			return
 		}
 		e.spawnAliasSearch(n, d1, na)

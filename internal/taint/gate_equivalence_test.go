@@ -3,7 +3,6 @@ package taint_test
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -17,11 +16,10 @@ import (
 
 // TestGateEquivalence: the string-carrier alias gate is pure mechanism.
 // On every corpus the gated default and the un-gated reference mode must
-// produce byte-identical canonical reports, at worker counts 1 and 8. On
-// the builder-heavy benchtaint corpus the gate must also do its job: skip
-// real receiver alias searches without costing allocations. That corpus
-// also holds the solver's absolute allocation ratchet and requires equal
-// propagation counts at 1 and 8 workers.
+// produce byte-identical canonical reports. On the builder-heavy
+// benchtaint corpus the gate must also do its job: skip real receiver
+// alias searches without costing allocations. That corpus also holds the
+// solver's absolute allocation ratchet.
 //
 // Not parallel: the benchtaint allocation comparison reads process-wide
 // malloc counters.
@@ -111,7 +109,7 @@ func TestGateEquivalence(t *testing.T) {
 		if float64(on.mallocs) > 1.02*float64(off.mallocs) {
 			t.Errorf("gated allocs (%d) exceed reference (%d) by more than 2%%", on.mallocs, off.mallocs)
 		}
-		// The solver's allocation ratchet: the gated workers=1 pass
+		// The solver's allocation ratchet: the gated pass
 		// measures ~1.04M heap allocations after the allocation diet
 		// (interned singleton out-slices, binary access-path interner
 		// keys, pre-sized worklists). A run past ~15% headroom means the
@@ -123,54 +121,20 @@ func TestGateEquivalence(t *testing.T) {
 			t.Errorf("leak counts differ: gated %d, reference %d", on.leaks, off.leaks)
 		}
 
-		par := runCorpus(t, apps, withWorkers(gated, 8))
-		if par.props != on.props {
-			t.Errorf("propagations differ between gated workers=1 and 8: %d vs %d", on.props, par.props)
-		}
-		for _, p := range []struct {
-			mode string
-			got  []byte
-		}{
-			{"reference workers=1", off.report},
-			{"gated workers=8", par.report},
-			{"reference workers=8", runCorpus(t, apps, withWorkers(ref, 8)).report},
-		} {
-			if !bytes.Equal(p.got, on.report) {
-				t.Errorf("%s report differs from gated workers=1", p.mode)
-			}
+		if !bytes.Equal(off.report, on.report) {
+			t.Error("reference report differs from gated")
 		}
 	})
 }
 
 // assertGateNeutral runs analyze under the gated mode and the reference
-// mode derived from base, at workers 1 and 8, and requires byte-identical
-// canonical reports.
+// mode derived from base and requires byte-identical canonical reports.
 func assertGateNeutral(t *testing.T, base taint.Config, analyze func(taint.Config) []byte) {
 	t.Helper()
-	var want []byte
-	var wantMode string
-	for _, ref := range []bool{false, true} {
-		for _, w := range []int{1, 8} {
-			conf := withWorkers(base, w)
-			if ref {
-				conf = taint.WithoutAliasGate(conf)
-			}
-			mode := fmt.Sprintf("reference=%v workers=%d", ref, w)
-			got := analyze(conf)
-			if want == nil {
-				want, wantMode = got, mode
-				continue
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s report differs from %s:\n%s\nvs\n%s", mode, wantMode, want, got)
-			}
-		}
+	gated := analyze(base)
+	if ref := analyze(taint.WithoutAliasGate(base)); !bytes.Equal(ref, gated) {
+		t.Errorf("reference report differs from gated:\n%s\nvs\n%s", gated, ref)
 	}
-}
-
-func withWorkers(c taint.Config, w int) taint.Config {
-	c.Workers = w
-	return c
 }
 
 func canonical(t *testing.T, r *taint.Results) []byte {

@@ -4,11 +4,9 @@ package taint
 // interner keys on the *SourceRecord pointer, so the counter only equals
 // "distinct taint abstractions interned over the run" if the same
 // conceptual source always yields the same record pointer — which the
-// engine's sourceRecord interner now guarantees — and if the interner
-// itself never double-counts a key under concurrent insertion.
+// engine's sourceRecord interner guarantees.
 
 import (
-	"sync"
 	"testing"
 
 	"flowdroid/internal/sourcesink"
@@ -53,93 +51,5 @@ func TestSourceRecordInterning(t *testing.T) {
 	}
 	if after := e.ai.size(); after != mid || mid != before+1 {
 		t.Errorf("interner sizes %d -> %d -> %d, want exactly one new abstraction", before, mid, after)
-	}
-}
-
-// TestSourceRecordInterningConcurrent: concurrent evaluations racing on
-// the same sources must still converge to one record per key.
-func TestSourceRecordInterningConcurrent(t *testing.T) {
-	stmts := mainStmts(t, manyLeaks)
-	e := newEngine(nil, nil, Config{APLength: 5})
-	src := sourcesink.Source{Class: "Src", Name: "get"}
-
-	const goroutines = 8
-	recs := make([][]*SourceRecord, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			recs[g] = make([]*SourceRecord, len(stmts))
-			for i, n := range stmts {
-				recs[g][i] = e.sourceRecord(n, src)
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		for i := range stmts {
-			if recs[g][i] != recs[0][i] {
-				t.Fatalf("goroutine %d got a different record for stmt %d", g, i)
-			}
-		}
-	}
-	e.srcMu.Lock()
-	n := len(e.srcRecs)
-	e.srcMu.Unlock()
-	if n != len(stmts) {
-		t.Errorf("interner holds %d records, want %d (one per key)", n, len(stmts))
-	}
-}
-
-// TestAbsInternerConcurrentExactness: N goroutines interning an
-// overlapping key set must leave size() equal to the number of distinct
-// keys — the double-checked insert can never double-count, so
-// PeakAbstractions is exact under Workers > 1.
-func TestAbsInternerConcurrentExactness(t *testing.T) {
-	stmts := mainStmts(t, manyLeaks)
-	e := newEngine(nil, nil, Config{APLength: 5})
-	srcs := []*SourceRecord{nil, {}, {}}
-
-	type k struct {
-		active bool
-		act    int
-		src    int
-	}
-	var keys []k
-	for _, active := range []bool{true, false} {
-		for ai := range stmts {
-			for si := range srcs {
-				keys = append(keys, k{active, ai, si})
-			}
-		}
-	}
-
-	base := e.ai.size() // the engine's zero abstraction
-	const goroutines = 8
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Each goroutine walks the keys at a different stride so the
-			// racing pairs differ between goroutines.
-			for i := range keys {
-				kk := keys[(i*(g+1))%len(keys)]
-				e.ai.get(nil, kk.active, stmts[kk.act], srcs[kk.src], nil, nil)
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	distinct := make(map[k]bool)
-	for _, kk := range keys {
-		distinct[kk] = true
-	}
-	want := base + len(distinct)
-	// The zero abstraction is (nil, true, nil, nil): stmts[i] is never
-	// nil, so no key above collides with it.
-	if got := e.ai.size(); got != want {
-		t.Errorf("interner size = %d after concurrent interning, want exactly %d", got, want)
 	}
 }

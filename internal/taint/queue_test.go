@@ -2,8 +2,7 @@ package taint
 
 import (
 	"bytes"
-	"context"
-	"strings"
+	"encoding/json"
 	"testing"
 
 	"flowdroid/internal/framework"
@@ -37,31 +36,29 @@ func TestDuplicateEdgeConsumesNoBudget(t *testing.T) {
 	e := newEngine(nil, nil, Config{APLength: 5, MaxPropagations: 100})
 
 	e.fwPropagate(e.zero, stmts[0], e.zero)
-	if got := e.stats.propagations.Load(); got != 1 {
+	if got := e.stats.propagations; got != 1 {
 		t.Fatalf("first forward edge: propagations = %d, want 1", got)
 	}
 	e.fwPropagate(e.zero, stmts[0], e.zero) // exact duplicate
-	if got := e.stats.propagations.Load(); got != 1 {
+	if got := e.stats.propagations; got != 1 {
 		t.Errorf("duplicate forward edge charged the budget: propagations = %d, want 1", got)
 	}
 
 	e.bwPropagate(e.zero, stmts[0], e.zero)
 	e.bwPropagate(e.zero, stmts[0], e.zero) // exact duplicate
-	if got := e.stats.propagations.Load(); got != 2 {
+	if got := e.stats.propagations; got != 2 {
 		t.Errorf("duplicate backward edge charged the budget: propagations = %d, want 2", got)
 	}
 
-	e.q.mu.Lock()
-	queued := len(e.q.items)
-	e.q.mu.Unlock()
-	if queued != 2 {
+	if queued := len(e.q.items); queued != 2 {
 		t.Errorf("queue holds %d items, want 2 (duplicates must not be re-enqueued)", queued)
 	}
 }
 
 // TestBudgetStopsOnCrossing: the insertion that reaches MaxPropagations
 // records BudgetExhausted and is not enqueued; later insertions are also
-// refused.
+// refused, so a budgeted run ends with exactly MaxPropagations
+// propagations.
 func TestBudgetStopsOnCrossing(t *testing.T) {
 	stmts := mainStmts(t, manyLeaks)
 	if len(stmts) < 4 {
@@ -71,14 +68,27 @@ func TestBudgetStopsOnCrossing(t *testing.T) {
 	for _, n := range stmts[:4] {
 		e.fwPropagate(e.zero, n, e.zero)
 	}
-	if st := e.q.finalStatus(); st != BudgetExhausted {
+	if st := e.q.status; st != BudgetExhausted {
 		t.Errorf("status = %v, want BudgetExhausted", st)
 	}
-	e.q.mu.Lock()
-	queued := len(e.q.items)
-	e.q.mu.Unlock()
-	if queued >= 3 {
-		t.Errorf("queue holds %d items, want < 3 (the crossing edge must not be enqueued)", queued)
+	if queued := len(e.q.items); queued != 2 {
+		t.Errorf("queue holds %d items, want 2 (the crossing edge must not be enqueued)", queued)
+	}
+	if got := e.stats.propagations; got != 3 {
+		t.Errorf("propagations = %d, want exactly the budget (3)", got)
+	}
+
+	full := analyze(t, manyLeaks, DefaultConfig()).Stats.Propagations
+	for _, budget := range []int{1, full / 2, full - 1} {
+		conf := DefaultConfig()
+		conf.MaxPropagations = budget
+		r := analyze(t, manyLeaks, conf)
+		if r.Status != BudgetExhausted {
+			t.Fatalf("budget %d: status %v, want BudgetExhausted", budget, r.Status)
+		}
+		if r.Stats.Propagations != budget {
+			t.Errorf("budget %d: propagations = %d, want exactly the budget", budget, r.Stats.Propagations)
+		}
 	}
 }
 
@@ -131,63 +141,6 @@ func TestReportOrderIsCanonical(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicIsCapturedOnCaller: a panic raised on a worker
-// goroutine must not crash the process. drainParallel re-raises the
-// first worker panic — with the worker's own stack attached — on the
-// calling goroutine after the pool has shut down, so the callers' usual
-// recovery (pipeline stage guard, corpus batch isolation) converts it
-// into a Recovered result exactly as in the sequential path.
-func TestWorkerPanicIsCapturedOnCaller(t *testing.T) {
-	stmts := mainStmts(t, manyLeaks)
-	e := newEngine(nil, nil, Config{APLength: 5})
-	// The engine's icfg is nil, so processing any forward task nil-derefs
-	// inside processForward — i.e. panics on a worker goroutine.
-	e.fwPropagate(e.zero, stmts[0], e.zero)
-
-	rec := func() (r any) {
-		defer func() { r = recover() }()
-		e.drainParallel(context.Background(), 4)
-		return nil
-	}()
-	wp, ok := rec.(*workerPanic)
-	if !ok {
-		t.Fatalf("recovered %v (%T), want *workerPanic re-raised on the caller", rec, rec)
-	}
-	if wp.val == nil {
-		t.Error("workerPanic lost the original panic value")
-	}
-	if len(wp.stack) == 0 {
-		t.Error("workerPanic lost the worker's stack")
-	}
-	if msg := wp.Error(); !strings.Contains(msg, "worker panic") {
-		t.Errorf("workerPanic.Error() = %q, want it to identify a worker panic", msg)
-	}
-}
-
-// valueStmt implements ir.Stmt as a non-pointer type (embedding
-// *ir.StmtBase promotes the interface methods onto the value type) —
-// the shape stmtShard's pointer fast path cannot handle.
-type valueStmt struct{ *ir.StmtBase }
-
-func (valueStmt) String() string { return "valueStmt" }
-
-// TestStmtShardNonPointerStmt: sharding must not panic for a
-// non-pointer ir.Stmt implementation, and the jump table must still
-// insert and dedup it.
-func TestStmtShardNonPointerStmt(t *testing.T) {
-	var s ir.Stmt = valueStmt{&ir.StmtBase{}}
-	if sh := stmtShard(s); sh >= jumpShards {
-		t.Fatalf("stmtShard = %d, want < %d", sh, jumpShards)
-	}
-	jt := newJumpTable()
-	if !jt.insert(s, edge{}) {
-		t.Error("first insert of a non-pointer stmt not novel")
-	}
-	if jt.insert(s, edge{}) {
-		t.Error("duplicate insert of a non-pointer stmt reported novel")
-	}
-}
-
 // TestAbortStopsAccounting: once the queue is stopped, further
 // propagations must not grow the edge or propagation counters — the
 // budget cannot be overrun by work discovered after the abort.
@@ -201,18 +154,19 @@ func TestAbortStopsAccounting(t *testing.T) {
 	e.q.stop(BudgetExhausted)
 	e.fwPropagate(e.zero, stmts[1], e.zero)
 	e.bwPropagate(e.zero, stmts[1], e.zero)
-	if got := e.stats.propagations.Load(); got != 1 {
+	if got := e.stats.propagations; got != 1 {
 		t.Errorf("propagations after abort = %d, want 1", got)
 	}
-	if fw, bw := e.stats.forwardEdges.Load(), e.stats.backwardEdges.Load(); fw != 1 || bw != 0 {
+	if fw, bw := e.stats.forwardEdges, e.stats.backwardEdges; fw != 1 || bw != 0 {
 		t.Errorf("edges after abort = fw %d/bw %d, want fw 1/bw 0", fw, bw)
 	}
 }
 
-// TestWorkerCountEquivalence: every edge-case fixture must produce a
-// byte-identical canonical report and identical novel-edge counts at 1, 2
-// and 8 workers — the exploded-supergraph closure is confluent, so the
-// fact sets cannot depend on the schedule.
+// TestWorkerCountEquivalence pins the one-schedule relation that
+// replaced equivalence across solver worker counts: an analysis runs on
+// one goroutine in a fixed exploration order, so two runs over every
+// edge-case fixture must agree byte for byte — report with path
+// witnesses, novel-edge counts and fact-domain size.
 func TestWorkerCountEquivalence(t *testing.T) {
 	fixtures := map[string]string{
 		"listing2":         listing2,
@@ -231,42 +185,28 @@ func TestWorkerCountEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var baseJSON []byte
 			var baseStats Stats
-			for _, w := range []int{1, 2, 8} {
-				conf := DefaultConfig()
-				conf.Workers = w
-				r := analyze(t, src, conf)
+			for run := 0; run < 2; run++ {
+				r := analyze(t, src, DefaultConfig())
 				if r.Status != Completed {
-					t.Fatalf("workers=%d: status %v", w, r.Status)
-				}
-				if r.Stats.Workers != w {
-					t.Errorf("workers=%d: Stats.Workers = %d", w, r.Stats.Workers)
+					t.Fatalf("run %d: status %v", run, r.Status)
 				}
 				if r.Stats.Propagations != r.Stats.ForwardEdges+r.Stats.BackwardEdges {
-					t.Errorf("workers=%d: propagations %d != forward %d + backward %d",
-						w, r.Stats.Propagations, r.Stats.ForwardEdges, r.Stats.BackwardEdges)
+					t.Errorf("run %d: propagations %d != forward %d + backward %d",
+						run, r.Stats.Propagations, r.Stats.ForwardEdges, r.Stats.BackwardEdges)
 				}
-				js, err := r.CanonicalJSON()
+				js, err := json.Marshal(r.Report())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if w == 1 {
+				if run == 0 {
 					baseJSON, baseStats = js, r.Stats
 					continue
 				}
 				if !bytes.Equal(baseJSON, js) {
-					t.Errorf("workers=%d: report differs from workers=1:\n%s\nvs\n%s", w, baseJSON, js)
+					t.Errorf("report with witnesses differs between runs:\n%s\nvs\n%s", baseJSON, js)
 				}
-				if r.Stats.ForwardEdges != baseStats.ForwardEdges || r.Stats.BackwardEdges != baseStats.BackwardEdges {
-					t.Errorf("workers=%d: edges fw %d/bw %d, want fw %d/bw %d (novel-insertion counts are schedule-independent)",
-						w, r.Stats.ForwardEdges, r.Stats.BackwardEdges, baseStats.ForwardEdges, baseStats.BackwardEdges)
-				}
-				if r.Stats.PeakAbstractions != baseStats.PeakAbstractions {
-					t.Errorf("workers=%d: PeakAbstractions = %d, want %d (distinct interned abstractions are schedule-independent)",
-						w, r.Stats.PeakAbstractions, baseStats.PeakAbstractions)
-				}
-				if r.Stats.AliasQueries != baseStats.AliasQueries || r.Stats.Summaries != baseStats.Summaries {
-					t.Errorf("workers=%d: alias queries %d / summaries %d, want %d / %d",
-						w, r.Stats.AliasQueries, r.Stats.Summaries, baseStats.AliasQueries, baseStats.Summaries)
+				if r.Stats != baseStats {
+					t.Errorf("stats differ between runs: %+v vs %+v", r.Stats, baseStats)
 				}
 			}
 		})

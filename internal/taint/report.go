@@ -21,8 +21,8 @@ type LeakReport struct {
 	// Path is the reconstructed statement trace, source first. It is a
 	// witness, not part of the leak's identity: the trace follows the
 	// abstraction's predecessor chain, which records whichever derivation
-	// was discovered first, so it may differ across worker counts. The
-	// key is always emitted (no omitempty) — the CLI's -json schema has
+	// was discovered first, so it may differ between runs that explore in
+	// a different order (a query cone, a warm summary store). The key is always emitted (no omitempty) — the CLI's -json schema has
 	// always carried it; CanonicalReport nulls it out but keeps the key.
 	Path []string `json:"path"`
 }
@@ -56,9 +56,9 @@ func (r *Results) Report() []LeakReport {
 }
 
 // CanonicalReport is Report with the path witnesses stripped: the
-// schedule-independent identity of the leak set. Two runs over the same
-// app under the same configuration produce identical canonical reports at
-// any worker count.
+// exploration-order-independent identity of the leak set, which the
+// equivalence relations (query ⊆ whole-program, warm == cold, each mode
+// toggle) compare.
 func (r *Results) CanonicalReport() []LeakReport {
 	out := r.Report()
 	for i := range out {
@@ -68,7 +68,7 @@ func (r *Results) CanonicalReport() []LeakReport {
 }
 
 // CanonicalJSON renders the canonical report as indented JSON — the form
-// the cross-worker-count equivalence tests compare byte for byte.
+// the equivalence tests compare byte for byte.
 func (r *Results) CanonicalJSON() ([]byte, error) {
 	return json.MarshalIndent(r.CanonicalReport(), "", "  ")
 }

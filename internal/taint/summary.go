@@ -56,8 +56,8 @@ const (
 // Summaries is the session interface the engine talks to. A session is
 // scoped to one (app, configuration) namespace; the engine consults it
 // once per method context and hands back complete records only at the
-// end of a Completed run. Implementations must be safe for concurrent
-// use. internal/summarystore provides the disk-backed implementation.
+// end of a Completed run. internal/summarystore provides the disk-backed
+// implementation.
 type Summaries interface {
 	// Lookup returns the stored record for the method under the given
 	// entry-fact shape, if a valid one exists.
@@ -193,18 +193,15 @@ func (e *engine) shapeOf(d *Abstraction) string {
 
 // summaryFor consults the summary session for (callee, d3), once per
 // context (the decision is memoized, so the hit/miss counters are
-// per-context too). On a hit the stored exits are appended to endSum —
-// under callMu, mirroring fwExit, so registerIncoming's snapshot
-// discipline picks them up for every caller past and future — and the
-// stored transitive leaks are replayed. It returns true when the caller
-// should skip seeding the callee's subtree.
+// per-context too). On a hit the stored exits are appended to endSum
+// exactly like fwExit would, so registerIncoming applies them to every
+// later caller, and the stored transitive leaks are replayed. It returns
+// true when the caller should skip seeding the callee's subtree.
 func (e *engine) summaryFor(callee *ir.Method, d3 *Abstraction) bool {
 	if e.conf.Summaries == nil {
 		return false
 	}
 	key := methodCtx{callee, d3}
-	e.sumMu.Lock()
-	defer e.sumMu.Unlock()
 	if dec, ok := e.sumDecision[key]; ok {
 		return dec == sumDecInstalled
 	}
@@ -212,16 +209,15 @@ func (e *engine) summaryFor(callee *ir.Method, d3 *Abstraction) bool {
 	e.sumDecision[key] = dec
 	switch dec {
 	case sumDecInstalled:
-		e.stats.storeHits.Add(1)
+		e.stats.storeHits++
 	case sumDecUncacheable:
-		e.stats.storeUncacheable.Add(1)
+		e.stats.storeUncacheable++
 	}
 	return dec == sumDecInstalled
 }
 
 // installSummary looks up and, on a hit, installs the stored record for
-// one context. Called with sumMu held; the first worker to reach a
-// context decides for everyone.
+// one context.
 func (e *engine) installSummary(key methodCtx) sumDec {
 	d3 := key.d1
 	if !e.cacheable(d3) {
@@ -231,13 +227,13 @@ func (e *engine) installSummary(key methodCtx) sumDec {
 	switch st {
 	case LookupHit:
 	case LookupInvalidated:
-		e.stats.storeInvalidated.Add(1)
+		e.stats.storeInvalidated++
 		return sumDecMiss
 	case LookupCorrupt:
-		e.stats.storeCorrupt.Add(1)
+		e.stats.storeCorrupt++
 		return sumDecMiss
 	default:
-		e.stats.storeMisses.Add(1)
+		e.stats.storeMisses++
 		return sumDecMiss
 	}
 
@@ -253,12 +249,12 @@ func (e *engine) installSummary(key methodCtx) sumDec {
 	for _, se := range rec.Exits {
 		body := key.m.Body()
 		if se.ExitIndex < 0 || se.ExitIndex >= len(body) {
-			e.stats.storeMisses.Add(1)
+			e.stats.storeMisses++
 			return sumDecMiss
 		}
 		fact, ok := e.resolveFact(se.Fact, key.m, d3)
 		if !ok {
-			e.stats.storeMisses.Add(1)
+			e.stats.storeMisses++
 			return sumDecMiss
 		}
 		exits = append(exits, exitRec{body[se.ExitIndex], fact})
@@ -267,33 +263,24 @@ func (e *engine) installSummary(key methodCtx) sumDec {
 	for _, sl := range rec.Leaks {
 		sm := e.methodBySig(sl.SinkMethod)
 		if sm == nil || sl.SinkIndex < 0 || sl.SinkIndex >= len(sm.Body()) {
-			e.stats.storeMisses.Add(1)
+			e.stats.storeMisses++
 			return sumDecMiss
 		}
 		fact, ok := e.resolveFact(sl.Fact, sm, d3)
 		if !ok || fact == e.zero {
-			e.stats.storeMisses.Add(1)
+			e.stats.storeMisses++
 			return sumDecMiss
 		}
 		leaks = append(leaks, rleak{sm.Body()[sl.SinkIndex], sl.Sink, fact})
 	}
 
-	// Phase 2: install. Append the exits exactly like fwExit would —
-	// atomic with the caller snapshot — then apply them to the callers
-	// already registered (callers arriving later replay them through
-	// registerIncoming's endSum snapshot).
-	e.callMu.Lock()
+	// Phase 2: install. Append the exits exactly like fwExit would and
+	// apply them to the callers already registered (callers arriving
+	// later replay them through registerIncoming).
 	e.endSum[key] = append(e.endSum[key], exits...)
-	callers := make([]callerCtx, 0, len(e.incoming[key]))
-	for cc := range e.incoming[key] {
-		callers = append(callers, cc)
-	}
-	e.callMu.Unlock()
-	e.stats.summaries.Add(int64(len(exits)))
+	e.stats.summaries += len(exits)
 	for _, ep := range exits {
-		for _, cc := range callers {
-			e.applyReturn(cc, key.m, ep)
-		}
+		e.applyToCallers(key, ep)
 	}
 	for _, lk := range leaks {
 		e.recordLeak(key, lk.sink, lk.rule, lk.fact)
@@ -452,15 +439,14 @@ func (e *engine) fieldBySig(fs FieldSig) *ir.Field {
 // finalizeSummaries runs after the drain: it fills the store stats and,
 // on a Completed run with a session attached, serializes every
 // cacheable explored context into the session. Partial fixed points
-// from truncated runs are never persisted. The workers are gone by now,
-// so the engine's maps are read without locks.
+// from truncated runs are never persisted.
 func (e *engine) finalizeSummaries(completed bool) StoreStats {
 	st := StoreStats{
-		Hits:        int(e.stats.storeHits.Load()),
-		Misses:      int(e.stats.storeMisses.Load()),
-		Invalidated: int(e.stats.storeInvalidated.Load()),
-		Corrupt:     int(e.stats.storeCorrupt.Load()),
-		Uncacheable: int(e.stats.storeUncacheable.Load()),
+		Hits:        e.stats.storeHits,
+		Misses:      e.stats.storeMisses,
+		Invalidated: e.stats.storeInvalidated,
+		Corrupt:     e.stats.storeCorrupt,
+		Uncacheable: e.stats.storeUncacheable,
 	}
 
 	// Methods actually walked: contexts with end summaries that were not
@@ -526,9 +512,9 @@ func (e *engine) persistSummaries() int {
 	for key := range e.leakAttr {
 		addNode(key)
 	}
-	for callee, ccs := range e.incoming {
+	for callee, inc := range e.incoming {
 		addNode(callee)
-		for cc := range ccs {
+		for _, cc := range inc.list {
 			parent := node{cc.site.Method(), cc.d1}
 			addNode(parent)
 			succs[parent] = append(succs[parent], callee)

@@ -332,6 +332,9 @@ func run() int {
 		fmt.Printf("\nsetup %v, taint analysis %v\n", setup, res.PassTimes["taint"])
 		fmt.Printf("forward edges %d, backward edges %d, alias queries %d (%d gated), summaries %d, peak abstractions %d\n",
 			st.ForwardEdges, st.BackwardEdges, st.AliasQueries, st.GatedAliasQueries, st.Summaries, st.PeakAbstractions)
+		if c := res.Counters; c.Bodies > 0 {
+			fmt.Printf("method bodies parsed: %d of %d (%.0f%%)\n", c.BodiesParsed, c.Bodies, 100*float64(c.BodiesParsed)/float64(c.Bodies))
+		}
 		if c := res.Counters; c.ReflectionResolved > 0 || c.ReflectionUnresolved > 0 {
 			fmt.Printf("reflection: %d site(s) resolved, %d unresolved\n", c.ReflectionResolved, c.ReflectionUnresolved)
 		}

@@ -179,6 +179,22 @@ func TestResourceResolution(t *testing.T) {
 	}
 }
 
+// TestUndefinedResourceFailsLoad: a resource name the package does not
+// define fails the load, though the body naming it is not parsed there.
+func TestUndefinedResourceFailsLoad(t *testing.T) {
+	bad := map[string]string{
+		"AndroidManifest.xml": `<manifest package="x"><application>
+			<activity android:name=".Main"/></application></manifest>`,
+		"c.ir": `class x.Main extends android.app.Activity {
+			method onCreate(b: android.os.Bundle): void { this.setContentView(@layout/missing) } }`,
+	}
+	_, err := LoadFiles(bad)
+	const want = "apk: x.Main.onCreate/1 references undefined resource @layout/missing"
+	if err == nil || err.Error() != want {
+		t.Fatalf("load error %v, want %s", err, want)
+	}
+}
+
 func TestValidateKindMismatch(t *testing.T) {
 	bad := map[string]string{
 		"AndroidManifest.xml": `<manifest package="x"><application>

@@ -19,7 +19,10 @@ import (
 // Load reads an app package from a file system: AndroidManifest.xml at the
 // root, layouts under res/layout/, and .ir code files anywhere. The
 // returned app's program contains the framework model, is linked, and has
-// its resource constants resolved.
+// its resource constants resolved. The app's method bodies are declared,
+// not parsed: each is parsed, resolved and linked on first use (see
+// irtext.DeclareInto). A lexical or brace error in a body fails the load;
+// a grammar error fails the first use of its body.
 func Load(fsys fs.FS) (*App, error) {
 	manifestData, err := fs.ReadFile(fsys, "AndroidManifest.xml")
 	if err != nil {
@@ -78,7 +81,7 @@ func Load(fsys fs.FS) (*App, error) {
 		if err != nil {
 			return nil, fmt.Errorf("apk: reading %s: %w", p, err)
 		}
-		if err := irtext.ParseInto(prog, string(data), p); err != nil {
+		if err := irtext.DeclareInto(prog, string(data), p); err != nil {
 			return nil, err
 		}
 	}
@@ -115,31 +118,14 @@ func Load(fsys fs.FS) (*App, error) {
 	return app, nil
 }
 
-// collectResRefs gathers all symbolic resource names referenced from code.
+// collectResRefs gathers all symbolic resource names the app's code
+// references, from the load-time scan of its method bodies.
 func collectResRefs(prog *ir.Program) []string {
 	seen := make(map[string]bool)
-	add := func(v ir.Value) {
-		if c, ok := v.(*ir.Const); ok && c.Kind == ir.ResConst && !seen[c.Str] {
-			seen[c.Str] = true
-		}
-	}
-	for _, cls := range prog.Classes() {
-		for _, m := range cls.Methods() {
-			for _, s := range m.Body() {
-				switch s := s.(type) {
-				case *ir.AssignStmt:
-					add(s.RHS)
-					if call, ok := s.RHS.(*ir.InvokeExpr); ok {
-						for _, a := range call.Args {
-							add(a)
-						}
-					}
-				case *ir.InvokeStmt:
-					for _, a := range s.Call.Args {
-						add(a)
-					}
-				}
-			}
+	for _, m := range prog.PendingMethods() {
+		facts, _ := m.Facts()
+		for _, name := range facts.Resources {
+			seen[name] = true
 		}
 	}
 	out := make([]string, 0, len(seen))

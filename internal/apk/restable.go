@@ -56,13 +56,35 @@ func (t *ResTable) NameOf(id int64) (string, bool) {
 	return n, ok
 }
 
-// ResolveConstants walks all statements of the app's classes and resolves
-// symbolic resource constants (@id/..., @layout/...) to their integer IDs.
-// Unknown names are an error: the code references a resource the package
-// does not define.
+// ResolveConstants resolves the symbolic resource constants (@id/...,
+// @layout/...) of the app's code to their integer IDs: the code the
+// loader declared, whose bodies are parsed on demand. It checks every
+// name the load-time scan found now, so an unknown name is an error here,
+// as the code references a resource the package does not define; each
+// body's constants are resolved when it is parsed, through the program's
+// parse hook.
 func (t *ResTable) ResolveConstants(prog *ir.Program) error {
+	for _, m := range prog.PendingMethods() {
+		facts, _ := m.Facts()
+		for _, name := range facts.Resources {
+			if _, found := t.Lookup(name); !found {
+				return undefinedResource(m, name)
+			}
+		}
+	}
+	prog.OnParse(t.resolveBody)
+	return nil
+}
+
+func undefinedResource(m *ir.Method, name string) error {
+	return fmt.Errorf("apk: %s references undefined resource @%s", m, name)
+}
+
+// resolveBody resolves the resource constants of one method body and
+// returns the first undefined name as an error.
+func (t *ResTable) resolveBody(m *ir.Method, body []ir.Stmt) error {
 	var firstErr error
-	resolve := func(v ir.Value, m *ir.Method) {
+	resolve := func(v ir.Value) {
 		c, ok := v.(*ir.Const)
 		if !ok || c.Kind != ir.ResConst {
 			return
@@ -70,42 +92,38 @@ func (t *ResTable) ResolveConstants(prog *ir.Program) error {
 		id, found := t.Lookup(c.Str)
 		if !found {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("apk: %s references undefined resource @%s", m, c.Str)
+				firstErr = undefinedResource(m, c.Str)
 			}
 			return
 		}
 		c.Int = id
 	}
-	for _, cls := range prog.Classes() {
-		for _, m := range cls.Methods() {
-			for _, s := range m.Body() {
-				switch s := s.(type) {
-				case *ir.AssignStmt:
-					resolve(s.RHS, m)
-					if call, ok := s.RHS.(*ir.InvokeExpr); ok {
-						for _, a := range call.Args {
-							resolve(a, m)
-						}
-					}
-					if b, ok := s.RHS.(*ir.Binop); ok {
-						resolve(b.L, m)
-						resolve(b.R, m)
-					}
-					if ar, ok := s.RHS.(*ir.ArrayRef); ok {
-						resolve(ar.Index, m)
-					}
-					if ar, ok := s.LHS.(*ir.ArrayRef); ok {
-						resolve(ar.Index, m)
-					}
-				case *ir.InvokeStmt:
-					for _, a := range s.Call.Args {
-						resolve(a, m)
-					}
-				case *ir.ReturnStmt:
-					if s.Value != nil {
-						resolve(s.Value, m)
-					}
+	for _, s := range body {
+		switch s := s.(type) {
+		case *ir.AssignStmt:
+			resolve(s.RHS)
+			if call, ok := s.RHS.(*ir.InvokeExpr); ok {
+				for _, a := range call.Args {
+					resolve(a)
 				}
+			}
+			if b, ok := s.RHS.(*ir.Binop); ok {
+				resolve(b.L)
+				resolve(b.R)
+			}
+			if ar, ok := s.RHS.(*ir.ArrayRef); ok {
+				resolve(ar.Index)
+			}
+			if ar, ok := s.LHS.(*ir.ArrayRef); ok {
+				resolve(ar.Index)
+			}
+		case *ir.InvokeStmt:
+			for _, a := range s.Call.Args {
+				resolve(a)
+			}
+		case *ir.ReturnStmt:
+			if s.Value != nil {
+				resolve(s.Value)
 			}
 		}
 	}

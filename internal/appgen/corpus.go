@@ -271,6 +271,10 @@ func (s CorpusStats) Render() string {
 		fmt.Fprintf(&sb, "  leaks into %-12s %d\n", k+":", s.BySink[k])
 	}
 	c := s.Counters
+	if c.Bodies > 0 {
+		fmt.Fprintf(&sb, "  method bodies parsed: %d of %d (%.0f%%, summed across apps)\n",
+			c.BodiesParsed, c.Bodies, 100*float64(c.BodiesParsed)/float64(c.Bodies))
+	}
 	if c.ReflectionResolved+c.ReflectionUnresolved > 0 {
 		fmt.Fprintf(&sb, "  reflection: %d site(s) resolved into call edges, %d left opaque (see soundness reports)\n",
 			c.ReflectionResolved, c.ReflectionUnresolved)

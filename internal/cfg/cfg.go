@@ -137,9 +137,9 @@ func (g *ICFG) IsCall(s ir.Stmt) bool { return ir.IsCall(s) }
 
 // CalleesOf returns the callees of call site s that have bodies the solver
 // can descend into; bodyless stubs are handled by call-to-return flow
-// functions instead. They come in ir.CompareMethods order: the call graph
-// lists targets in the order its builder discovered them, which varies
-// between runs with the points-to solver's set iteration.
+// functions instead. They come in ir.CompareMethods order, not in the
+// order the call graph's builder discovered them; the solver's witnesses
+// follow this order.
 func (g *ICFG) CalleesOf(s ir.Stmt) []*ir.Method {
 	var out []*ir.Method
 	for _, m := range g.Graph.CalleesOf(s) {

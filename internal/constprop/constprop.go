@@ -337,7 +337,9 @@ func analyzed(m *ir.Method) bool {
 // methods and those holding a reflective site, and reports whether there
 // is any. That answer is the cheap early exit the dominant
 // reflection-free program takes; only when it is yes are the collected
-// bodies indexed (call sites, field writes) and the slice seeded.
+// bodies indexed (call sites, field writes) and the slice seeded. A body
+// loaded on demand is read only if the load-time scan saw a reflective
+// API name in it: a site's callee name is always such a name.
 func (a *analysis) prescan() bool {
 	for _, c := range a.h.Classes() {
 		if c.Synthetic || c.Interface {
@@ -348,6 +350,9 @@ func (a *analysis) prescan() bool {
 				continue
 			}
 			a.methods = append(a.methods, m)
+			if facts, ok := m.Facts(); ok && !facts.Reflective {
+				continue
+			}
 			for _, s := range m.Body() {
 				if call := ir.CallOf(s); call != nil && isReflectiveSite(call) {
 					a.reflective = append(a.reflective, m)

@@ -290,6 +290,9 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 		}
 		if err == nil {
 			pl.record(res)
+			if prog := pl.app.Program; prog != nil {
+				res.Counters.Bodies, res.Counters.BodiesParsed = prog.BodyCounts()
+			}
 		}
 	}()
 	truncated := func() (*Result, error) {
@@ -340,6 +343,11 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 		stage = "verify"
 		lres, err := memo(pl, "verify", opts.LintEnable+"|"+opts.LintDisable+"|"+opts.SourceSinkRules+"|"+qfp, &pl.verify,
 			func() (*irlint.Result, error) {
+				// The verifier reads every body: parse them all first, so
+				// a body that does not parse ends the run with its error.
+				if err := pl.app.Program.ParseAll(); err != nil {
+					return nil, fmt.Errorf("core: %w", err)
+				}
 				ans, err := irlint.Select(opts.LintEnable, opts.LintDisable)
 				if err != nil {
 					return nil, fmt.Errorf("core: %w", err)

@@ -79,7 +79,7 @@ func (f *Failure) Error() string {
 // series tagged `metric:"name,counter|gauge[,schedule]"` from them. A
 // series is published when its `pass` was reached or, with no pass tag,
 // when it is nonzero. So a new counter is one field, with its wire and
-// metric names. The first six are always emitted on the wire; the rest
+// metric names. The first eight are always emitted on the wire; the rest
 // are mode-specific and omitted when zero.
 type Counters struct {
 	// CallGraphEdges is the number of call edges in the final graph.
@@ -95,6 +95,11 @@ type Counters struct {
 	Summaries int `json:"summaries" metric:"taint.summaries,counter" pass:"taint"`
 	// PeakAbstractions is the taint solver's interned fact count.
 	PeakAbstractions int `json:"peakAbstractions" metric:"taint.abstractions,counter" pass:"taint"`
+	// Bodies counts the app's method bodies and BodiesParsed those parsed
+	// by the end of the run: the loader only declares them, and a body is
+	// parsed when a pass first reads it.
+	Bodies       int `json:"bodies" metric:"load.bodies,gauge"`
+	BodiesParsed int `json:"bodiesParsed" metric:"load.bodies_parsed,gauge"`
 	// ConeMethods is the size of the query's sink-reaching cone and
 	// SkippedComponents the number of components left out of dummy-main
 	// modeling because they were entirely outside it (both zero on

@@ -27,8 +27,10 @@ type Class struct {
 	Super      string // "" for roots such as java.lang.Object
 	Interfaces []string
 	Interface  bool // declared as an interface
-	// Synthetic marks classes generated by the framework model or the
-	// lifecycle dummy-main builder rather than loaded from an app.
+	// Synthetic marks classes an analysis generates after load (the
+	// lifecycle dummy main, the constprop reflection bridges) rather
+	// than loaded from an app or the framework model. Bodies parsed on
+	// demand link as if these classes did not exist.
 	Synthetic bool
 	// File and Line locate the class declaration in its source file; the
 	// parser records them so diagnostics can be positioned. Both are zero
@@ -130,7 +132,9 @@ func (c *Class) Methods() []*Method {
 
 // Method is a method declaration with an optional body. Framework stubs
 // have no body (Abstract reports true); the taint analysis treats calls to
-// them via taint-wrapper or native-call rules instead of descending.
+// them via taint-wrapper or native-call rules instead of descending. A
+// body may be pending: declared with its source span and parsed on first
+// use (see SetPendingBody).
 type Method struct {
 	Class  *Class
 	Name   string
@@ -143,6 +147,9 @@ type Method struct {
 	body      []Stmt
 	locals    map[string]*Local
 	finalized bool
+	// pending is set for a body held as source; it stays set once the
+	// body is parsed, and its once-guard orders every read of body.
+	pending *pendingBody
 }
 
 // NewMethod creates a method shell. Call AddParam/SetBody/Finalize (or use
@@ -207,7 +214,8 @@ func (m *Method) addLocal(name string, typ Type) (*Local, error) {
 
 // Local returns the named local, creating it with the unknown type if it
 // does not exist yet. This is the lookup used by builders and the parser,
-// where mentioning a fresh name declares it.
+// where mentioning a fresh name declares it; it never parses a pending
+// body.
 func (m *Method) Local(name string) *Local {
 	if l, ok := m.locals[name]; ok {
 		return l
@@ -217,12 +225,21 @@ func (m *Method) Local(name string) *Local {
 	return l
 }
 
+// HasLocal reports whether m has a local of that name, without creating
+// it and without parsing a pending body: the check a parser makes while
+// it builds the body.
+func (m *Method) HasLocal(name string) bool { return m.locals[name] != nil }
+
 // LookupLocal returns the named local or nil, without creating it.
-func (m *Method) LookupLocal(name string) *Local { return m.locals[name] }
+func (m *Method) LookupLocal(name string) *Local {
+	m.force()
+	return m.locals[name]
+}
 
 // Locals returns all locals (including params and the receiver) in name
 // order.
 func (m *Method) Locals() []*Local {
+	m.force()
 	out := make([]*Local, 0, len(m.locals))
 	for _, l := range m.locals {
 		out = append(out, l)
@@ -231,15 +248,27 @@ func (m *Method) Locals() []*Local {
 	return out
 }
 
-// Body returns the statement list; empty for abstract/stub methods.
-func (m *Method) Body() []Stmt { return m.body }
+// Body returns the statement list; empty for abstract/stub methods. A
+// pending body is parsed and linked first; one that does not parse
+// panics with the positioned parse error.
+func (m *Method) Body() []Stmt {
+	m.force()
+	return m.body
+}
 
-// Abstract reports whether the method has no body (framework stub).
-func (m *Method) Abstract() bool { return len(m.body) == 0 }
+// Abstract reports whether the method has no statements (framework
+// stub). It never parses a pending body: the load-time scan answers.
+func (m *Method) Abstract() bool {
+	if m.pending != nil {
+		return m.pending.facts.Empty
+	}
+	return len(m.body) == 0
+}
 
-// SetBody installs the statement list. Call Finalize afterwards, or
-// Program.Link, which re-links the method's class.
+// SetBody installs the statement list, replacing a pending body. Call
+// Finalize afterwards, or Program.Link, which re-links the method's class.
 func (m *Method) SetBody(body []Stmt) {
+	m.pending = nil
 	m.body = body
 	m.finalized = false
 	if m.Class != nil {
@@ -308,6 +337,7 @@ func (m *Method) Finalize() error {
 
 // EntryStmt returns the first statement of the body, or nil for stubs.
 func (m *Method) EntryStmt() Stmt {
+	m.force()
 	if len(m.body) == 0 {
 		return nil
 	}
@@ -316,6 +346,7 @@ func (m *Method) EntryStmt() Stmt {
 
 // ExitStmts returns all return statements of the body.
 func (m *Method) ExitStmts() []Stmt {
+	m.force()
 	var out []Stmt
 	for _, s := range m.body {
 		if _, ok := s.(*ReturnStmt); ok {

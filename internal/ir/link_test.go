@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"flowdroid/internal/apk"
 	"flowdroid/internal/appgen"
 	"flowdroid/internal/core"
 	"flowdroid/internal/droidbench"
@@ -52,11 +53,50 @@ func linkState(prog *ir.Program) string {
 	return b.String()
 }
 
+// bodyState renders what parsing and linking decided for every method
+// body loaded from the app's files (those declared with a pending body),
+// naming fields by declaration so that two loads of one app compare: each
+// local's type, and each statement's line, text and field bindings.
+func bodyState(prog *ir.Program) string {
+	var b strings.Builder
+	for _, m := range prog.Methods() {
+		if _, ok := m.Facts(); !ok {
+			continue
+		}
+		for _, l := range m.Locals() {
+			fmt.Fprintf(&b, "%s %s: %s\n", m, l.Name, l.Type)
+		}
+		for i, s := range m.Body() {
+			fmt.Fprintf(&b, "%s #%d line %d: %s", m, i, s.Line(), s)
+			if a, ok := s.(*ir.AssignStmt); ok {
+				vals := []ir.Value{a.LHS, a.RHS}
+				switch rhs := a.RHS.(type) {
+				case *ir.Binop:
+					vals = append(vals, rhs.L, rhs.R)
+				case *ir.Cast:
+					vals = append(vals, rhs.X)
+				}
+				for _, v := range vals {
+					switch v := v.(type) {
+					case *ir.FieldRef:
+						fmt.Fprintf(&b, " [%s]", v.Field)
+					case *ir.StaticFieldRef:
+						fmt.Fprintf(&b, " [%s]", v.Field)
+					}
+				}
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
 // analyzedPrograms yields the programs the pipeline leaves behind on
 // small corpora of every benchmark workload profile, DroidBench,
 // SecuriBench and InsecureBank: loaded, with the lifecycle dummy main and
-// (on reflective apps) the constprop bridges linked in.
-func analyzedPrograms(t *testing.T, yield func(name string, prog *ir.Program)) {
+// (on reflective apps) the constprop bridges linked in. files is the app
+// package, nil for the SecuriBench programs, which are not apps.
+func analyzedPrograms(t *testing.T, yield func(name string, prog *ir.Program, files map[string]string)) {
 	analyze := func(name string, files map[string]string, opts core.Options) {
 		res, err := core.AnalyzeFiles(context.Background(), files, opts)
 		if err != nil {
@@ -65,7 +105,7 @@ func analyzedPrograms(t *testing.T, yield func(name string, prog *ir.Program)) {
 		if res.Status != core.Complete {
 			t.Fatalf("%s: status %v", name, res.Status)
 		}
-		yield(name, res.App.Program)
+		yield(name, res.App.Program, files)
 	}
 	sms := core.DefaultOptions()
 	sms.Query = core.Query{Sinks: []string{"sms"}}
@@ -96,15 +136,33 @@ func analyzedPrograms(t *testing.T, yield func(name string, prog *ir.Program)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		yield("securibench "+c.Name, prog)
+		yield("securibench "+c.Name, prog, nil)
 	}
 }
 
 // TestIncrementalLinkMatchesFullLink: after load, lifecycle and constprop
 // have each linked only what they added, linking every class again
 // changes no local type, field reference or statement binding.
+//
+// The bodies no pass parsed are parsed here, after the dummy main and the
+// bridges exist. Each must link as it would have right after load: the
+// same local types, field bindings and statement lines as in the same app
+// loaded with every body parsed at once.
 func TestIncrementalLinkMatchesFullLink(t *testing.T) {
-	analyzedPrograms(t, func(name string, prog *ir.Program) {
+	analyzedPrograms(t, func(name string, prog *ir.Program, files map[string]string) {
+		if files != nil {
+			late := bodyState(prog)
+			app, err := apk.LoadFiles(files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := app.Program.ParseAll(); err != nil {
+				t.Fatal(err)
+			}
+			if eager := bodyState(app.Program); late != eager {
+				t.Errorf("%s: bodies parsed after the analysis link differently from bodies parsed at load:\n%s\nvs\n%s", name, late, eager)
+			}
+		}
 		before := linkState(prog)
 		if err := ir.LinkAll(prog); err != nil {
 			t.Fatalf("%s: full link: %v", name, err)
@@ -207,5 +265,46 @@ class a.C {
 		if err == nil || err.Error() != want {
 			t.Fatalf("parse %d: error %v, want %s", i, err, want)
 		}
+	}
+}
+
+// TestLateBodyLinksAgainstLoadedClasses: a body parsed after an analysis
+// added a synthetic class links as it would have at load. The class
+// declares the only method named like an unresolvable call, which would
+// type the call's result, and a second field named like an unresolvable
+// field reference, which would make it ambiguous.
+func TestLateBodyLinksAgainstLoadedClasses(t *testing.T) {
+	const src = `
+class java.lang.Object {}
+class a.Box { field f: a.Box }
+class a.A {
+  method m(p: a.Other): void {
+    x = p.mystery()
+    y = p.f
+  }
+}`
+	prog := ir.NewProgram()
+	if err := irtext.DeclareInto(prog, src, "a.ir"); err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Link(); err != nil {
+		t.Fatal(err)
+	}
+	cb := ir.NewClassIn(prog, "synthetic.Late", "")
+	cb.Class().Synthetic = true
+	cb.Field("f", ir.Int)
+	cb.StaticMethod("mystery", ir.Ref("a.Box")).Return(nil).Done()
+	if err := prog.Link(); err != nil {
+		t.Fatal(err)
+	}
+	m := prog.Class("a.A").Method("m", 1)
+	if err := m.Parse(); err != nil {
+		t.Fatal(err)
+	}
+	if x := m.LookupLocal("x"); !x.Type.IsUnknown() {
+		t.Errorf("x has type %s from the synthetic class; want it unknown", x.Type)
+	}
+	if fr := m.Body()[1].(*ir.AssignStmt).RHS.(*ir.FieldRef); fr.Field != prog.Class("a.Box").Field("f") {
+		t.Errorf("p.f resolved to %v, want a.Box.f", fr.Field)
 	}
 }

@@ -16,6 +16,10 @@ type Program struct {
 	// sorted caches Classes(); AddClass clears it. It is atomic so that
 	// concurrent readers of a finished program may fill it.
 	sorted atomic.Pointer[[]*Class]
+	// pending lists the methods declared with a body to parse on demand,
+	// in declaration order; onParse runs on each such body once parsed.
+	pending []*Method
+	onParse func(*Method, []Stmt) error
 }
 
 // NewProgram returns an empty program.
@@ -165,7 +169,8 @@ func (p *Program) ResolveField(class, name string) *Field {
 // references to their declarations. It links what changed since the last
 // Link: the classes added since then and the classes that gained a
 // method or a new body. Link must be called after classes are added and
-// before any analysis of them runs.
+// before any analysis of them runs. A pending body is not linked here:
+// it is linked when it is parsed.
 func (p *Program) Link() error {
 	var stale []*Class
 	for _, c := range p.Classes() {
@@ -186,6 +191,9 @@ func (p *Program) link(cs []*Class) error {
 			if m.This != nil && m.This.Type.IsUnknown() {
 				m.This.Type = Ref(c.Name)
 			}
+			if m.pending != nil {
+				continue
+			}
 			if err := m.Finalize(); err != nil {
 				return err
 			}
@@ -201,13 +209,13 @@ func (p *Program) link(cs []*Class) error {
 	for changed := true; changed; {
 		changed = false
 		for _, m := range bodies {
-			if p.inferMethod(m) {
+			if p.inferMethod(m, false) {
 				changed = true
 			}
 		}
 	}
 	for _, m := range bodies {
-		if err := p.resolveFields(m); err != nil {
+		if err := p.resolveFields(m, false); err != nil {
 			return err
 		}
 	}
@@ -219,7 +227,31 @@ func (p *Program) link(cs []*Class) error {
 	return nil
 }
 
-func (p *Program) inferMethod(m *Method) bool {
+// linkMethod links a body parsed on demand by itself, which gives the
+// same result as linking it with the rest of its class: inference and
+// field resolution read only declarations and the method's own locals.
+// The name fallbacks see only the load-time class set (see visible), so
+// a body parsed after the analyses added their synthetic classes links
+// exactly as it would have at load.
+func (p *Program) linkMethod(m *Method) error {
+	if err := m.Finalize(); err != nil {
+		return err
+	}
+	for p.inferMethod(m, true) {
+	}
+	return p.resolveFields(m, true)
+}
+
+// visible reports whether the program-wide name fallbacks may pick c.
+// Those linking a body parsed on demand (loaded) skip the synthetic
+// classes (dummy main, reflection bridges), which arrive after load.
+func visible(c *Class, loaded bool) bool { return !loaded || !c.Synthetic }
+
+// inferMethod runs one round of local type inference over m's body and
+// reports whether a type changed. It reads the body field directly: it
+// runs inside the parse of a pending body, whose accessors would wait on
+// that parse.
+func (p *Program) inferMethod(m *Method, loaded bool) bool {
 	changed := false
 	set := func(l *Local, t Type) {
 		if l.Type.IsUnknown() && !t.IsUnknown() && t.Kind != VoidType {
@@ -227,7 +259,7 @@ func (p *Program) inferMethod(m *Method) bool {
 			changed = true
 		}
 	}
-	for _, s := range m.Body() {
+	for _, s := range m.body {
 		a, ok := s.(*AssignStmt)
 		if !ok {
 			continue
@@ -267,7 +299,7 @@ func (p *Program) inferMethod(m *Method) bool {
 				set(lhs, *rhs.Base.Type.Elem)
 			}
 		case *InvokeExpr:
-			if t := p.returnTypeOf(rhs); !t.IsUnknown() {
+			if t := p.returnTypeOf(rhs, loaded); !t.IsUnknown() {
 				set(lhs, t)
 			}
 		}
@@ -306,7 +338,7 @@ func (p *Program) fieldRefType(r *FieldRef) Type {
 
 // returnTypeOf finds the declared return type of an invocation's static
 // target, if resolvable.
-func (p *Program) returnTypeOf(e *InvokeExpr) Type {
+func (p *Program) returnTypeOf(e *InvokeExpr, loaded bool) Type {
 	cls := e.Ref.Class
 	if e.Kind == VirtualInvoke && e.Base != nil && e.Base.Type.IsRef() {
 		cls = e.Base.Type.Name
@@ -318,6 +350,9 @@ func (p *Program) returnTypeOf(e *InvokeExpr) Type {
 	// use its return type.
 	var found *Method
 	for _, c := range p.classes {
+		if !visible(c, loaded) {
+			continue
+		}
 		if m := c.Method(e.Ref.Name, e.Ref.NArgs); m != nil {
 			if found != nil && !found.Return.Equal(m.Return) {
 				return Unknown
@@ -331,7 +366,7 @@ func (p *Program) returnTypeOf(e *InvokeExpr) Type {
 	return Unknown
 }
 
-func (p *Program) resolveFields(m *Method) error {
+func (p *Program) resolveFields(m *Method, loaded bool) error {
 	resolveRef := func(r *FieldRef) error {
 		if r.Field != nil {
 			return nil
@@ -346,6 +381,9 @@ func (p *Program) resolveFields(m *Method) error {
 		// order so an ambiguity is reported the same way every time.
 		var found *Field
 		for _, c := range p.Classes() {
+			if !visible(c, loaded) {
+				continue
+			}
 			if f := c.Field(r.Name); f != nil {
 				if found != nil {
 					return fmt.Errorf("%s: ambiguous field %q on %s (declared in both %s and %s)",
@@ -380,7 +418,7 @@ func (p *Program) resolveFields(m *Method) error {
 		}
 		return nil
 	}
-	for _, s := range m.Body() {
+	for _, s := range m.body {
 		if a, ok := s.(*AssignStmt); ok {
 			if err := resolveVal(a.LHS); err != nil {
 				return err

@@ -1,8 +1,10 @@
 // Package irtext implements the textual front end for the IR: a lexer and
 // recursive-descent parser for ".ir" files, the stand-in for Dexpler's
 // Dalvik-bytecode-to-Jimple conversion. App packages carry their code as
-// .ir files next to AndroidManifest.xml, and the loader in internal/apk
-// feeds them through this parser.
+// .ir files next to AndroidManifest.xml. The loader in internal/apk
+// declares them with DeclareInto, which scans each method body and leaves
+// it to be parsed on first use, as Dexpler converts a body only when an
+// analysis retrieves it; ParseInto parses every body at once.
 //
 // The grammar is a compact Jimple dialect; see the package documentation of
 // internal/ir for the statement algebra and testdata/ for examples:
@@ -42,6 +44,7 @@ type token struct {
 	text string
 	num  int64
 	line int
+	pos  int // byte offset of the token's first character
 }
 
 func (t token) String() string {
@@ -65,21 +68,45 @@ type lexer struct {
 	line int
 }
 
-func newLexer(src, file string) *lexer {
-	return &lexer{src: src, file: file, line: 1}
+func newLexer(src, file string) lexer {
+	return lexer{src: src, file: file, line: 1}
 }
 
 func (l *lexer) errf(line int, format string, args ...any) error {
 	return fmt.Errorf("%s:%d: %s", l.file, line, fmt.Sprintf(format, args...))
 }
 
-func isIdentStart(r byte) bool {
-	return r == '_' || r == '$' || unicode.IsLetter(rune(r))
-}
+// Character classes, one bit each in charClass.
+const (
+	identStart = 1 << iota // begins an identifier
+	identPart              // continues an identifier
+	digit                  // decimal digit
+	punctOp                // one-byte punctuation or operator other than a brace
+)
 
-func isIdentPart(r byte) bool {
-	return isIdentStart(r) || r >= '0' && r <= '9'
-}
+// charClass maps every byte to its classes: a table lookup instead of a
+// Unicode query per byte, for the lexer and the load-time body scan.
+var charClass = func() (t [256]uint8) {
+	for i := range t {
+		c := byte(i)
+		if c == '_' || c == '$' || unicode.IsLetter(rune(c)) {
+			t[i] |= identStart | identPart
+		}
+		if c >= '0' && c <= '9' {
+			t[i] |= identPart | digit
+		}
+		if strings.IndexByte("()[]:,=;.+-*/%&|^", c) >= 0 {
+			t[i] |= punctOp
+		}
+	}
+	return t
+}()
+
+func isIdentStart(r byte) bool { return charClass[r]&identStart != 0 }
+
+func isIdentPart(r byte) bool { return charClass[r]&identPart != 0 }
+
+func isDigit(c byte) bool { return charClass[c]&digit != 0 }
 
 // next returns the next token, skipping whitespace and // comments.
 func (l *lexer) next() (token, error) {
@@ -99,7 +126,7 @@ func (l *lexer) next() (token, error) {
 			goto scan
 		}
 	}
-	return token{kind: tokEOF, line: l.line}, nil
+	return token{kind: tokEOF, line: l.line, pos: l.pos}, nil
 
 scan:
 	start, line := l.pos, l.line
@@ -109,7 +136,7 @@ scan:
 		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 			l.pos++
 		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], line: line}, nil
+		return token{kind: tokIdent, text: l.src[start:l.pos], line: line, pos: start}, nil
 
 	case c >= '0' && c <= '9' || c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 		l.pos++
@@ -120,7 +147,7 @@ scan:
 		if err != nil {
 			return token{}, l.errf(line, "bad integer literal %q", l.src[start:l.pos])
 		}
-		return token{kind: tokInt, text: l.src[start:l.pos], num: n, line: line}, nil
+		return token{kind: tokInt, text: l.src[start:l.pos], num: n, line: line, pos: start}, nil
 
 	case c == '"':
 		l.pos++
@@ -148,7 +175,7 @@ scan:
 			return token{}, l.errf(line, "unterminated string literal")
 		}
 		l.pos++ // closing quote
-		return token{kind: tokString, text: sb.String(), line: line}, nil
+		return token{kind: tokString, text: sb.String(), line: line, pos: start}, nil
 
 	case c == '@':
 		l.pos++
@@ -159,19 +186,19 @@ scan:
 		if name == "" {
 			return token{}, l.errf(line, "empty resource reference after '@'")
 		}
-		return token{kind: tokRes, text: name, line: line}, nil
+		return token{kind: tokRes, text: name, line: line, pos: start}, nil
 
 	case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>':
 		l.pos += 2
-		return token{kind: tokArrow, text: "->", line: line}, nil
+		return token{kind: tokArrow, text: "->", line: line, pos: start}, nil
 
 	case strings.IndexByte("{}()[]:,=;.", c) >= 0:
 		l.pos++
-		return token{kind: tokPunct, text: l.src[start:l.pos], line: line}, nil
+		return token{kind: tokPunct, text: l.src[start:l.pos], line: line, pos: start}, nil
 
 	case strings.IndexByte("+-*/%&|^", c) >= 0:
 		l.pos++
-		return token{kind: tokOp, text: l.src[start:l.pos], line: line}, nil
+		return token{kind: tokOp, text: l.src[start:l.pos], line: line, pos: start}, nil
 	}
 	return token{}, l.errf(line, "unexpected character %q", string(c))
 }

@@ -8,15 +8,72 @@ import (
 
 // ParseInto parses src (one .ir file) and adds its classes to prog. The
 // caller is responsible for calling prog.Link() once all files are in.
+// It declares the file's classes, then parses every method body; the
+// error it returns is the first in source order.
 func ParseInto(prog *ir.Program, src, filename string) error {
-	p := &parser{lex: newLexer(src, filename), prog: prog}
-	if err := p.advance(); err != nil {
+	p, err := declare(prog, src, filename)
+	if p == nil {
 		return err
 	}
-	if err := p.advance(); err != nil {
+	for _, b := range p.bodies {
+		body, berr := p.src.ParseBody(b.m, b.span)
+		if berr != nil {
+			return berr
+		}
+		b.m.SetBody(body)
+	}
+	return err
+}
+
+// DeclareInto adds the classes of src (one .ir file) to prog with every
+// method body pending: held as a source span, checked only by the
+// load-time scan, and parsed on first use (see ir.Method.SetPendingBody).
+// A lexical error in a body, or braces that do not balance, still fail
+// here; a grammar error in a body surfaces when the body is parsed. The
+// caller links prog once all files are in, as with ParseInto.
+func DeclareInto(prog *ir.Program, src, filename string) error {
+	p, err := declare(prog, src, filename)
+	if p == nil {
 		return err
 	}
-	return p.parseFile()
+	for _, b := range p.bodies {
+		b.m.SetPendingBody(prog, p.src, b.span, b.facts)
+	}
+	return err
+}
+
+// declare runs the declaration pass over one file: classes, fields and
+// method signatures, with each method body scanned and recorded in
+// p.bodies instead of parsed. It returns a nil parser when the file
+// failed before its first declaration.
+func declare(prog *ir.Program, src, filename string) (*parser, error) {
+	p := &parser{lex: newLexer(src, filename), prog: prog, src: &source{src: src, file: filename}}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	return p, p.parseFile()
+}
+
+// source is one file's text, the ir.BodySource of the bodies it declares.
+type source struct {
+	src, file string
+}
+
+// ParseBody parses the body at span the way the declaration pass would
+// have, with a lexer confined to the span: statement lines and error
+// positions are those of the file.
+func (s *source) ParseBody(m *ir.Method, span ir.Span) ([]ir.Stmt, error) {
+	p := parser{lex: lexer{src: s.src[:span.End], file: s.file, pos: span.Start, line: span.Line}}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	return p.parseBody(m)
 }
 
 // ParseProgram parses a self-contained program from a single source text
@@ -43,12 +100,23 @@ func MustParse(src, filename string) *ir.Program {
 }
 
 type parser struct {
-	lex  *lexer
+	lex  lexer
 	prog *ir.Program
 	cur  token
 	next token
 	// segs is parsePath's reused segment buffer.
 	segs []string
+	// src and bodies are the declaration pass's: the file being declared
+	// and its scanned method bodies, in source order.
+	src    *source
+	bodies []scannedBody
+}
+
+// scannedBody is a method body the declaration pass scanned.
+type scannedBody struct {
+	m     *ir.Method
+	span  ir.Span
+	facts ir.BodyFacts
 }
 
 func (p *parser) advance() error {
@@ -281,12 +349,29 @@ func (p *parser) parseMethod(cls *ir.Class, static bool) error {
 	if p.isPunct(";") { // abstract / stub
 		return p.advance()
 	}
-	body, err := p.parseBody(m)
-	if err != nil {
+	if !p.isPunct("{") {
+		return p.errf("expected %q, found %s", "{", p.cur)
+	}
+	end, endLine, facts, ok := scanBody(p.lex.src, p.cur.pos, p.cur.line)
+	if !ok {
+		// The lexer would fail inside the body, or its braces do not
+		// balance: parse it here, which reports that error (or a grammar
+		// error before it) as an eager parse does.
+		body, err := p.parseBody(m)
+		if err != nil {
+			return err
+		}
+		m.SetBody(body)
+		return nil
+	}
+	p.bodies = append(p.bodies, scannedBody{m, ir.Span{Start: p.cur.pos, End: end, Line: p.cur.line}, facts})
+	// Resume after the closing brace: the first advance discards the
+	// token after "{", the second reads the one after "}".
+	p.lex.pos, p.lex.line = end, endLine
+	if err := p.advance(); err != nil {
 		return err
 	}
-	m.SetBody(body)
-	return nil
+	return p.advance()
 }
 
 // parseBody parses "{ stmt* }" into a statement list.

@@ -44,7 +44,7 @@ func (p *parser) parsePath() (path, error) {
 // the parser creates on first mention. Whether a local is actually
 // assigned before use is checked after parsing by the CFG-aware
 // definite-assignment analyzer (internal/irlint, "defuse"), not here.
-func isLocal(m *ir.Method, name string) bool { return m.LookupLocal(name) != nil }
+func isLocal(m *ir.Method, name string) bool { return m.HasLocal(name) }
 
 // parsePathStmt parses a statement beginning with a path: an assignment
 // (to a local, field, static field or array element) or a stand-alone call.
@@ -111,7 +111,7 @@ func (p *parser) lvalueOf(m *ir.Method, pa path) (ir.Value, error) {
 			return nil, p.errf("chained field access %s is not three-address form; introduce a temporary",
 				strings.Join(pa.segs, "."))
 		}
-		return &ir.FieldRef{Base: m.LookupLocal(pa.segs[0]), Name: pa.segs[1]}, nil
+		return &ir.FieldRef{Base: m.Local(pa.segs[0]), Name: pa.segs[1]}, nil
 	default:
 		cls := strings.Join(pa.segs[:len(pa.segs)-1], ".")
 		return &ir.StaticFieldRef{Class: cls, Name: pa.segs[len(pa.segs)-1]}, nil
@@ -166,7 +166,7 @@ func (p *parser) finishCall(m *ir.Method, pa path) (*ir.InvokeExpr, error) {
 	}
 	name := pa.segs[len(pa.segs)-1]
 	if len(pa.segs) == 2 && isLocal(m, pa.segs[0]) {
-		base := m.LookupLocal(pa.segs[0])
+		base := m.Local(pa.segs[0])
 		cls := ""
 		if base.Type.IsRef() {
 			cls = base.Type.Name
@@ -318,7 +318,7 @@ func (p *parser) pathValue(m *ir.Method, pa path) (ir.Value, error) {
 			return nil, p.errf("chained field access %s is not three-address form; introduce a temporary",
 				strings.Join(pa.segs, "."))
 		}
-		return &ir.FieldRef{Base: m.LookupLocal(pa.segs[0]), Name: pa.segs[1]}, nil
+		return &ir.FieldRef{Base: m.Local(pa.segs[0]), Name: pa.segs[1]}, nil
 	default:
 		cls := strings.Join(pa.segs[:len(pa.segs)-1], ".")
 		return &ir.StaticFieldRef{Class: cls, Name: pa.segs[len(pa.segs)-1]}, nil

@@ -15,6 +15,7 @@ package pta
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"flowdroid/internal/callgraph"
@@ -59,7 +60,7 @@ type Result struct {
 func (r *Result) PointsTo(l *ir.Local) []Obj {
 	ids := r.a.pts[node{kind: 0, local: l}]
 	out := make([]Obj, 0, len(ids))
-	for id := range ids {
+	for _, id := range ids {
 		out = append(out, r.a.objs[id])
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -92,7 +93,10 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-type objset map[int]bool
+// objset is a points-to set: object ids in increasing order. Every walk
+// over a set visits its objects in id order, so the solver binds call
+// edges, and the graph lists them, in the same order on every run.
+type objset []int
 
 // loadC is a pending load constraint "dst = base.field" attached to base.
 type loadC struct {
@@ -113,19 +117,22 @@ type callC struct {
 }
 
 type analysis struct {
-	ctx     context.Context
-	prog    ir.Hierarchy
-	res     *callgraph.Resolver
-	graph   *callgraph.Graph
-	objs    []Obj
-	objIDs  map[ir.Stmt]int
-	pts     map[node]objset
-	succs   map[node][]node
-	loads   map[node][]loadC
-	stores  map[node][]storeC
-	calls   map[node][]callC
-	work    []node
-	inWork  map[node]bool
+	ctx    context.Context
+	prog   ir.Hierarchy
+	res    *callgraph.Resolver
+	graph  *callgraph.Graph
+	objs   []Obj
+	objIDs map[ir.Stmt]int
+	pts    map[node]objset
+	succs  map[node][]node
+	loads  map[node][]loadC
+	stores map[node][]storeC
+	calls  map[node][]callC
+	work   []node
+	inWork map[node]bool
+	// set is solve's copy of the popped node's set: the solve inserts
+	// into the sets it walks.
+	set     objset
 	visited map[*ir.Method]bool
 	// bound remembers (site, target) pairs already wired up.
 	bound map[edgeKey]bool
@@ -231,12 +238,8 @@ func (a *analysis) enqueue(n node) {
 
 func (a *analysis) addObj(n node, id int) {
 	s := a.pts[n]
-	if s == nil {
-		s = make(objset)
-		a.pts[n] = s
-	}
-	if !s[id] {
-		s[id] = true
+	if i, found := slices.BinarySearch(s, id); !found {
+		a.pts[n] = slices.Insert(s, i, id)
 		a.propagations++
 		a.enqueue(n)
 	}
@@ -397,11 +400,12 @@ func (a *analysis) solve() {
 		n := a.work[len(a.work)-1]
 		a.work = a.work[:len(a.work)-1]
 		a.inWork[n] = false
-		set := a.pts[n]
+		a.set = append(a.set[:0], a.pts[n]...)
+		set := a.set
 
 		// Resolve field loads and stores through every object in the set.
 		for _, lc := range a.loads[n] {
-			for id := range set {
+			for _, id := range set {
 				var src node
 				if lc.field != nil {
 					src = fieldNode(id, lc.field)
@@ -412,7 +416,7 @@ func (a *analysis) solve() {
 			}
 		}
 		for _, sc := range a.stores[n] {
-			for id := range set {
+			for _, id := range set {
 				var dst node
 				if sc.field != nil {
 					dst = fieldNode(id, sc.field)
@@ -424,7 +428,7 @@ func (a *analysis) solve() {
 		}
 		// Dispatch virtual calls on the receiver's runtime types.
 		for _, cc := range a.calls[n] {
-			for id := range set {
+			for _, id := range set {
 				t := a.res.DispatchOn(a.objs[id].Class, cc.expr)
 				if t == nil {
 					continue
@@ -438,7 +442,7 @@ func (a *analysis) solve() {
 		}
 		// Propagate along subset edges.
 		for _, succ := range a.succs[n] {
-			for id := range set {
+			for _, id := range set {
 				a.addObj(succ, id)
 			}
 		}

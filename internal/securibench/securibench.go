@@ -120,12 +120,16 @@ func Config() taint.Config {
 // verification tooling (cmd/irlint, the fixture-cleanliness tests)
 // lints the suite through.
 func Program(c Case) (*ir.Program, error) {
-	prog, err := core.ParseJava(servletStubs+c.Source, c.Name+".ir")
+	prog, err := core.ParseJava(Source(c), c.Name+".ir")
 	if err != nil {
 		return nil, fmt.Errorf("securibench %s: %w", c.Name, err)
 	}
 	return prog, nil
 }
+
+// Source returns the case's complete IR source: the servlet stubs plus
+// the case's classes.
+func Source(c Case) string { return servletStubs + c.Source }
 
 // Rules returns the suite's source/sink rule text.
 func Rules() string { return rules }

@@ -45,11 +45,15 @@ go run ./cmd/irlint -fixtures -json > "$lint_file"
 go run ./scripts/checklint "$lint_file"
 rm -f "$lint_file"
 
+# Each new interesting input is minimized for at most 100 executions: by
+# default the fuzz coordinator minimizes one for up to 60 s, and while it
+# does the workers stall, so a 10 s smoke could run a few thousand inputs.
+# A crasher is still reported, minimized within the same bound.
 echo "==> fuzz smoke (parse-then-verify, seeded with the defect-injector corpus)"
-go test -fuzz FuzzParseAndVerify -fuzztime 10s -run '^$' ./internal/irlint/
+go test -fuzz FuzzParseAndVerify -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/irlint/
 
 echo "==> fuzz smoke (constprop: no panic, deterministic sites, idempotent Materialize)"
-go test -fuzz FuzzConstprop -fuzztime 10s -run '^$' ./internal/constprop/
+go test -fuzz FuzzConstprop -fuzztime 10s -fuzzminimizetime 100x -run '^$' ./internal/constprop/
 
 echo "==> trace smoke (flowdroid -insecurebank -trace) + checktrace"
 trace_file=$(mktemp)

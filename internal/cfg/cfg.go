@@ -2,8 +2,7 @@
 // bodies and the interprocedural CFG (ICFG) the IFDS solvers traverse. The
 // ICFG combines per-method CFGs with a call graph, exposing the node
 // relations the Reps-Horwitz-Sagiv framework needs: successors,
-// predecessors, callees of call sites, callers of methods, start points
-// and exits.
+// predecessors, callees of call sites, callers of methods and exits.
 package cfg
 
 import (
@@ -15,61 +14,98 @@ import (
 
 // MethodCFG is the control-flow graph of one method body. Nodes are the
 // body's statements; edge structure follows fallthrough, gotos and the
-// both-ways branching of opaque conditionals.
+// both-ways branching of opaque conditionals. The successor and
+// predecessor lists are built once, indexed by Stmt.Index(), and shared
+// with every caller: Succs and Preds allocate nothing.
 type MethodCFG struct {
 	Method *ir.Method
-	succs  [][]int
-	preds  [][]int
+	succs  [][]ir.Stmt
+	preds  [][]ir.Stmt
 }
 
-// New builds the CFG for a finalized method body.
+// successors returns the body indices control may reach from body[i]
+// (-1 where there is none), in the order Succs lists them.
+func successors(body []ir.Stmt, i int) (a, b int) {
+	a, b = -1, -1
+	switch s := body[i].(type) {
+	case *ir.GotoStmt:
+		a = s.TargetIndex
+	case *ir.IfStmt:
+		// Opaque condition: both branches possible.
+		a = i + 1
+		if s.TargetIndex != i+1 {
+			b = s.TargetIndex
+		}
+	case *ir.ReturnStmt:
+		// No successors.
+	default:
+		a = i + 1
+	}
+	if b >= len(body) {
+		b = -1
+	}
+	if a >= len(body) {
+		a, b = b, -1
+	}
+	return a, b
+}
+
+// New builds the CFG for a finalized method body. Both edge lists are
+// carved out of one backing array, so a CFG costs a fixed handful of
+// allocations whatever the body's size.
 func New(m *ir.Method) *MethodCFG {
 	body := m.Body()
+	n := len(body)
+	// predAt[j+1] counts j's predecessors; after the prefix sum, they
+	// occupy predBuf[predAt[j]:predAt[j+1]].
+	predAt := make([]int, n+1)
+	edges := 0
+	for i := range body {
+		a, b := successors(body, i)
+		for _, j := range [2]int{a, b} {
+			if j >= 0 {
+				predAt[j+1]++
+				edges++
+			}
+		}
+	}
+	for j := 1; j <= n; j++ {
+		predAt[j] += predAt[j-1]
+	}
+	buf := make([]ir.Stmt, 2*edges)
+	succBuf, predBuf := buf[:edges:edges], buf[edges:]
 	c := &MethodCFG{
 		Method: m,
-		succs:  make([][]int, len(body)),
-		preds:  make([][]int, len(body)),
+		succs:  make([][]ir.Stmt, n),
+		preds:  make([][]ir.Stmt, n),
 	}
-	addEdge := func(from, to int) {
-		if to >= len(body) {
-			return
-		}
-		c.succs[from] = append(c.succs[from], to)
-		c.preds[to] = append(c.preds[to], from)
+	for j := range c.preds {
+		lo := predAt[j]
+		c.preds[j] = predBuf[lo:lo:predAt[j+1]]
 	}
+	off := 0
 	for i, s := range body {
-		switch s := s.(type) {
-		case *ir.GotoStmt:
-			addEdge(i, s.TargetIndex)
-		case *ir.IfStmt:
-			// Opaque condition: both branches possible.
-			addEdge(i, i+1)
-			if s.TargetIndex != i+1 {
-				addEdge(i, s.TargetIndex)
+		a, b := successors(body, i)
+		lo := off
+		for _, j := range [2]int{a, b} {
+			if j >= 0 {
+				succBuf[off] = body[j]
+				off++
+				c.preds[j] = append(c.preds[j], s)
 			}
-		case *ir.ReturnStmt:
-			// No successors.
-		default:
-			addEdge(i, i+1)
 		}
+		c.succs[i] = succBuf[lo:off:off]
 	}
 	return c
 }
 
-// Succs returns the intraprocedural successors of s.
-func (c *MethodCFG) Succs(s ir.Stmt) []ir.Stmt { return c.stmtsAt(c.succs[s.Index()]) }
+// Succs returns the intraprocedural successors of s. The slice is shared;
+// callers must not modify it.
+func (c *MethodCFG) Succs(s ir.Stmt) []ir.Stmt { return c.succs[s.Index()] }
 
-// Preds returns the intraprocedural predecessors of s.
-func (c *MethodCFG) Preds(s ir.Stmt) []ir.Stmt { return c.stmtsAt(c.preds[s.Index()]) }
-
-func (c *MethodCFG) stmtsAt(idx []int) []ir.Stmt {
-	body := c.Method.Body()
-	out := make([]ir.Stmt, len(idx))
-	for i, j := range idx {
-		out[i] = body[j]
-	}
-	return out
-}
+// Preds returns the intraprocedural predecessors of s. The slice is
+// shared; callers must not modify it.
+func (c *MethodCFG) Preds(s ir.Stmt) []ir.Stmt { return c.preds[s.Index()] }
 
 // Cache is a store of per-method CFGs. It can be shared across ICFGs
 // (the scene layer shares one per program, so degrade-ladder retries and
@@ -139,7 +175,8 @@ func (g *ICFG) IsCall(s ir.Stmt) bool { return ir.IsCall(s) }
 // can descend into; bodyless stubs are handled by call-to-return flow
 // functions instead. They come in ir.CompareMethods order, not in the
 // order the call graph's builder discovered them; the solver's witnesses
-// follow this order.
+// follow this order. The list is freshly built on each call; the taint
+// engine memoizes it per call site.
 func (g *ICFG) CalleesOf(s ir.Stmt) []*ir.Method {
 	var out []*ir.Method
 	for _, m := range g.Graph.CalleesOf(s) {
@@ -157,28 +194,8 @@ func (g *ICFG) AllCalleesOf(s ir.Stmt) []*ir.Method { return g.Graph.CalleesOf(s
 // CallersOf returns the call sites that may invoke m.
 func (g *ICFG) CallersOf(m *ir.Method) []ir.Stmt { return g.Graph.CallersOf(m) }
 
-// StartPoint returns m's entry statement.
-func (g *ICFG) StartPoint(m *ir.Method) ir.Stmt { return m.EntryStmt() }
-
-// ExitStmts returns m's return statements.
-func (g *ICFG) ExitStmts(m *ir.Method) []ir.Stmt { return m.ExitStmts() }
-
 // IsExit reports whether s is a return statement.
 func (g *ICFG) IsExit(s ir.Stmt) bool {
 	_, ok := s.(*ir.ReturnStmt)
 	return ok
-}
-
-// IsStartPoint reports whether s is the first statement of its method.
-func (g *ICFG) IsStartPoint(s ir.Stmt) bool { return s.Index() == 0 }
-
-// CallsIn returns the call statements inside m.
-func (g *ICFG) CallsIn(m *ir.Method) []ir.Stmt {
-	var out []ir.Stmt
-	for _, s := range m.Body() {
-		if ir.IsCall(s) {
-			out = append(out, s)
-		}
-	}
-	return out
 }

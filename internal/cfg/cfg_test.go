@@ -98,22 +98,37 @@ func TestICFG(t *testing.T) {
 	if len(callers) != 1 || callers[0] != callSite {
 		t.Errorf("CallersOf = %v, want the call site", callers)
 	}
-	if sp := g.StartPoint(callee); sp == nil || sp.Index() != 0 {
-		t.Error("start point of callee should be its first statement")
-	}
-	exits := g.ExitStmts(callee)
-	if len(exits) != 1 || !g.IsExit(exits[0]) {
-		t.Errorf("exits = %v", exits)
-	}
 	// Return site of the call is the statement after it.
 	rs := g.SuccsOf(callSite)
 	if len(rs) != 1 || rs[0].Index() != callSite.Index()+1 {
 		t.Errorf("return site = %v", rs)
 	}
-	if !g.IsStartPoint(main.EntryStmt()) {
-		t.Error("entry should be a start point")
+	if ret := callee.Body()[0]; !g.IsExit(ret) {
+		t.Errorf("%v should be an exit", ret)
 	}
-	if len(g.CallsIn(main)) != 1 {
-		t.Error("main should contain exactly one call")
+}
+
+// TestEdgeListsDoNotAllocate: once a method's CFG is built, SuccsOf and
+// PredsOf hand out the CFG's own lists and allocate nothing.
+func TestEdgeListsDoNotAllocate(t *testing.T) {
+	prog, err := irtext.ParseProgram(loopSrc, "l.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := prog.Class("A").Method("m", 0)
+	g := NewICFG(prog, nil)
+	g.CFGOf(m)
+	body := m.Body()
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, s := range body {
+			n += len(g.SuccsOf(s)) + len(g.PredsOf(s))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SuccsOf/PredsOf allocated %v times per run, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("the fixture has no edges")
 	}
 }

@@ -153,20 +153,23 @@ scan:
 		l.pos++
 		var sb strings.Builder
 		for l.pos < len(l.src) && l.src[l.pos] != '"' {
-			ch := l.src[l.pos]
-			if ch == '\\' && l.pos+1 < len(l.src) {
+			escaped := l.src[l.pos] == '\\' && l.pos+1 < len(l.src)
+			if escaped {
 				l.pos++
-				switch l.src[l.pos] {
+			}
+			ch := l.src[l.pos]
+			if ch == '\n' {
+				// A raw newline byte, escaped or not; the "\n" escape
+				// is decoded below.
+				return token{}, l.errf(line, "unterminated string literal")
+			}
+			if escaped {
+				switch ch {
 				case 'n':
 					ch = '\n'
 				case 't':
 					ch = '\t'
-				default:
-					ch = l.src[l.pos]
 				}
-			}
-			if ch == '\n' {
-				return token{}, l.errf(line, "unterminated string literal")
 			}
 			sb.WriteByte(ch)
 			l.pos++

@@ -200,6 +200,34 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestStringEscapes: the "\n" and "\t" escapes decode to a newline and a
+// tab inside the constant, other escaped bytes stand for themselves, and
+// only a raw newline byte leaves a literal unterminated.
+func TestStringEscapes(t *testing.T) {
+	prog, err := ParseProgram(`class A { method m(): void {
+    x = "a\nb"
+    y = "c\td\"e\\"
+  } }`, "t.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := prog.Class("A").Method("m", 0).Body()
+	for i, want := range []string{"a\nb", "c\td\"e\\"} {
+		c, ok := body[i].(*ir.AssignStmt).RHS.(*ir.Const)
+		if !ok || c.Kind != ir.StringConst || c.Str != want {
+			t.Errorf("statement %d: RHS = %v, want the string constant %q", i, body[i].(*ir.AssignStmt).RHS, want)
+		}
+	}
+	for _, src := range []string{
+		"class A { method m(): void { x = \"a\nb\" } }",
+		"class A { method m(): void { x = \"a\\\nb\" } }",
+	} {
+		if _, err := ParseProgram(src, "t.ir"); err == nil || !strings.Contains(err.Error(), "unterminated string literal") {
+			t.Errorf("%q: error %v, want an unterminated string literal", src, err)
+		}
+	}
+}
+
 func TestRoundTripPrint(t *testing.T) {
 	prog, err := ParseProgram(sampleSrc, "sample.ir")
 	if err != nil {

@@ -60,14 +60,10 @@ func scanBody(src string, pos, line int) (end, endLine int, facts ir.BodyFacts, 
 			}
 		case c == '"':
 			for pos++; pos < len(src) && src[pos] != '"'; pos++ {
-				ch := src[pos]
-				if ch == '\\' && pos+1 < len(src) {
+				if src[pos] == '\\' && pos+1 < len(src) {
 					pos++
-					if ch = src[pos]; ch == 'n' { // the lexer decodes "\n" and rejects it
-						return 0, 0, facts, false
-					}
 				}
-				if ch == '\n' {
+				if src[pos] == '\n' {
 					return 0, 0, facts, false
 				}
 			}

@@ -64,6 +64,7 @@ func TestScanAgreesWithParse(t *testing.T) {
 		"{ return }",
 		"{ x = \"a\\\"}\"  // }\n }",
 		"{ x = \"tab\\t\"  y = -5  z = x + y }",
+		"{ x = \"a\\nb\" }",
 		"{ w = this.findViewById(@id/pwd)  this.setContentView(@layout/main.v2) }",
 		"{ c = java.lang.Class.forName(s)  o = c.newInstance() }",
 		"{ caf\xe9 = 1 }",

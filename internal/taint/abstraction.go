@@ -39,6 +39,10 @@ type Abstraction struct {
 	pred     *Abstraction
 	predStmt ir.Stmt
 
+	// id is the abstraction's dense intern number (0 is the zero fact):
+	// a path edge is keyed by its two facts' ids, see edgeKey.
+	id uint32
+
 	// self is the singleton slice {a}, built once at intern time so the
 	// flow functions' many pass-through returns share it instead of
 	// allocating a fresh one-element slice per evaluation. Callers only
@@ -85,7 +89,7 @@ func (ai *absInterner) get(ap *AccessPath, active bool, act ir.Stmt, src *Source
 	if a, ok := ai.abs[k]; ok {
 		return a
 	}
-	a := &Abstraction{AP: ap, Active: active, Activation: act, Source: src, pred: pred, predStmt: predStmt}
+	a := &Abstraction{AP: ap, Active: active, Activation: act, Source: src, pred: pred, predStmt: predStmt, id: uint32(len(ai.abs))}
 	a.self = []*Abstraction{a}
 	ai.abs[k] = a
 	return a

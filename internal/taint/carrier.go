@@ -1,6 +1,9 @@
 package taint
 
-import "flowdroid/internal/ir"
+import (
+	"flowdroid/internal/ir"
+	"flowdroid/internal/sourcesink"
+)
 
 // carrier.go holds the per-call-site memoization and the string-carrier
 // alias gate.
@@ -40,14 +43,17 @@ func isCarrierClass(name string) bool {
 }
 
 // callSite memoizes the static facts of one call statement: the resolved
-// wrapper rules, the stub-dispatch flag and whether it is a carrier site.
-// All fields are immutable after construction except the lazily computed
-// alias gate.
+// wrapper rules, the callees with bodies, the stub-dispatch flag and
+// whether it is a carrier site. All fields are immutable after
+// construction except the lazily computed sink rule and alias gate.
 type callSite struct {
 	call   *ir.InvokeExpr
 	result *ir.Local
 	rules  []WrapperRule
-	stub   bool
+	// callees are the targets the solver descends into, in the ICFG's
+	// ir.CompareMethods order.
+	callees []*ir.Method
+	stub    bool
 	// carrier marks a stub site with wrapper rules whose receiver class
 	// (or static class, without a receiver) is a carrier class; only
 	// carrier sites consult the alias gate.
@@ -56,22 +62,33 @@ type callSite struct {
 	// gate is the alias-gate verdict, computed on the first carrierGate
 	// call (gateKnown).
 	gateKnown, gate bool
+
+	// sink is the site's sink rule and sinkArgs the argument indices it
+	// checks, looked up on the first sinkOf call (sinkKnown); isSink is
+	// false when no rule of the query matches.
+	sinkKnown, isSink bool
+	sink              sourcesink.Sink
+	sinkArgs          []int
 }
 
 // siteOf returns the memoized record for call statement n, computing it on
 // first use.
 func (e *engine) siteOf(n ir.Stmt) *callSite {
-	s := e.sites[n]
+	ms := e.stateOf(n.Method())
+	if ms.sites == nil {
+		ms.sites = make([]*callSite, ms.size)
+	}
+	s := ms.sites[n.Index()]
 	if s == nil {
 		s = e.buildSite(n)
-		e.sites[n] = s
+		ms.sites[n.Index()] = s
 	}
 	return s
 }
 
 func (e *engine) buildSite(n ir.Stmt) *callSite {
 	call := ir.CallOf(n)
-	s := &callSite{call: call, result: ir.CallResult(n), stub: e.hasStubTarget(n)}
+	s := &callSite{call: call, result: ir.CallResult(n), callees: e.icfg.CalleesOf(n), stub: e.hasStubTarget(n)}
 	if e.conf.Wrapper != nil {
 		s.rules = e.conf.Wrapper.RulesFor(e.icfg.Prog, call)
 	}
@@ -83,6 +100,16 @@ func (e *engine) buildSite(n ir.Stmt) *callSite {
 		s.carrier = isCarrierClass(cls)
 	}
 	return s
+}
+
+// sinkOf returns the sink rule at call site n and the argument indices it
+// checks, looked up once per site.
+func (e *engine) sinkOf(n ir.Stmt, si *callSite) (sourcesink.Sink, []int, bool) {
+	if !si.sinkKnown {
+		si.sinkKnown = true
+		si.sink, si.sinkArgs, si.isSink = e.mgr.SinkAtCall(n)
+	}
+	return si.sink, si.sinkArgs, si.isSink
 }
 
 // carrierGate lazily decides whether the receiver alias search at this
@@ -140,23 +167,18 @@ func (e *engine) aliasGateRedundant(n ir.Stmt, base *ir.Local) bool {
 			return false
 		}
 	}
-	seen := map[ir.Stmt]bool{n: true}
-	stack := make([]ir.Stmt, 0, 16)
-	push := func(s ir.Stmt) {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
+	g := &e.gate
+	g.reset(len(m.Body()))
+	g.mark(n)
+	for _, p := range e.predsOf(n) {
+		g.push(p)
 	}
-	for _, p := range e.icfg.PredsOf(n) {
-		push(p)
-	}
-	for len(stack) > 0 {
-		if len(seen) > gateRegionCap {
+	for len(g.stack) > 0 {
+		if g.marked > gateRegionCap {
 			return false
 		}
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		s := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
 		kills, safe := e.gateStep(s, base)
 		if !safe {
 			return false
@@ -171,11 +193,51 @@ func (e *engine) aliasGateRedundant(n ir.Stmt, base *ir.Local) bool {
 			// stay conservative.)
 			return false
 		}
-		for _, p := range e.icfg.PredsOf(s) {
-			push(p)
+		for _, p := range e.predsOf(s) {
+			g.push(p)
 		}
 	}
 	return true
+}
+
+// gateScan is the alias gate's backward-region walk state, reused across
+// gate decisions: a visited bitset over one method's statement indices
+// and the walk's stack.
+type gateScan struct {
+	seen   []uint64
+	marked int // statements marked in seen
+	stack  []ir.Stmt
+}
+
+// reset clears the scan for a method of size statements.
+func (g *gateScan) reset(size int) {
+	words := (size + 63) / 64
+	if cap(g.seen) < words {
+		g.seen = make([]uint64, words)
+	} else {
+		g.seen = g.seen[:words]
+		clear(g.seen)
+	}
+	g.marked = 0
+	g.stack = g.stack[:0]
+}
+
+// mark records s as visited and reports whether it was new.
+func (g *gateScan) mark(s ir.Stmt) bool {
+	w, bit := s.Index()/64, uint64(1)<<(s.Index()%64)
+	if g.seen[w]&bit != 0 {
+		return false
+	}
+	g.seen[w] |= bit
+	g.marked++
+	return true
+}
+
+// push marks s and queues it for the walk unless it was visited before.
+func (g *gateScan) push(s ir.Stmt) {
+	if g.mark(s) {
+		g.stack = append(g.stack, s)
+	}
 }
 
 // gateStep examines one backward-region statement. kills reports that the
@@ -274,7 +336,7 @@ func valueReadsLocal(v ir.Value, l *ir.Local) bool {
 // hasBodiedCallee reports whether any resolved dispatch target of s has an
 // analyzable body.
 func (e *engine) hasBodiedCallee(s ir.Stmt) bool {
-	for _, c := range e.icfg.CalleesOf(s) {
+	for _, c := range e.siteOf(s).callees {
 		if c.EntryStmt() != nil {
 			return true
 		}

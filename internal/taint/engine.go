@@ -50,8 +50,12 @@ type engine struct {
 	ai   *absInterner
 	zero *Abstraction
 
-	fwJump jumpTable
-	bwJump jumpTable
+	// methods holds each visited method's dense solver state; lastMethod
+	// and lastState cache the most recent lookup, since consecutive path
+	// edges mostly stay inside one method.
+	methods    map[*ir.Method]*methodState
+	lastMethod *ir.Method
+	lastState  *methodState
 
 	// incoming and endSum pair caller contexts with end summaries:
 	// whichever of the two arrives second applies the pair, so every
@@ -99,9 +103,8 @@ type engine struct {
 	idxFields map[int64]*ir.Field
 	idxClass  *ir.Class
 
-	// sites memoizes per-call-site static facts (resolved wrapper rules,
-	// stub dispatch, carrier classification, alias gate); see carrier.go.
-	sites map[ir.Stmt]*callSite
+	// gate is the carrier alias gate's reusable scan state.
+	gate gateScan
 
 	q workQueue
 }
@@ -123,8 +126,6 @@ type engineStats struct {
 	storeCorrupt     int
 	storeUncacheable int
 }
-
-type edge struct{ d1, d2 *Abstraction }
 
 type item struct {
 	n      ir.Stmt
@@ -165,25 +166,78 @@ func (q *workQueue) stop(st Status) {
 // aborted reports whether stop was called.
 func (q *workQueue) aborted() bool { return q.status != Completed }
 
-// jumpTable is a solver direction's set of path edges ⟨d1⟩ → ⟨n, d2⟩,
-// bucketed by statement.
-type jumpTable map[ir.Stmt]map[edge]bool
+// methodState is the solver's dense per-method record: every table the
+// hot loop consults per statement, as a slice indexed by Stmt.Index().
+// It is created on the first lookup of its method, and each table is
+// allocated on first use, so a method the backward solver never enters
+// carries no backward table.
+type methodState struct {
+	// cfg is the method's CFG; nil when the engine has no ICFG (the
+	// whitebox tests that drive propagation directly).
+	cfg *cfg.MethodCFG
+	// size is the method's body length, the length of every table.
+	size int
+	// fw and bw are the two directions' path edges ⟨d1⟩ → ⟨n, d2⟩ at
+	// each statement n (the jump tables).
+	fw, bw []edgeSet
+	// sites memoizes per-call-site static facts (resolved wrapper rules,
+	// bodied callees, stub dispatch, sink rule, carrier classification,
+	// alias gate); see carrier.go.
+	sites []*callSite
+}
 
-// insert adds the path edge at n and reports whether it was novel.
-func (t jumpTable) insert(n ir.Stmt, pe edge) bool {
-	edges := t[n]
-	if edges == nil {
-		// Most statements accumulate a handful of edges; pre-sizing the
-		// bucket skips the first grow-and-rehash cycles.
-		edges = make(map[edge]bool, 8)
-		t[n] = edges
+// edgeSet is one statement's path edges in one direction, keyed by
+// edgeKey.
+type edgeSet map[uint64]struct{}
+
+// edgeKey packs the path edge ⟨d1⟩ → ⟨d2⟩ into one map key.
+func edgeKey(d1, d2 *Abstraction) uint64 { return uint64(d1.id)<<32 | uint64(d2.id) }
+
+// insertEdge adds the path edge d1 → d2 at statement index i to the jump
+// table *t of a method with size statements, allocating the table and
+// the statement's set on first use, and reports whether it was novel.
+func insertEdge(t *[]edgeSet, size, i int, d1, d2 *Abstraction) bool {
+	if *t == nil {
+		*t = make([]edgeSet, size)
 	}
-	if edges[pe] {
+	set := (*t)[i]
+	if set == nil {
+		// Most statements accumulate a handful of edges; pre-sizing the
+		// set skips the first grow-and-rehash cycles.
+		set = make(edgeSet, 8)
+		(*t)[i] = set
+	}
+	k := edgeKey(d1, d2)
+	if _, ok := set[k]; ok {
 		return false
 	}
-	edges[pe] = true
+	set[k] = struct{}{}
 	return true
 }
+
+// stateOf returns m's solver state, creating it on first use.
+func (e *engine) stateOf(m *ir.Method) *methodState {
+	if m == e.lastMethod {
+		return e.lastState
+	}
+	ms := e.methods[m]
+	if ms == nil {
+		ms = &methodState{size: len(m.Body())}
+		if e.icfg != nil {
+			ms.cfg = e.icfg.CFGOf(m)
+		}
+		e.methods[m] = ms
+	}
+	e.lastMethod, e.lastState = m, ms
+	return ms
+}
+
+// succsOf returns the intraprocedural successors of n (the return sites
+// when n is a call).
+func (e *engine) succsOf(n ir.Stmt) []ir.Stmt { return e.stateOf(n.Method()).cfg.Succs(n) }
+
+// predsOf returns the intraprocedural predecessors of n.
+func (e *engine) predsOf(n ir.Stmt) []ir.Stmt { return e.stateOf(n.Method()).cfg.Preds(n) }
 
 type methodCtx struct {
 	m  *ir.Method
@@ -279,14 +333,12 @@ func newEngine(icfg *cfg.ICFG, mgr *sourcesink.Manager, conf Config) *engine {
 		conf:     conf,
 		in:       newInterner(conf.APLength),
 		ai:       newAbsInterner(),
-		fwJump:   make(jumpTable),
-		bwJump:   make(jumpTable),
+		methods:  make(map[*ir.Method]*methodState),
 		incoming: make(map[methodCtx]*callers),
 		endSum:   make(map[methodCtx][]exitRec),
 		leakSeen: make(map[leakKey]bool),
 		actCache: make(map[actKey]bool),
 		srcRecs:  make(map[srcKey]*SourceRecord),
-		sites:    make(map[ir.Stmt]*callSite),
 		// Even small apps enqueue thousands of path edges; starting with
 		// a real backing array skips the first several append growths.
 		q: workQueue{items: make([]task, 0, 1024)},
@@ -429,7 +481,10 @@ func (e *engine) exportMetrics(s Stats) {
 // recording entirely, so the edge counters and the propagation counter
 // stay in lockstep and stop growing.
 func (e *engine) fwPropagate(d1 *Abstraction, n ir.Stmt, d2 *Abstraction) {
-	if e.q.aborted() || !e.fwJump.insert(n, edge{d1, d2}) {
+	if e.q.aborted() {
+		return
+	}
+	if ms := e.stateOf(n.Method()); !insertEdge(&ms.fw, ms.size, n.Index(), d1, d2) {
 		return
 	}
 	e.stats.forwardEdges++
@@ -438,7 +493,10 @@ func (e *engine) fwPropagate(d1 *Abstraction, n ir.Stmt, d2 *Abstraction) {
 
 // bwPropagate is fwPropagate for the backward alias solver.
 func (e *engine) bwPropagate(d1 *Abstraction, n ir.Stmt, d2 *Abstraction) {
-	if e.q.aborted() || !e.bwJump.insert(n, edge{d1, d2}) {
+	if e.q.aborted() {
+		return
+	}
+	if ms := e.stateOf(n.Method()); !insertEdge(&ms.bw, ms.size, n.Index(), d1, d2) {
 		return
 	}
 	e.stats.backwardEdges++
@@ -482,7 +540,7 @@ func (e *engine) fwNormal(it item) {
 	for _, t := range triggers {
 		e.spawnAliasSearch(it.n, it.d1, t)
 	}
-	for _, succ := range e.icfg.SuccsOf(it.n) {
+	for _, succ := range e.succsOf(it.n) {
 		for _, out := range outs {
 			e.fwPropagate(it.d1, succ, out)
 		}
@@ -490,9 +548,11 @@ func (e *engine) fwNormal(it item) {
 }
 
 func (e *engine) fwCall(it item) {
-	call := ir.CallOf(it.n)
+	si := e.siteOf(it.n)
+	call := si.call
+	retSites := e.succsOf(it.n)
 	// Descend into callees with bodies.
-	for _, callee := range e.icfg.CalleesOf(it.n) {
+	for _, callee := range si.callees {
 		sp := callee.EntryStmt()
 		if sp == nil {
 			continue
@@ -519,8 +579,8 @@ func (e *engine) fwCall(it item) {
 	}
 	// Call-to-return on the caller's side: sources, sinks, shortcut
 	// rules, native defaults, result kill.
-	outs := e.callToReturn(it.n, call, it.d1, it.d2)
-	for _, retSite := range e.icfg.SuccsOf(it.n) {
+	outs := e.callToReturn(it.n, si, it.d1, it.d2)
+	for _, retSite := range retSites {
 		for _, out := range outs {
 			e.fwPropagate(it.d1, retSite, out)
 		}
@@ -572,7 +632,7 @@ func (e *engine) applyReturn(cc callerCtx, callee *ir.Method, ep exitRec) {
 	mapped := e.returnFlow(cc.site, callee, ep.exit, ep.d2)
 	for _, md := range mapped {
 		md = e.maybeActivateAtCall(cc.site, md)
-		for _, retSite := range e.icfg.SuccsOf(cc.site) {
+		for _, retSite := range e.succsOf(cc.site) {
 			e.fwPropagate(cc.d1, retSite, md)
 		}
 		// A heap taint mapped back into the caller may have aliases
@@ -643,7 +703,7 @@ func (e *engine) doSpawnAliasSearch(n ir.Stmt, d1 *Abstraction, t *Abstraction) 
 		// the alias and the condition under which it was tainted.
 		d1Inj = e.zero
 	}
-	for _, p := range e.icfg.PredsOf(n) {
+	for _, p := range e.predsOf(n) {
 		e.bwPropagate(d1Inj, p, alias)
 	}
 }
@@ -679,7 +739,7 @@ func (e *engine) processBackward(it item) {
 		}
 		return
 	}
-	for _, p := range e.icfg.PredsOf(n) {
+	for _, p := range e.predsOf(n) {
 		for _, out := range outs {
 			e.bwPropagate(it.d1, p, out)
 		}
@@ -693,14 +753,13 @@ func (e *engine) processBackward(it item) {
 // facts descend and pass up; everything else passes up.
 func (e *engine) bwCall(it item) []*Abstraction {
 	n, d2 := it.n, it.d2
-	call := ir.CallOf(n)
-	result := ir.CallResult(n)
-
 	if d2.AP == nil {
 		return d2.self
 	}
+	si := e.siteOf(n)
+	call, result := si.call, si.result
 
-	for _, callee := range e.icfg.CalleesOf(n) {
+	for _, callee := range si.callees {
 		for _, pair := range e.bwCallFlow(call, result, callee, d2, n) {
 			// Inject this caller context into the forward solver's
 			// incoming set so the forward pass spawned at the callee's

@@ -195,9 +195,8 @@ func reassignsLocal(m *ir.Method, l *ir.Local) bool {
 // generates source taints, reports sinks, applies the library shortcut
 // rules and the native-call default for bodyless targets, kills the
 // redefined result local, and passes everything else through.
-func (e *engine) callToReturn(n ir.Stmt, call *ir.InvokeExpr, d1, d2 *Abstraction) []*Abstraction {
-	si := e.siteOf(n)
-	result := si.result
+func (e *engine) callToReturn(n ir.Stmt, si *callSite, d1, d2 *Abstraction) []*Abstraction {
+	call, result := si.call, si.result
 
 	if d2 == e.zero {
 		if src, ok := e.mgr.SourceAtCall(n); ok && result != nil {
@@ -213,7 +212,7 @@ func (e *engine) callToReturn(n ir.Stmt, call *ir.InvokeExpr, d1, d2 *Abstractio
 
 	// Sink detection: only active taints leak.
 	if d2.Active {
-		if snk, args, ok := e.mgr.SinkAtCall(n); ok {
+		if snk, args, ok := e.sinkOf(n, si); ok {
 			for _, idx := range args {
 				if idx < len(call.Args) {
 					if l, ok := call.Args[idx].(*ir.Local); ok && d2.AP.Base == l {

@@ -9,6 +9,7 @@ import (
 	"flowdroid/internal/appgen"
 	"flowdroid/internal/core"
 	"flowdroid/internal/droidbench"
+	"flowdroid/internal/framework"
 	"flowdroid/internal/ir"
 	"flowdroid/internal/securibench"
 	"flowdroid/internal/taint"
@@ -88,6 +89,10 @@ func TestGateEquivalence(t *testing.T) {
 		apps := appgen.GenerateCorpus(benchTaintProfile(), 4, 7)
 		gated := core.DefaultOptions().Taint
 		ref := taint.WithoutAliasGate(gated)
+		// The framework base is parsed once per process, on first use.
+		// Load it before measuring, so that neither pass carries its
+		// allocations, whichever subtests ran first.
+		framework.NewProgram()
 		on := runCorpus(t, apps, gated)
 		off := runCorpus(t, apps, ref)
 		t.Logf("gated %d of %d receiver alias searches; allocs %d gated vs %d reference; %d propagations",
@@ -109,13 +114,15 @@ func TestGateEquivalence(t *testing.T) {
 		if float64(on.mallocs) > 1.02*float64(off.mallocs) {
 			t.Errorf("gated allocs (%d) exceed reference (%d) by more than 2%%", on.mallocs, off.mallocs)
 		}
-		// The solver's allocation ratchet: the gated pass
-		// measures ~1.04M heap allocations after the allocation diet
-		// (interned singleton out-slices, binary access-path interner
-		// keys, pre-sized worklists). A run past ~15% headroom means the
-		// diet regressed; raise this only with a measured justification.
-		if on.mallocs > 1_200_000 {
-			t.Errorf("gated allocs (%d) exceed the 1,200,000 ratchet: the solver allocation diet regressed", on.mallocs)
+		// The solver's allocation ratchet: with dense per-method solver
+		// state (index-keyed jump tables and call-site memos, shared CFG
+		// edge lists) the gated pass measures ~101,800 heap allocations,
+		// and ~107,400 under -race, whose runtime allocates more; the
+		// bound is the -race count plus 5%. A run past it means the
+		// allocation diet regressed; raise this only with a measured
+		// justification.
+		if on.mallocs > 113_000 {
+			t.Errorf("gated allocs (%d) exceed the 113,000 ratchet: the solver allocation diet regressed", on.mallocs)
 		}
 		if on.leaks != off.leaks {
 			t.Errorf("leak counts differ: gated %d, reference %d", on.leaks, off.leaks)

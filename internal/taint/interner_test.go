@@ -53,3 +53,36 @@ func TestSourceRecordInterning(t *testing.T) {
 		t.Errorf("interner sizes %d -> %d -> %d, want exactly one new abstraction", before, mid, after)
 	}
 }
+
+// TestAbstractionIDsAreDense: the abstraction interner numbers facts
+// 0, 1, 2, ... in intern order, the zero fact first, so a path edge's key
+// (edgeKey) names its two facts uniquely and in order.
+func TestAbstractionIDsAreDense(t *testing.T) {
+	e := newEngine(nil, nil, Config{APLength: 5})
+	if e.zero.id != 0 {
+		t.Errorf("zero fact id = %d, want 0", e.zero.id)
+	}
+	stmts := mainStmts(t, manyLeaks)
+	src := sourcesink.Source{Class: "Src", Name: "get", Label: "s"}
+	var facts []*Abstraction
+	for _, n := range stmts {
+		facts = append(facts, e.ai.get(nil, true, nil, e.sourceRecord(n, src), nil, n))
+	}
+	seen := make(map[uint32]bool)
+	for _, a := range e.ai.abs {
+		if int(a.id) >= e.ai.size() || seen[a.id] {
+			t.Fatalf("id %d repeats or is not below the interner size %d", a.id, e.ai.size())
+		}
+		seen[a.id] = true
+	}
+	keys := make(map[uint64]bool)
+	for _, d1 := range facts[:min(len(facts), 8)] {
+		for _, d2 := range facts[:min(len(facts), 8)] {
+			if k := edgeKey(d1, d2); keys[k] {
+				t.Fatalf("edge key %#x repeats", k)
+			} else {
+				keys[k] = true
+			}
+		}
+	}
+}

@@ -67,9 +67,8 @@ type CorpusStats struct {
 	Failures   []string
 	Incomplete int // batch stopped early: apps never attempted
 
-	// Passes aggregates the per-pass run/hit counters across all apps:
-	// cache hits appear whenever the degradation ladder reused memoized
-	// artifacts instead of rebuilding them.
+	// Passes sums the per-pass run counters across all apps, degradation
+	// retries included.
 	Passes core.PassStats
 	// PassTimes sums each pipeline pass's build wall time across all
 	// apps — the corpus-level slowest-pass table.
@@ -189,10 +188,7 @@ func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, opts core.
 			stats.Degraded++
 		}
 		for pass, st := range res.Passes {
-			agg := stats.Passes[pass]
-			agg.Runs += st.Runs
-			agg.Hits += st.Hits
-			stats.Passes[pass] = agg
+			stats.Passes[pass] = core.PassStat{Runs: stats.Passes[pass].Runs + st.Runs}
 		}
 		for pass, d := range res.PassTimes {
 			stats.PassTimes[pass] += d
@@ -291,8 +287,7 @@ func (s CorpusStats) Render() string {
 		fmt.Fprintf(&sb, "  summary store: %d write-back error(s), those apps' summaries not persisted\n", c.SummaryFlushErrors)
 	}
 	if len(s.Passes) > 0 {
-		fmt.Fprintf(&sb, "  pipeline passes: %d runs, %d artifact reuses (%s)\n",
-			s.Passes.TotalRuns(), s.Passes.TotalHits(), s.Passes)
+		fmt.Fprintf(&sb, "  pipeline passes: %d runs (%s)\n", s.Passes.TotalRuns(), s.Passes)
 	}
 	if len(s.PassTimes) > 0 {
 		type pt struct {

@@ -161,13 +161,6 @@ func NewICFG(h ir.Hierarchy, g *callgraph.Graph) *ICFG {
 // CFGOf returns the (cached) intraprocedural CFG of m.
 func (g *ICFG) CFGOf(m *ir.Method) *MethodCFG { return g.cache.CFGOf(m) }
 
-// SuccsOf returns the intraprocedural successors of s (the return sites
-// when s is a call).
-func (g *ICFG) SuccsOf(s ir.Stmt) []ir.Stmt { return g.CFGOf(s.Method()).Succs(s) }
-
-// PredsOf returns the intraprocedural predecessors of s.
-func (g *ICFG) PredsOf(s ir.Stmt) []ir.Stmt { return g.CFGOf(s.Method()).Preds(s) }
-
 // IsCall reports whether s is a call statement.
 func (g *ICFG) IsCall(s ir.Stmt) bool { return ir.IsCall(s) }
 
@@ -190,9 +183,6 @@ func (g *ICFG) CalleesOf(s ir.Stmt) []*ir.Method {
 
 // AllCalleesOf returns all call targets including stubs.
 func (g *ICFG) AllCalleesOf(s ir.Stmt) []*ir.Method { return g.Graph.CalleesOf(s) }
-
-// CallersOf returns the call sites that may invoke m.
-func (g *ICFG) CallersOf(m *ir.Method) []ir.Stmt { return g.Graph.CallersOf(m) }
 
 // IsExit reports whether s is a return statement.
 func (g *ICFG) IsExit(s ir.Stmt) bool {

@@ -94,12 +94,12 @@ func TestICFG(t *testing.T) {
 	if len(callees) != 1 || callees[0] != callee {
 		t.Fatalf("CalleesOf = %v, want [A.callee/1]", callees)
 	}
-	callers := g.CallersOf(callee)
+	callers := g.Graph.CallersOf(callee)
 	if len(callers) != 1 || callers[0] != callSite {
 		t.Errorf("CallersOf = %v, want the call site", callers)
 	}
 	// Return site of the call is the statement after it.
-	rs := g.SuccsOf(callSite)
+	rs := g.CFGOf(main).Succs(callSite)
 	if len(rs) != 1 || rs[0].Index() != callSite.Index()+1 {
 		t.Errorf("return site = %v", rs)
 	}
@@ -108,8 +108,8 @@ func TestICFG(t *testing.T) {
 	}
 }
 
-// TestEdgeListsDoNotAllocate: once a method's CFG is built, SuccsOf and
-// PredsOf hand out the CFG's own lists and allocate nothing.
+// TestEdgeListsDoNotAllocate: once a method's CFG is built, Succs and
+// Preds hand out the CFG's own lists and allocate nothing.
 func TestEdgeListsDoNotAllocate(t *testing.T) {
 	prog, err := irtext.ParseProgram(loopSrc, "l.ir")
 	if err != nil {
@@ -117,16 +117,16 @@ func TestEdgeListsDoNotAllocate(t *testing.T) {
 	}
 	m := prog.Class("A").Method("m", 0)
 	g := NewICFG(prog, nil)
-	g.CFGOf(m)
+	c := g.CFGOf(m)
 	body := m.Body()
 	n := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, s := range body {
-			n += len(g.SuccsOf(s)) + len(g.PredsOf(s))
+			n += len(c.Succs(s)) + len(c.Preds(s))
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("SuccsOf/PredsOf allocated %v times per run, want 0", allocs)
+		t.Errorf("Succs/Preds allocated %v times per run, want 0", allocs)
 	}
 	if n == 0 {
 		t.Fatal("the fixture has no edges")

@@ -138,13 +138,11 @@ type Result struct {
 	Degraded []string
 	// Counters are the per-stage effort counters, partial on truncation.
 	Counters Counters
-	// Passes records, per pipeline pass, how often it executed versus
-	// reused its memoized artifact across this run (including any
-	// degradation retries).
+	// Passes records, per pipeline pass, how often it executed across
+	// this run, degradation retries included.
 	Passes PassStats
-	// PassTimes is the wall time each pass spent actually building its
-	// artifact across this run (memo hits cost nothing and add nothing),
-	// charged even when the pass was cut short by a panic or a deadline.
+	// PassTimes is the wall time each pass spent across this run, charged
+	// even when the pass was cut short by a panic or a deadline.
 	// It is the run's only timer: the taint solve is PassTimes["taint"]
 	// (absent when the run never reached it), setup is the sum of the
 	// other passes, and the corpus harness aggregates them into its
@@ -161,10 +159,10 @@ func (r *Result) Leaks() []*taint.Leak { return r.Taint.DistinctSourceSinkPairs(
 // any stage is recovered into Status == Recovered. Load and
 // configuration problems are still reported as ordinary errors.
 //
-// The run is driven through one memoizing pipeline: the degradation
-// ladder re-executes only the passes each rung actually invalidates (the
-// CHA rung rebuilds call graph and ICFG; access-path-length rungs re-run
-// taint alone), which Result.Passes makes observable.
+// The passes upstream of the call graph run once. With Options.Degrade,
+// a budget-exhausted solve is retried down the degradation ladder: the
+// CHA rung rebuilds the call graph and ICFG, access-path-length rungs
+// re-run the taint solve alone, which Result.Passes makes observable.
 //
 // The result is the run's record. On the way out it is published into
 // the context's metrics recorder, if any: the Counters series describe
@@ -173,31 +171,32 @@ func AnalyzeApp(ctx context.Context, app *apk.App, opts Options) (*Result, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pl := newPipeline(app)
-	res, err := pl.run(ctx, opts)
+	pl := newPipeline(app, metrics.From(ctx))
+	res, err := pl.prepare(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Degrade {
-		// Graceful degradation: a budget-exhausted attempt is retried down
-		// the ladder while the context still has time. (A deadline overrun
-		// cannot be retried — the clock is already spent.)
-		var degraded []string
-		for _, step := range degradeLadder(opts) {
-			if res.Status != BudgetExhausted || ctx.Err() != nil {
-				break
+	if res.Status == Complete {
+		prepared := res
+		res = pl.solve(ctx, opts, prepared)
+		if opts.Degrade {
+			// Graceful degradation: a budget-exhausted attempt is retried
+			// down the ladder while the context still has time. (A
+			// deadline overrun cannot be retried — the clock is already
+			// spent.)
+			var degraded []string
+			for _, step := range degradeLadder(opts) {
+				if res.Status != BudgetExhausted || ctx.Err() != nil {
+					break
+				}
+				step.apply(&opts)
+				degraded = append(degraded, step.name)
+				res = pl.solve(ctx, opts, prepared)
 			}
-			step.apply(&opts)
-			next, err := pl.run(ctx, opts)
-			if err != nil {
-				break // keep the best partial result we have
-			}
-			degraded = append(degraded, step.name)
-			res = next
+			res.Degraded = degraded
 		}
-		res.Degraded = degraded
 	}
-	publish(metrics.From(ctx), res)
+	publish(pl.rec, res)
 	return res, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"flowdroid/internal/lifecycle"
 	"flowdroid/internal/taint"
 	"flowdroid/internal/testapps"
 )
@@ -63,7 +64,7 @@ func TestLeakageAppUsernameNotLeaked(t *testing.T) {
 // and the leak disappears — the under-approximation of coarse tools.
 func TestLifecycleUnawareMisses(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Lifecycle.ModelLifecycle = false
+	opts.Lifecycle.Mode = lifecycle.CreateOnly
 	res, err := AnalyzeFiles(context.Background(), testapps.LeakageApp, opts)
 	if err != nil {
 		t.Fatal(err)

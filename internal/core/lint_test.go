@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"flowdroid/internal/apk"
 	"flowdroid/internal/testapps"
 )
 
@@ -42,8 +41,8 @@ func TestLintInvalidProgramSkipsSolvers(t *testing.T) {
 	// No solver may have run: the verifier gates the pipeline before
 	// callbacks, lifecycle, call-graph construction and the taint solve.
 	for _, pass := range []string{"callbacks", "lifecycle", "callgraph", "icfg", "taint"} {
-		if st := res.Passes[pass]; st.Runs != 0 || st.Hits != 0 {
-			t.Errorf("pass %s ran (%d runs, %d hits) on an invalid program", pass, st.Runs, st.Hits)
+		if st := res.Passes[pass]; st.Runs != 0 {
+			t.Errorf("pass %s ran %d time(s) on an invalid program", pass, st.Runs)
 		}
 	}
 	if res.CallGraph != nil || res.EntryPoint != nil {
@@ -88,35 +87,6 @@ func TestLintOffByDefault(t *testing.T) {
 	}
 	if st := res.Passes["verify"]; st.Runs != 0 {
 		t.Error("verify pass ran without Options.Lint")
-	}
-}
-
-func TestLintVerifyMemoized(t *testing.T) {
-	app, err := apk.LoadFiles(testapps.LeakageApp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Lint = true
-	pl := newPipeline(app)
-	if _, err := pl.run(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	res, err := pl.run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := res.Passes["verify"]; st.Runs != 1 || st.Hits != 1 {
-		t.Errorf("verify runs/hits = %d/%d, want 1/1 (memoized second attempt)", st.Runs, st.Hits)
-	}
-	// Changing the analyzer selection invalidates the memo key.
-	opts.LintDisable = "typecheck"
-	res, err = pl.run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := res.Passes["verify"]; st.Runs != 2 {
-		t.Errorf("verify runs = %d, want 2 after key change", st.Runs)
 	}
 }
 

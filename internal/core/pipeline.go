@@ -26,18 +26,16 @@ import (
 	"flowdroid/internal/taint"
 )
 
-// PassStat counts how often a pipeline pass actually executed (Runs) and
-// how often its memoized artifact was reused instead (Hits). The degrade
-// ladder is the main consumer: an access-path-length rung must re-run
-// only the taint pass, so every upstream pass records a hit.
+// PassStat counts how often a pipeline pass executed across a run,
+// degrade-ladder attempts included: an upstream pass runs once however
+// many attempts follow, the taint pass once per attempt.
 type PassStat struct {
 	Runs int `json:"runs"`
-	Hits int `json:"hits"`
 }
 
 // PassStats maps pass names (scene, sourcesink, verify, constprop, cone,
-// callbacks, lifecycle, callgraph, icfg, summaries, taint) to their
-// run/hit counters.
+// callbacks, lifecycle, callgraph, icfg, summaries, taint) to their run
+// counters.
 type PassStats map[string]PassStat
 
 // TotalRuns sums the Runs of every pass.
@@ -49,16 +47,7 @@ func (ps PassStats) TotalRuns() int {
 	return n
 }
 
-// TotalHits sums the Hits of every pass.
-func (ps PassStats) TotalHits() int {
-	n := 0
-	for _, st := range ps {
-		n += st.Hits
-	}
-	return n
-}
-
-// String renders the stats as "pass runs/hits" pairs in name order.
+// String renders the stats as "pass N run(s)" pairs in name order.
 func (ps PassStats) String() string {
 	names := make([]string, 0, len(ps))
 	for n := range ps {
@@ -70,72 +59,38 @@ func (ps PassStats) String() string {
 		if i > 0 {
 			out += ", "
 		}
-		out += fmt.Sprintf("%s %d run(s)/%d hit(s)", n, ps[n].Runs, ps[n].Hits)
+		out += fmt.Sprintf("%s %d run(s)", n, ps[n].Runs)
 	}
 	return out
 }
 
-// artifact is one memoized pass product. key fingerprints the
-// configuration the value was built under; a run whose key matches reuses
-// the value, a differing key invalidates and rebuilds. built is cleared
-// when a pass was cut short (context expiry) so a partial artifact is
-// never reused.
-type artifact[T any] struct {
-	built bool
-	key   string
-	val   T
-}
-
-// pipeline owns the per-app analysis state shared across attempts: the
-// scene (cached program model) plus the memoized artifacts of every
-// pass. AnalyzeApp creates one pipeline and re-runs it down the degrade
-// ladder; only passes whose configuration a rung actually changes are
-// re-executed. This is the explicit pass graph (Figure 4 of the paper)
-// with its dependency keys:
-//
-//	scene      : program identity (built once, refreshed after dummy main)
-//	sourcesink : Options.SourceSinkRules + query fingerprint
-//	verify     : Options.LintEnable/LintDisable + SourceSinkRules + query
-//	constprop  : program identity (runs once iff Options.ResolveReflection;
-//	             the flag is fixed for a pipeline's lifetime — the degrade
-//	             ladder never toggles it — so it needs no key)
-//	cone       : query fingerprint + SourceSinkRules (query mode only)
-//	callbacks  : no configuration (discovery is query-independent)
-//	lifecycle  : Options.Lifecycle including the cone's skip set
-//	callgraph  : Options.UseCHA + the entry method it grows from
-//	icfg       : the call-graph artifact it stitches
-//	summaries  : the summary fingerprint + the call graph it hashed
-//	taint      : always runs (it is the pass being retried)
-//
-// Every artifact a sink query can change carries the query fingerprint in
-// its key (directly, or through the lifecycle skip set), so two queries
-// against the same loaded app never cross-contaminate.
-//
-// The taint configuration is deliberately absent from every artifact
-// key: it never changes what any upstream pass computes, so changing it
-// between runs on the same pipeline reuses every artifact
-// (fingerprint-neutral).
+// pipeline is one AnalyzeApp call's pass graph, Figure 4 of the paper run
+// straight through. prepare runs the passes no degrade rung changes, once:
+// scene, sourcesink, verify, constprop, cone, callbacks and lifecycle.
+// solve runs the rest — callgraph, icfg, summaries and taint — once per
+// attempt; a rung changes only UseCHA and the access-path length, so solve
+// rebuilds the call graph and ICFG only when UseCHA differs from the graph
+// it holds. The ladder retries only BudgetExhausted, which only a finished
+// solve prefix reaches, so no partial product is ever reused.
 type pipeline struct {
 	app *apk.App
-	sc  *scene.Scene
+	rec *metrics.Recorder // nil when metrics are disabled
 
-	stats map[string]*PassStat
+	runs  map[string]int
 	times map[string]time.Duration
+	stage string // the pass running now, named by a Recovered result
 
-	// rec is the run's metrics recorder (nil when metrics are disabled);
-	// run() refreshes it from the context on every attempt.
-	rec *metrics.Recorder
+	// Products of prepare.
+	sc        *scene.Scene
+	mgr       *sourcesink.Manager
+	reflEdges map[ir.Stmt][]*ir.Method
+	cn        *cone.Cone
 
-	verify artifact[*irlint.Result]
-	refl   artifact[reflArtifact]
-
-	cbs   artifact[*callbacks.Result]
-	cn    artifact[*cone.Cone]
-	entry artifact[*ir.Method]
-	graph artifact[cgArtifact]
-	icfg  artifact[*cfg.ICFG]
-	mgr   artifact[*sourcesink.Manager]
-	sums  artifact[*summarystore.Session]
+	// The call graph and ICFG solve holds, built under UseCHA == cha.
+	cha      bool
+	graph    *callgraph.Graph
+	ptaProps int
+	icfg     *cfg.ICFG
 }
 
 // clickHandlers collects each layout's declaratively registered click
@@ -151,21 +106,6 @@ func clickHandlers(app *apk.App) map[string][]string {
 	return out
 }
 
-// cgArtifact is the call-graph pass product: the graph plus the
-// points-to effort spent building it (zero under CHA).
-type cgArtifact struct {
-	graph    *callgraph.Graph
-	ptaProps int
-}
-
-// reflArtifact is the constant-propagation pass product: the classified
-// reflective sites (with the soundness report) plus the materialized
-// reflective call edges every downstream graph consumer folds in.
-type reflArtifact struct {
-	res   *constprop.Result
-	edges map[ir.Stmt][]*ir.Method
-}
-
 // summaryFingerprint digests every configuration input that changes the
 // taint solver's transfer functions or seeds, scoping the persistent
 // summary store's namespace: two runs may only share summaries when they
@@ -175,11 +115,11 @@ type reflArtifact struct {
 // The store format version is folded in so a scheme change invalidates
 // wholesale, and the layout password controls are included because they
 // synthesize per-app source rules.
-func summaryFingerprint(app *apk.App, opts Options, qfp string) string {
+func summaryFingerprint(app *apk.App, opts Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d\n", summarystore.FormatVersion)
 	fmt.Fprintf(h, "rules:%s\n", opts.SourceSinkRules)
-	fmt.Fprintf(h, "query:%s\n", qfp)
+	fmt.Fprintf(h, "query:%s\n", opts.Query.Fingerprint())
 	tc := opts.Taint
 	fmt.Fprintf(h, "taint:%d,%t,%t,%t,%t,%t,%t\n",
 		tc.APLength, tc.EnableAliasing, tc.EnableActivation, tc.InjectContext,
@@ -204,132 +144,84 @@ func summaryFingerprint(app *apk.App, opts Options, qfp string) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-func newPipeline(app *apk.App) *pipeline {
+func newPipeline(app *apk.App, rec *metrics.Recorder) *pipeline {
 	return &pipeline{
 		app:   app,
-		stats: make(map[string]*PassStat),
+		rec:   rec,
+		runs:  make(map[string]int),
 		times: make(map[string]time.Duration),
 	}
 }
 
-func (pl *pipeline) stat(name string) *PassStat {
-	st := pl.stats[name]
-	if st == nil {
-		st = &PassStat{}
-		pl.stats[name] = st
-	}
-	return st
-}
-
-// ran opens one pass execution: it bumps the run counter up front — so a
-// pass that panics still counts as an attempted run — and returns a
-// closer that charges the elapsed build time to the pass and ends its
-// trace span. The closer is safe under panic when deferred, so a pass cut
-// short by a panic or a deadline is still charged for the time it ran.
-func (pl *pipeline) ran(name string) func() {
-	pl.stat(name).Runs++
+// pass runs f as the pipeline pass name. It counts the run up front — so
+// a pass that panics still counts as attempted — makes name the stage a
+// panic is reported at, and charges f's wall time to the pass and its
+// "pipeline.<name>" trace span, also when f panics or a deadline cuts it
+// short.
+func (pl *pipeline) pass(name string, f func() error) error {
+	pl.stage = name
+	pl.runs[name]++
 	sp := pl.rec.StartSpan("pipeline." + name)
-	bstart := time.Now()
-	return func() {
-		pl.times[name] += time.Since(bstart)
+	start := time.Now()
+	defer func() {
+		pl.times[name] += time.Since(start)
 		sp.End()
+	}()
+	return f()
+}
+
+// finish is deferred by prepare and solve. It turns a panic into a
+// Recovered result naming the stage it struck, and stamps the result with
+// the run's cumulative Passes and PassTimes — its only timing record —
+// and body counts.
+func (pl *pipeline) finish(res *Result) {
+	if r := recover(); r != nil {
+		res.Status = Recovered
+		res.Failure = &Failure{Stage: pl.stage, Value: r, Stack: stackTrace()}
 	}
-}
-
-// hit records one memo reuse.
-func (pl *pipeline) hit(name string) {
-	pl.stat(name).Hits++
-}
-
-// record copies the pass counters and build times into the result.
-func (pl *pipeline) record(res *Result) {
-	res.Passes = make(PassStats, len(pl.stats))
-	for n, st := range pl.stats {
-		res.Passes[n] = *st
+	res.Passes = make(PassStats, len(pl.runs))
+	for n, runs := range pl.runs {
+		res.Passes[n] = PassStat{Runs: runs}
 	}
 	res.PassTimes = maps.Clone(pl.times)
+	if prog := pl.app.Program; prog != nil {
+		res.Counters.Bodies, res.Counters.BodiesParsed = prog.BodyCounts()
+	}
 }
 
-// memo returns the cached artifact when its key matches, otherwise runs
-// build and caches the result. Errors and panics leave the artifact
-// unbuilt. A build is wrapped in a "pipeline.<name>" trace span and its
-// wall time is charged to the pass; a hit costs (and records) nothing
-// but the hit counter.
-func memo[T any](pl *pipeline, name, key string, a *artifact[T], build func() (T, error)) (T, error) {
-	if a.built && a.key == key {
-		pl.hit(name)
-		return a.val, nil
-	}
-	a.built = false
-	v, err := func() (T, error) {
-		defer pl.ran(name)()
-		return build()
-	}()
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	a.built, a.key, a.val = true, key, v
-	return v, nil
-}
-
-// run is one pipeline attempt under one configuration, reusing every
-// artifact the configuration does not invalidate. Panics in any pass are
-// converted into a Recovered result carrying the passes that finished
-// before the panic. Every result leaves with the pipeline's cumulative
-// Passes and PassTimes, the run's only timing record.
-func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err error) {
-	pl.rec = metrics.From(ctx)
+// prepare runs the passes upstream of the call graph. Its result holds
+// what every attempt's result starts from — Lint, Soundness, Callbacks,
+// EntryPoint and the reflection and cone counters; a Status other than
+// Complete ends the run before any solve.
+func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err error) {
 	res = &Result{App: pl.app, Status: Complete, Taint: &taint.Results{}}
-	stage := "scene"
-	defer func() {
-		if r := recover(); r != nil {
-			res.Status = Recovered
-			res.Failure = &Failure{Stage: stage, Value: r, Stack: stackTrace()}
-			err = nil
-		}
-		if err == nil {
-			pl.record(res)
-			if prog := pl.app.Program; prog != nil {
-				res.Counters.Bodies, res.Counters.BodiesParsed = prog.BodyCounts()
-			}
-		}
-	}()
+	defer pl.finish(res)
 	truncated := func() (*Result, error) {
 		res.Status = DeadlineExceeded
 		return res, nil
 	}
 
-	// Scene: the shared program model, built once per app.
-	if pl.sc == nil {
-		done := pl.ran("scene")
+	pl.pass("scene", func() error {
 		pl.sc = scene.New(pl.app.Program)
-		done()
-	} else {
-		pl.hit("scene")
-	}
+		return nil
+	})
 
 	// Source/sink manager: built early because the verify and cone passes
-	// both consume it. The artifact key carries the query fingerprint —
-	// a restricted manager answers sink queries differently, so two
-	// queries over the same rules never share one.
-	stage = "sourcesink"
-	qfp := opts.Query.Fingerprint()
-	mgr, err := memo(pl, "sourcesink", opts.SourceSinkRules+"\x00"+qfp, &pl.mgr,
-		func() (*sourcesink.Manager, error) {
-			m, err := manager(pl.sc, opts)
-			if err != nil {
-				return nil, err
+	// both consume it.
+	if err := pl.pass("sourcesink", func() error {
+		m, err := manager(pl.sc, opts)
+		if err != nil {
+			return err
+		}
+		m.AttachApp(pl.app)
+		if !opts.Query.IsAll() {
+			if err := m.RestrictSinks(opts.Query.Sinks); err != nil {
+				return fmt.Errorf("core: %w", err)
 			}
-			m.AttachApp(pl.app)
-			if !opts.Query.IsAll() {
-				if err := m.RestrictSinks(opts.Query.Sinks); err != nil {
-					return nil, fmt.Errorf("core: %w", err)
-				}
-			}
-			return m, nil
-		})
-	if err != nil {
+		}
+		pl.mgr = m
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 
@@ -340,38 +232,35 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	// inside a flow function. Runs before dummy-main generation so
 	// synthetic lifecycle code is never linted.
 	if opts.Lint {
-		stage = "verify"
-		lres, err := memo(pl, "verify", opts.LintEnable+"|"+opts.LintDisable+"|"+opts.SourceSinkRules+"|"+qfp, &pl.verify,
-			func() (*irlint.Result, error) {
-				// The verifier reads every body: parse them all first, so
-				// a body that does not parse ends the run with its error.
-				if err := pl.app.Program.ParseAll(); err != nil {
-					return nil, fmt.Errorf("core: %w", err)
-				}
-				ans, err := irlint.Select(opts.LintEnable, opts.LintDisable)
-				if err != nil {
-					return nil, fmt.Errorf("core: %w", err)
-				}
-				cfg := irlint.Config{
-					Analyzers:     ans,
-					Sources:       mgr.Sources(),
-					Sinks:         mgr.Sinks(),
-					ClickHandlers: clickHandlers(pl.app),
-				}
-				if mgr.Restricted() {
-					cfg.QueriedSinks = mgr.QueriedSinks()
-				}
-				return irlint.Run(pl.sc, cfg), nil
-			})
-		if err != nil {
+		if err := pl.pass("verify", func() error {
+			// The verifier reads every body: parse them all first, so a
+			// body that does not parse ends the run with its error.
+			if err := pl.app.Program.ParseAll(); err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+			ans, err := irlint.Select(opts.LintEnable, opts.LintDisable)
+			if err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+			cfg := irlint.Config{
+				Analyzers:     ans,
+				Sources:       pl.mgr.Sources(),
+				Sinks:         pl.mgr.Sinks(),
+				ClickHandlers: clickHandlers(pl.app),
+			}
+			if pl.mgr.Restricted() {
+				cfg.QueriedSinks = pl.mgr.QueriedSinks()
+			}
+			res.Lint = irlint.Run(pl.sc, cfg)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		res.Lint = lres
 		if pl.rec != nil {
-			pl.rec.Gauge("lint.errors", metrics.Deterministic).Set(int64(lres.Errors()))
-			pl.rec.Gauge("lint.warnings", metrics.Deterministic).Set(int64(lres.Warnings()))
+			pl.rec.Gauge("lint.errors", metrics.Deterministic).Set(int64(res.Lint.Errors()))
+			pl.rec.Gauge("lint.warnings", metrics.Deterministic).Set(int64(res.Lint.Warnings()))
 		}
-		if lres.HasErrors() {
+		if res.Lint.HasErrors() {
 			res.Status = InvalidProgram
 			return res, nil
 		}
@@ -381,181 +270,174 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	// reflective-edge materialization. Runs before the cone so resolved
 	// reflective edges participate in the backward closure like ordinary
 	// call edges, and before dummy-main generation so synthetic lifecycle
-	// code is never scanned. The pass is program-global and query-
-	// independent; its artifact needs no configuration key.
-	var reflEdges map[ir.Stmt][]*ir.Method
+	// code is never scanned.
 	if opts.ResolveReflection {
-		stage = "constprop"
-		ra, err := memo(pl, "constprop", "", &pl.refl, func() (reflArtifact, error) {
-			r := constprop.Analyze(ctx, pl.sc)
+		var r *constprop.Result
+		if err := pl.pass("constprop", func() error {
+			r = constprop.Analyze(ctx, pl.sc)
 			if r.Truncated {
-				return reflArtifact{res: r}, nil
+				return nil
 			}
 			edges, err := r.Materialize(pl.app.Program)
 			if err != nil {
-				return reflArtifact{}, fmt.Errorf("core: %w", err)
+				return fmt.Errorf("core: %w", err)
 			}
 			if len(edges) > 0 {
 				// Materialization added the bridges class to the program.
 				pl.sc.Refresh()
 			}
-			return reflArtifact{res: r, edges: edges}, nil
-		})
-		if err != nil {
+			pl.reflEdges = edges
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		if ctx.Err() != nil || ra.res.Truncated {
-			pl.refl.built = false // partial facts must not be reused
+		if ctx.Err() != nil || r.Truncated {
 			return truncated()
 		}
-		reflEdges = ra.edges
-		res.Soundness = ra.res.Report
-		res.Counters.ReflectionResolved = ra.res.Report.ResolvedSites
-		res.Counters.ReflectionUnresolved = len(ra.res.Report.Unresolved)
+		res.Soundness = r.Report
+		res.Counters.ReflectionResolved = r.Report.ResolvedSites
+		res.Counters.ReflectionUnresolved = len(r.Report.Unresolved)
 	}
 
 	// Cone: the backward reachability cone of the queried sinks, built
 	// over app code only (before dummy-main generation — the synthetic
 	// lifecycle code never contains sinks, and the cone must not depend
 	// on the skip set it feeds).
-	var cn *cone.Cone
 	if !opts.Query.IsAll() {
-		stage = "cone"
-		cn, _ = memo(pl, "cone", qfp+"\x00"+opts.SourceSinkRules, &pl.cn,
-			func() (*cone.Cone, error) {
-				return cone.BuildWithExtra(ctx, pl.sc, mgr, reflEdges), nil
-			})
+		pl.pass("cone", func() error {
+			pl.cn = cone.BuildWithExtra(ctx, pl.sc, pl.mgr, pl.reflEdges)
+			return nil
+		})
 		if ctx.Err() != nil {
-			pl.cn.built = false // partial cone must not be reused
 			return truncated()
 		}
 	}
 
-	stage = "callbacks"
-	cbs, _ := memo(pl, "callbacks", "", &pl.cbs, func() (*callbacks.Result, error) {
-		return callbacks.DiscoverWith(ctx, pl.app, pl.sc), nil
+	pl.pass("callbacks", func() error {
+		res.Callbacks = callbacks.DiscoverWith(ctx, pl.app, pl.sc)
+		return nil
 	})
-	res.Callbacks = cbs
 	if ctx.Err() != nil {
-		pl.cbs.built = false // partial discovery must not be reused
 		return truncated()
 	}
 
-	stage = "lifecycle"
+	pl.stage = "lifecycle"
 	lopts := opts.Lifecycle
-	if cn != nil {
+	if pl.cn != nil {
 		// Components entirely outside the escape closure cannot influence
 		// the queried sinks (static fields are the only cross-component
-		// channel) — leave them out of dummy-main modeling. The skip set
-		// is part of the lifecycle key, so changing the query regenerates
-		// the model.
+		// channel) — leave them out of dummy-main modeling.
 		var skip []string
 		for _, comp := range lifecycle.ModeledComponents(pl.app, lopts) {
-			if cn.ComponentSkippable(cbs.EntryPoints(pl.sc, comp)) {
+			if pl.cn.ComponentSkippable(res.Callbacks.EntryPoints(pl.sc, comp)) {
 				skip = append(skip, comp.Class)
 			}
 		}
 		sort.Strings(skip)
 		lopts.SkipComponents = skip
-		res.Counters.ConeMethods = cn.Methods()
+		res.Counters.ConeMethods = pl.cn.Methods()
 		res.Counters.SkippedComponents = len(skip)
 	}
-	entry, err := memo(pl, "lifecycle", fmt.Sprintf("%+v", lopts), &pl.entry,
-		func() (*ir.Method, error) {
-			// The dummy main may already exist in the program (a previous
-			// AnalyzeApp call on the same app); reuse it only when it was
-			// generated for the same component skip set — its marker field
-			// records the set it encoded.
-			if c := pl.app.Program.Class(lifecycle.DummyMainClass); c != nil {
-				if m := c.Method("dummyMain", 0); m != nil {
-					if lifecycle.SkipFingerprintOf(c) == lopts.SkipFingerprint() {
-						return m, nil
-					}
-					return nil, fmt.Errorf("core: %s was generated under a different sink query; reload the app to analyze it under a new query", lifecycle.DummyMainClass)
+	if err := pl.pass("lifecycle", func() error {
+		// The dummy main may already exist in the program (a previous
+		// AnalyzeApp call on the same app); reuse it only when it was
+		// generated for the same component skip set — its marker field
+		// records the set it encoded.
+		if c := pl.app.Program.Class(lifecycle.DummyMainClass); c != nil {
+			if m := c.Method("dummyMain", 0); m != nil {
+				if lifecycle.SkipFingerprintOf(c) != lopts.SkipFingerprint() {
+					return fmt.Errorf("core: %s was generated under a different sink query; reload the app to analyze it under a new query", lifecycle.DummyMainClass)
 				}
+				res.EntryPoint = m
+				return nil
 			}
-			m, err := lifecycle.GenerateWith(pl.app, cbs, pl.sc, lopts)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			// Generation added the dummy-main class to the program.
-			pl.sc.Refresh()
-			return m, nil
-		})
-	if err != nil {
+		}
+		m, err := lifecycle.GenerateWith(pl.app, res.Callbacks, pl.sc, lopts)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		// Generation added the dummy-main class to the program.
+		pl.sc.Refresh()
+		res.EntryPoint = m
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	res.EntryPoint = entry
+	return res, nil
+}
 
-	stage = "callgraph"
-	cgKey := "pta"
-	if opts.UseCHA {
-		cgKey = "cha"
+// solve is one attempt under opts: call graph, ICFG, summary-store
+// session and the taint solve. Its result starts from a copy of
+// prepared, prepare's Complete result.
+func (pl *pipeline) solve(ctx context.Context, opts Options, prepared *Result) (res *Result) {
+	attempt := *prepared
+	res = &attempt
+	defer pl.finish(res)
+
+	pl.stage = "callgraph"
+	if pl.graph == nil || pl.cha != opts.UseCHA {
+		pl.icfg = nil
+		pl.pass("callgraph", func() error {
+			if opts.UseCHA {
+				pl.graph, pl.ptaProps = callgraph.BuildCHAWithExtra(ctx, pl.sc, pl.reflEdges, res.EntryPoint), 0
+			} else {
+				p := pta.BuildWithExtra(ctx, pl.sc, pl.reflEdges, res.EntryPoint)
+				pl.graph, pl.ptaProps = p.Graph, p.Propagations
+			}
+			pl.cha = opts.UseCHA
+			return nil
+		})
 	}
-	// The graph grows from the entry method, so its identity is part of
-	// the key: a regenerated dummy main (new query) invalidates the graph.
-	cgKey = fmt.Sprintf("%s@%p", cgKey, entry)
-	cg, _ := memo(pl, "callgraph", cgKey, &pl.graph, func() (cgArtifact, error) {
-		if opts.UseCHA {
-			return cgArtifact{graph: callgraph.BuildCHAWithExtra(ctx, pl.sc, reflEdges, entry)}, nil
-		}
-		p := pta.BuildWithExtra(ctx, pl.sc, reflEdges, entry)
-		return cgArtifact{graph: p.Graph, ptaProps: p.Propagations}, nil
-	})
-	res.CallGraph = cg.graph
-	res.Counters.PTAPropagations = cg.ptaProps
-	res.Counters.CallGraphEdges = cg.graph.NumEdges()
+	res.CallGraph = pl.graph
+	res.Counters.PTAPropagations = pl.ptaProps
+	res.Counters.CallGraphEdges = pl.graph.NumEdges()
 	if pl.rec != nil {
-		pl.rec.Gauge("callgraph.reachable", metrics.Deterministic).Set(int64(len(cg.graph.Reachable())))
+		pl.rec.Gauge("callgraph.reachable", metrics.Deterministic).Set(int64(len(pl.graph.Reachable())))
 	}
 	if ctx.Err() != nil {
-		pl.graph.built = false // partial call graph must not be reused
-		return truncated()
+		res.Status = DeadlineExceeded
+		return res
 	}
 
-	stage = "icfg"
-	// The ICFG is valid exactly as long as the graph artifact it
-	// stitches; the per-method CFGs inside it are shared via the scene
-	// regardless.
-	icfg, _ := memo(pl, "icfg", fmt.Sprintf("%s@%p", cgKey, cg.graph), &pl.icfg,
-		func() (*cfg.ICFG, error) {
-			return cfg.NewICFG(pl.sc, cg.graph), nil
+	if pl.icfg == nil {
+		// The per-method CFGs inside the ICFG are shared via the scene.
+		pl.pass("icfg", func() error {
+			pl.icfg = cfg.NewICFG(pl.sc, pl.graph)
+			return nil
 		})
+	}
 
-	// Summaries: the persistent-store session for this run, keyed by the
-	// configuration fingerprint and the call graph it hashed methods
-	// against. A degrade rung that changes the fingerprint (CHA,
-	// access-path length) gets its own namespace — its summaries are not
-	// interchangeable with the original configuration's.
+	// Summaries: the persistent-store session for this attempt, scoped by
+	// the configuration fingerprint and the call graph it hashed methods
+	// against. Every rung changes the fingerprint (CHA, access-path
+	// length), so each attempt opens its own session.
 	var sess *summarystore.Session
 	if opts.SummaryStore != nil {
-		stage = "summaries"
-		sumFP := summaryFingerprint(pl.app, opts, qfp)
-		sess, _ = memo(pl, "summaries", fmt.Sprintf("%s@%p", sumFP, cg.graph), &pl.sums,
-			func() (*summarystore.Session, error) {
-				return opts.SummaryStore.Session(pl.app.Package, sumFP, summarystore.HashMethods(cg.graph)), nil
-			})
+		pl.pass("summaries", func() error {
+			sumFP := summaryFingerprint(pl.app, opts)
+			sess = opts.SummaryStore.Session(pl.app.Package, sumFP, summarystore.HashMethods(pl.graph))
+			return nil
+		})
 	}
 
-	stage = "taint"
 	tc := opts.Taint
 	if opts.MaxPropagations > 0 {
 		tc.MaxPropagations = opts.MaxPropagations
 	}
-	if cn != nil {
+	if pl.cn != nil {
 		tc.Cone = &taint.Cone{
-			Relevant:          cn.Relevant,
-			Methods:           cn.Methods(),
+			Relevant:          pl.cn.Relevant,
+			Methods:           pl.cn.Methods(),
 			SkippedComponents: res.Counters.SkippedComponents,
 		}
 	}
 	if sess != nil {
 		tc.Summaries = sess
 	}
-	tres := func() *taint.Results {
-		defer pl.ran("taint")()
-		return taint.Analyze(ctx, icfg, mgr, tc, entry)
-	}()
+	pl.pass("taint", func() error {
+		res.Taint = taint.Analyze(ctx, pl.icfg, pl.mgr, tc, res.EntryPoint)
+		return nil
+	})
 	if sess != nil {
 		// Write back the summaries a completed run recorded. A flush
 		// failure (full disk, permissions) degrades the cache, never the
@@ -564,9 +446,8 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 			res.Counters.SummaryFlushErrors = 1
 		}
 	}
-	res.Taint = tres
-	countersFromTaint(&res.Counters, tres.Stats)
-	switch tres.Status {
+	countersFromTaint(&res.Counters, res.Taint.Stats)
+	switch res.Taint.Status {
 	case taint.Cancelled:
 		res.Status = DeadlineExceeded
 	case taint.BudgetExhausted:
@@ -574,5 +455,5 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	case taint.LeakLimitReached:
 		res.Status = LeakLimitReached
 	}
-	return res, nil
+	return res
 }

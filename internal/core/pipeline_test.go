@@ -9,7 +9,7 @@ import (
 )
 
 // TestPassesOnCompleteRun: a single clean run executes every pass exactly
-// once and reuses nothing.
+// once.
 func TestPassesOnCompleteRun(t *testing.T) {
 	res, err := core.AnalyzeFiles(context.Background(), insecurebank.Files, core.DefaultOptions())
 	if err != nil {
@@ -24,16 +24,16 @@ func TestPassesOnCompleteRun(t *testing.T) {
 			t.Errorf("pass %q missing from Result.Passes", pass)
 			continue
 		}
-		if st.Runs != 1 || st.Hits != 0 {
-			t.Errorf("pass %q: runs %d hits %d, want 1/0 on a single attempt", pass, st.Runs, st.Hits)
+		if st.Runs != 1 {
+			t.Errorf("pass %q: runs %d, want 1 on a single attempt", pass, st.Runs)
 		}
 	}
 }
 
 // TestDegradeLadderReusesUpstreamArtifacts: with CHA selected up front the
 // ladder consists only of access-path-length rungs, which must re-run the
-// taint pass alone — every upstream artifact (callbacks, dummy main, call
-// graph, ICFG, source/sink manager) records a cache hit per retry.
+// taint pass alone — every upstream pass (callbacks, dummy main, call
+// graph, ICFG, source/sink manager) runs once across all attempts.
 func TestDegradeLadderReusesUpstreamArtifacts(t *testing.T) {
 	app := stressApp(t)
 	opts := core.DefaultOptions()
@@ -51,25 +51,22 @@ func TestDegradeLadderReusesUpstreamArtifacts(t *testing.T) {
 		t.Errorf("first rung = %q, want ap-length=3 (CHA already selected)", res.Degraded[0])
 	}
 	attempts := 1 + len(res.Degraded)
-	if got := res.Passes["taint"]; got.Runs != attempts || got.Hits != 0 {
-		t.Errorf("taint: runs %d hits %d, want %d/0 (taint is the retried pass)", got.Runs, got.Hits, attempts)
+	if got := res.Passes["taint"]; got.Runs != attempts {
+		t.Errorf("taint: runs %d, want %d (taint is the retried pass)", got.Runs, attempts)
 	}
 	for _, pass := range []string{"scene", "callbacks", "lifecycle", "callgraph", "icfg", "sourcesink"} {
 		st := res.Passes[pass]
 		if st.Runs != 1 {
-			t.Errorf("pass %q ran %d times across %d attempts, want 1 (ap-length rungs must not invalidate it)",
+			t.Errorf("pass %q ran %d times across %d attempts, want 1 (ap-length rungs must not rebuild it)",
 				pass, st.Runs, attempts)
-		}
-		if st.Hits != attempts-1 {
-			t.Errorf("pass %q: %d hits across %d attempts, want %d", pass, st.Hits, attempts, attempts-1)
 		}
 	}
 }
 
 // TestChaRungInvalidatesCallGraphAndICFGOnly: starting from the points-to
 // call graph, the cha-callgraph rung must rebuild the call graph and the
-// ICFG stitched from it, but keep callbacks, dummy main and the
-// source/sink manager memoized.
+// ICFG stitched from it, but not callbacks, dummy main or the source/sink
+// manager.
 func TestChaRungInvalidatesCallGraphAndICFGOnly(t *testing.T) {
 	app := stressApp(t)
 	opts := core.DefaultOptions()
@@ -84,19 +81,15 @@ func TestChaRungInvalidatesCallGraphAndICFGOnly(t *testing.T) {
 	}
 	attempts := 1 + len(res.Degraded)
 	// One build under "pta", one under "cha"; further (ap-length) rungs
-	// reuse the CHA artifact.
+	// reuse the CHA graph.
 	for _, pass := range []string{"callgraph", "icfg"} {
-		st := res.Passes[pass]
-		if st.Runs != 2 || st.Hits != attempts-2 {
-			t.Errorf("pass %q: runs %d hits %d across %d attempts, want 2/%d (pta build, cha rebuild, then reuse)",
-				pass, st.Runs, st.Hits, attempts, attempts-2)
+		if st := res.Passes[pass]; st.Runs != 2 {
+			t.Errorf("pass %q: runs %d across %d attempts, want 2 (pta build, cha rebuild)", pass, st.Runs, attempts)
 		}
 	}
 	for _, pass := range []string{"scene", "callbacks", "lifecycle", "sourcesink"} {
-		st := res.Passes[pass]
-		if st.Runs != 1 || st.Hits != attempts-1 {
-			t.Errorf("pass %q: runs %d hits %d across %d attempts, want 1/%d",
-				pass, st.Runs, st.Hits, attempts, attempts-1)
+		if st := res.Passes[pass]; st.Runs != 1 {
+			t.Errorf("pass %q: runs %d across %d attempts, want 1", pass, st.Runs, attempts)
 		}
 	}
 	if got := res.Passes["taint"]; got.Runs != attempts {

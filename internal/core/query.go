@@ -23,6 +23,6 @@ type Query struct {
 func (q Query) IsAll() bool { return len(q.Sinks) == 0 }
 
 // Fingerprint returns a short stable fingerprint of the query for
-// artifact and circuit-breaker keying: order- and duplicate-insensitive,
+// summary-store and circuit-breaker keying: order- and duplicate-insensitive,
 // empty for the all-sinks query.
 func (q Query) Fingerprint() string { return sourcesink.QueryFingerprint(q.Sinks) }

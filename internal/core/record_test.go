@@ -19,7 +19,7 @@ import (
 // TestRecorderAgreesWithCounters: the result is the run's only record,
 // and the recorder series backed by it are published from it. On a fresh
 // recorder, every Counters field with a metric tag must equal its series
-// and every pipeline.<pass>.runs/hits must equal Result.Passes, across
+// and every pipeline.<pass>.runs must equal Result.Passes, across
 // whole-program, query, reflective, store, flush-failure and degraded
 // runs. On the degraded run the series describe the final attempt, as
 // the counters do.
@@ -116,9 +116,6 @@ func checkRecord(t *testing.T, res *core.Result, snap metrics.Snapshot) {
 	for name, st := range res.Passes {
 		if got := snap.Deterministic["pipeline."+name+".runs"]; got != int64(st.Runs) {
 			t.Errorf("pipeline.%s.runs = %d, want Passes[%s].Runs = %d", name, got, name, st.Runs)
-		}
-		if got := snap.Deterministic["pipeline."+name+".hits"]; got != int64(st.Hits) {
-			t.Errorf("pipeline.%s.hits = %d, want Passes[%s].Hits = %d", name, got, name, st.Hits)
 		}
 	}
 	for key := range snap.Deterministic {

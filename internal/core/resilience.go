@@ -141,7 +141,7 @@ func (c *Counters) Add(o Counters) {
 }
 
 // publish writes a finished run's record into the recorder: every
-// Counters field with a metric tag, and every pass's runs and hits. It is
+// Counters field with a metric tag, and every pass's runs. It is
 // the only writer of these series, so they equal the result by
 // construction. Counters add, so a recorder shared by many runs sums
 // them; gauges hold the last run's value.
@@ -157,7 +157,7 @@ func publish(rec *metrics.Recorder, res *Result) {
 			continue
 		}
 		n, pass := v.Field(i).Int(), f.Tag.Get("pass")
-		if st := res.Passes[pass]; pass == "" && n == 0 || pass != "" && st.Runs+st.Hits == 0 {
+		if pass == "" && n == 0 || pass != "" && res.Passes[pass].Runs == 0 {
 			continue // its pass was never reached, or its event never happened
 		}
 		class := metrics.Deterministic
@@ -171,12 +171,7 @@ func publish(rec *metrics.Recorder, res *Result) {
 		}
 	}
 	for name, st := range res.Passes {
-		if st.Runs > 0 {
-			rec.Counter("pipeline."+name+".runs", metrics.Deterministic).Add(int64(st.Runs))
-		}
-		if st.Hits > 0 {
-			rec.Counter("pipeline."+name+".hits", metrics.Deterministic).Add(int64(st.Hits))
-		}
+		rec.Counter("pipeline."+name+".runs", metrics.Deterministic).Add(int64(st.Runs))
 	}
 }
 

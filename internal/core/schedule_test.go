@@ -14,52 +14,11 @@ import (
 	"flowdroid/internal/taint"
 )
 
-// TestWorkerCountEquivalenceOnApp pins the one-schedule relation that
-// replaced equivalence across solver worker counts on the full pipeline:
-// an analysis runs on one goroutine, so two runs over the stress app must
-// agree byte for byte — report with path witnesses, counters and the
-// deterministic metrics section.
-func TestWorkerCountEquivalenceOnApp(t *testing.T) {
-	app := stressApp(t)
-	var baseJSON, baseDet []byte
-	var baseCounters core.Counters
-	for run := 0; run < 2; run++ {
-		rec := metrics.New()
-		res, err := core.AnalyzeFiles(metrics.Into(context.Background(), rec), app.Files, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status != core.Complete {
-			t.Fatalf("run %d: status %v", run, res.Status)
-		}
-		js, err := json.Marshal(res.Taint.Report())
-		if err != nil {
-			t.Fatal(err)
-		}
-		det, err := json.Marshal(rec.Snapshot().Deterministic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run == 0 {
-			baseJSON, baseDet, baseCounters = js, det, res.Counters
-			continue
-		}
-		if !bytes.Equal(baseJSON, js) {
-			t.Errorf("report with witnesses differs between runs:\n%s\nvs\n%s", baseJSON, js)
-		}
-		if res.Counters != baseCounters {
-			t.Errorf("counters differ between runs: %+v vs %+v", res.Counters, baseCounters)
-		}
-		if !bytes.Equal(baseDet, det) {
-			t.Errorf("deterministic metrics differ between runs:\n%s\nvs\n%s", baseDet, det)
-		}
-	}
-}
-
 // TestOneScheduleIsReproducible: an analysis explores in one fixed order,
 // so repeated runs of one configuration over one app agree byte for byte
-// — the report with its path witnesses, and every counter — on completed
-// runs and on runs a propagation budget cuts short at the same frontier.
+// — the report with its path witnesses, every counter and the
+// deterministic metrics section — on completed runs and on runs a
+// propagation budget cuts short at the same frontier.
 func TestOneScheduleIsReproducible(t *testing.T) {
 	type input struct {
 		name  string
@@ -81,10 +40,11 @@ func TestOneScheduleIsReproducible(t *testing.T) {
 		for _, budget := range []int{0, 200, 3000} {
 			opts := core.DefaultOptions()
 			opts.MaxPropagations = budget
-			var want []byte
+			var want, wantDet []byte
 			var wantCounters core.Counters
 			for run := 0; run < runs; run++ {
-				res, err := core.AnalyzeFiles(context.Background(), in.files, opts)
+				rec := metrics.New()
+				res, err := core.AnalyzeFiles(metrics.Into(context.Background(), rec), in.files, opts)
 				if err != nil {
 					t.Fatalf("%s budget %d: %v", in.name, budget, err)
 				}
@@ -92,8 +52,12 @@ func TestOneScheduleIsReproducible(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				det, err := json.Marshal(rec.Snapshot().Deterministic)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if run == 0 {
-					want, wantCounters = got, res.Counters
+					want, wantDet, wantCounters = got, det, res.Counters
 					if res.Status == core.BudgetExhausted {
 						cut[budget]++
 					}
@@ -104,6 +68,9 @@ func TestOneScheduleIsReproducible(t *testing.T) {
 				}
 				if res.Counters != wantCounters {
 					t.Fatalf("%s budget %d run %d: counters %+v, want %+v", in.name, budget, run, res.Counters, wantCounters)
+				}
+				if !bytes.Equal(det, wantDet) {
+					t.Fatalf("%s budget %d run %d: deterministic metrics differ from run 0:\n%s\nvs\n%s", in.name, budget, run, wantDet, det)
 				}
 			}
 		}

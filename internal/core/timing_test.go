@@ -14,7 +14,6 @@ import (
 
 	"flowdroid/internal/apk"
 	"flowdroid/internal/metrics"
-	"flowdroid/internal/sourcesink"
 	"flowdroid/internal/testapps"
 )
 
@@ -31,19 +30,23 @@ func timingApp(t *testing.T) *apk.App {
 
 // TestPanicDuringTaintChargesTaintTime: a panic raised inside the taint
 // stage must yield Recovered with stage "taint", a nonzero
-// PassTimes["taint"], and setup passes that were timed too. The panic is forced by
-// pre-seeding the sourcesink memo with a nil manager (a hit), which the
-// taint engine nil-derefs while seeding.
+// PassTimes["taint"], and setup passes that were timed too. The panic is
+// forced by dropping the source/sink manager between prepare and solve,
+// which the taint engine nil-derefs while seeding.
 func TestPanicDuringTaintChargesTaintTime(t *testing.T) {
 	app := timingApp(t)
 	opts := DefaultOptions()
-	pl := newPipeline(app)
-	pl.mgr = artifact[*sourcesink.Manager]{built: true, key: opts.SourceSinkRules + "\x00" + opts.Query.Fingerprint()}
-
-	res, err := pl.run(context.Background(), opts)
+	pl := newPipeline(app, nil)
+	prepared, err := pl.prepare(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if prepared.Status != Complete {
+		t.Fatalf("prepare status = %v, want %v", prepared.Status, Complete)
+	}
+	pl.mgr = nil
+
+	res := pl.solve(context.Background(), opts, prepared)
 	if res.Status != Recovered {
 		t.Fatalf("status = %v, want %v", res.Status, Recovered)
 	}

@@ -59,13 +59,37 @@ func (c *Const) String() string {
 	case IntConst:
 		return fmt.Sprintf("%d", c.Int)
 	case StringConst:
-		return fmt.Sprintf("%q", c.Str)
+		return quote(c.Str)
 	case NullConst:
 		return "null"
 	case ResConst:
 		return "@" + c.Str
 	}
 	return "?"
+}
+
+// quote renders s as a string literal that the IR lexer reads back as s.
+// It escapes only what the lexer decodes — '"' and '\\' as escaped
+// bytes, newline and tab as \n and \t — and writes every other byte raw.
+func quote(s string) string {
+	var sb strings.Builder
+	sb.Grow(len(s) + 2)
+	sb.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\\':
+			sb.WriteByte('\\')
+			sb.WriteByte(c)
+		case '\n':
+			sb.WriteString(`\n`)
+		case '\t':
+			sb.WriteString(`\t`)
+		default:
+			sb.WriteByte(c)
+		}
+	}
+	sb.WriteByte('"')
+	return sb.String()
 }
 
 // IntOf returns an integer constant.

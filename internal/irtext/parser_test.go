@@ -369,3 +369,35 @@ class A implements J {
 		t.Error("interface method should resolve as abstract")
 	}
 }
+
+// TestStringConstRoundTrip: a string constant holding every byte value
+// prints as a literal the lexer reads back unchanged, so printing a parsed
+// program and parsing the output again is a fixed point (irfmt's
+// contract).
+func TestStringConstRoundTrip(t *testing.T) {
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	want := string(all)
+	format := func(src string) string {
+		t.Helper()
+		prog, err := ParseProgram(src, "s.ir")
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		as, ok := prog.Class("A").Method("m", 0).Body()[0].(*ir.AssignStmt)
+		if !ok {
+			t.Fatal("first statement is not an assignment")
+		}
+		if c, ok := as.RHS.(*ir.Const); !ok || c.Kind != ir.StringConst || c.Str != want {
+			t.Fatalf("constant read back as %q, want every byte 0-255 in order", as.RHS)
+		}
+		return ir.PrintClass(prog.Class("A"))
+	}
+	src := "class A {\n  static method m(): void {\n    x = " + ir.StringOf(want).String() + "\n    return\n  }\n}\n"
+	once := format(src)
+	if twice := format(once); twice != once {
+		t.Errorf("formatting is not a fixed point:\n%q\nvs\n%q", once, twice)
+	}
+}

@@ -151,7 +151,7 @@ func TestDummyMainIsAnalyzable(t *testing.T) {
 }
 
 func TestLifecycleUnawareMode(t *testing.T) {
-	opts := Options{ModelLifecycle: false, InvokeCallbacks: true}
+	opts := Options{Mode: CreateOnly, InvokeCallbacks: true}
 	_, main := genLeakage(t, opts)
 	joined := strings.Join(callNames(main), " ")
 	if strings.Contains(joined, "onRestart") || strings.Contains(joined, "onPause") {
@@ -163,7 +163,7 @@ func TestLifecycleUnawareMode(t *testing.T) {
 }
 
 func TestNoCallbacksMode(t *testing.T) {
-	opts := Options{ModelLifecycle: true, InvokeCallbacks: false}
+	opts := Options{InvokeCallbacks: false}
 	_, main := genLeakage(t, opts)
 	joined := strings.Join(callNames(main), " ")
 	if strings.Contains(joined, "sendMessage") {

@@ -105,11 +105,11 @@ func (m *Manager) QueriedSinks() []Sink {
 	return out
 }
 
-// QueryFingerprint fingerprints a selector set for artifact keying:
-// selectors are deduplicated and sorted so equal queries in any order
-// fingerprint identically. The empty query (all sinks) is the empty
-// string, keeping whole-program artifact keys byte-identical to the
-// pre-query pipeline's.
+// QueryFingerprint fingerprints a selector set for summary-store and
+// circuit-breaker keying: selectors are deduplicated and sorted so equal
+// queries in any order fingerprint identically. The empty query (all
+// sinks) is the empty string, keeping whole-program keys byte-identical
+// to the pre-query pipeline's.
 func QueryFingerprint(selectors []string) string {
 	if len(selectors) == 0 {
 		return ""

@@ -61,9 +61,8 @@ type Config struct {
 	// leak on a queried sink — such a call tree has no potential sources,
 	// no queried sinks, and no static-field writes). Taint facts are
 	// never pruned: a tainted value may pass through an irrelevant callee
-	// and return. The Cone is fingerprint-neutral like the rest of the
-	// taint configuration — it changes how much the solver explores,
-	// never which upstream artifact it runs on.
+	// and return. The Cone changes how much the solver explores, never
+	// what a completed run reports.
 	Cone *Cone
 	// Summaries, when non-nil, is a persistent method-summary session
 	// (see internal/summarystore): the solver consults it once per

@@ -63,7 +63,7 @@ func run(args []string) int {
 		export      = flags.String("export", "", "also write the generated app packages under this directory")
 		timeout     = flags.Duration("timeout", 0, "per-app analysis deadline (0 = none)")
 		maxProps    = flags.Int("max-propagations", 0, "per-app taint-propagation budget (0 = unlimited)")
-		degrade     = flags.Bool("degrade", false, "retry budget-exhausted apps with cheaper configurations")
+		degrade     = flags.Bool("degrade", false, "retry budget-exhausted apps with shorter access paths (length 3, then 1)")
 		forcePanic  = flags.String("force-panic", "", "inject a panic while analyzing the named app (tests batch isolation)")
 		lint        = flags.Bool("lint", false, "run the IR verifier before each app's solvers")
 		sinks       = flags.String("sinks", "", "comma-separated sink selectors for a demand-driven query (empty = all sinks)")

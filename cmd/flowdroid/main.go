@@ -11,7 +11,7 @@
 // lifecycle model, on-demand alias analysis with activation statements,
 // taint wrapper enabled. Runs can be bounded with -timeout and
 // -max-propagations; -degrade retries a budget-exhausted run with
-// cheaper configurations (CHA call graph, then shorter access paths).
+// shorter access paths (length 3, then 1).
 //
 // Exit codes distinguish the outcomes corpus scripts branch on:
 //
@@ -127,7 +127,7 @@ func run() int {
 		bank        = flags.Bool("insecurebank", false, "analyze the built-in InsecureBank app (RQ2)")
 		timeout     = flags.Duration("timeout", 0, "abort the analysis after this long and report the partial result (0 = no limit)")
 		maxProps    = flags.Int("max-propagations", 0, "taint-propagation budget; 0 = unlimited")
-		degrade     = flags.Bool("degrade", false, "on budget exhaustion retry with cheaper configurations (CHA, shorter access paths)")
+		degrade     = flags.Bool("degrade", false, "on budget exhaustion retry with shorter access paths (length 3, then 1)")
 		summaryDir  = flags.String("summary-dir", "", "persistent method-summary store directory for warm re-analysis (empty = disabled)")
 		lint        = flags.Bool("lint", false, "run the IR verifier before the solvers; Error diagnostics abort with status InvalidProgram")
 		lintEnable  = flags.String("lint.enable", "", "comma-separated analyzer names to run (default: all)")
@@ -330,8 +330,8 @@ func run() int {
 			}
 		}
 		fmt.Printf("\nsetup %v, taint analysis %v\n", setup, res.PassTimes["taint"])
-		fmt.Printf("forward edges %d, backward edges %d, alias queries %d (%d gated), summaries %d, peak abstractions %d\n",
-			st.ForwardEdges, st.BackwardEdges, st.AliasQueries, st.GatedAliasQueries, st.Summaries, st.PeakAbstractions)
+		fmt.Printf("forward edges %d, backward edges %d, alias queries %d, summaries %d, peak abstractions %d\n",
+			st.ForwardEdges, st.BackwardEdges, st.AliasQueries, st.Summaries, st.PeakAbstractions)
 		if c := res.Counters; c.Bodies > 0 {
 			fmt.Printf("method bodies parsed: %d of %d (%.0f%%)\n", c.BodiesParsed, c.Bodies, 100*float64(c.BodiesParsed)/float64(c.Bodies))
 		}

@@ -307,7 +307,7 @@ func (g *gen) emitHelper(idx, methods int, stmts minMax) {
 				// append/insert (value into receiver) and toString (receiver
 				// back out), exercising the string-carrier transfers. The
 				// multi-call chain gives the receiver alias search a real
-				// backward region to walk when the carrier gate is off.
+				// backward region to walk.
 				sb := g.fresh("sb")
 				fmt.Fprintf(&g.code, "    %s = new java.lang.StringBuilder()\n", sb)
 				fmt.Fprintf(&g.code, "    %s.append(\"seed-%d\")\n", sb, s)

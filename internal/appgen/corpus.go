@@ -242,10 +242,11 @@ func (s CorpusStats) Render() string {
 		s.AppsWithLeaks, 100*float64(s.AppsWithLeaks)/float64(max(1, s.Apps)))
 	fmt.Fprintf(&sb, "  leaks found: %d (injected ground truth: %d), %.2f leaks/app\n",
 		s.TotalFound, s.TotalInjected, s.AvgLeaksPerApp())
-	comp := s.Times[core.Complete.String()]
-	fmt.Fprintf(&sb, "  analysis time (completed apps): avg %v, min %v, max %v (slowest: %s)\n",
-		s.AvgTime().Round(time.Microsecond), comp.Min.Round(time.Microsecond),
-		comp.Max.Round(time.Microsecond), comp.Slowest)
+	if comp := s.Times[core.Complete.String()]; comp.Apps > 0 {
+		fmt.Fprintf(&sb, "  analysis time (completed apps): avg %v, min %v, max %v (slowest: %s)\n",
+			comp.Avg().Round(time.Microsecond), comp.Min.Round(time.Microsecond),
+			comp.Max.Round(time.Microsecond), comp.Slowest)
+	}
 	var outcomes []string
 	for k, r := range s.Times {
 		if k != core.Complete.String() && r.Apps > 0 {

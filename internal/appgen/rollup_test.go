@@ -63,15 +63,16 @@ func TestCorpusRollupSplitOnPanic(t *testing.T) {
 	if stats.AvgTime() != comp.Avg() {
 		t.Errorf("AvgTime() = %v, want the completed apps' mean %v", stats.AvgTime(), comp.Avg())
 	}
-	if !strings.Contains(stats.Render(), "analysis time (Recovered)") {
-		t.Errorf("summary does not render the Recovered rollup:\n%s", stats.Render())
+	if out := stats.Render(); !strings.Contains(out, "analysis time (Recovered)") || !strings.Contains(out, "analysis time (completed apps)") {
+		t.Errorf("summary does not render the Recovered and completed rollups:\n%s", out)
 	}
 }
 
 // TestCorpusRollupSplitOnTimeout: with every app timed out, the
 // completed rollup stays empty, the DeadlineExceeded rollup holds all
-// apps, and AvgTime falls back to the all-apps mean rather than
-// dividing by zero.
+// apps, AvgTime falls back to the all-apps mean rather than dividing by
+// zero, and the summary has no completed-apps time line (its min, max
+// and slowest app would be empty).
 func TestCorpusRollupSplitOnTimeout(t *testing.T) {
 	const n = 3
 	stats, err := RunCorpusWith(context.Background(), Play, n, 7, core.DefaultOptions(), RunOptions{Timeout: time.Nanosecond})
@@ -87,6 +88,9 @@ func TestCorpusRollupSplitOnTimeout(t *testing.T) {
 	}
 	if stats.AvgTime() <= 0 {
 		t.Errorf("AvgTime() = %v with every app truncated, want the all-apps fallback mean", stats.AvgTime())
+	}
+	if out := stats.Render(); strings.Contains(out, "completed apps") {
+		t.Errorf("summary renders a completed-apps time line with no completed app:\n%s", out)
 	}
 }
 

@@ -78,9 +78,8 @@ type Options struct {
 	MaxPropagations int
 	// Degrade enables the graceful-degradation ladder: when the
 	// propagation budget runs out and the context still has time, the
-	// analysis is retried with cheaper configurations (CHA call graph,
-	// then access-path length 3, then 1), recording each downgrade in
-	// Result.Degraded.
+	// taint solve is retried with access-path length 3, then 1,
+	// recording each downgrade in Result.Degraded.
 	Degrade bool
 	// SummaryStore, when non-nil, enables the persistent method-summary
 	// store (see internal/summarystore; summarystore.Open(dir) opens one,
@@ -159,10 +158,10 @@ func (r *Result) Leaks() []*taint.Leak { return r.Taint.DistinctSourceSinkPairs(
 // any stage is recovered into Status == Recovered. Load and
 // configuration problems are still reported as ordinary errors.
 //
-// The passes upstream of the call graph run once. With Options.Degrade,
-// a budget-exhausted solve is retried down the degradation ladder: the
-// CHA rung rebuilds the call graph and ICFG, access-path-length rungs
-// re-run the taint solve alone, which Result.Passes makes observable.
+// The passes upstream of the taint solve run once. With Options.Degrade,
+// a budget-exhausted solve is retried down the degradation ladder, whose
+// access-path-length rungs re-run the taint solve alone, which
+// Result.Passes makes observable.
 //
 // The result is the run's record. On the way out it is published into
 // the context's metrics recorder, if any: the Counters series describe

@@ -66,12 +66,11 @@ func (ps PassStats) String() string {
 
 // pipeline is one AnalyzeApp call's pass graph, Figure 4 of the paper run
 // straight through. prepare runs the passes no degrade rung changes, once:
-// scene, sourcesink, verify, constprop, cone, callbacks and lifecycle.
-// solve runs the rest — callgraph, icfg, summaries and taint — once per
-// attempt; a rung changes only UseCHA and the access-path length, so solve
-// rebuilds the call graph and ICFG only when UseCHA differs from the graph
-// it holds. The ladder retries only BudgetExhausted, which only a finished
-// solve prefix reaches, so no partial product is ever reused.
+// scene, sourcesink, verify, constprop, cone, callbacks, lifecycle,
+// callgraph and icfg. solve runs the rest — summaries and taint — once
+// per attempt; a rung changes only the access-path length. The ladder
+// retries only BudgetExhausted, which only a finished prepare reaches, so
+// no partial product is ever reused.
 type pipeline struct {
 	app *apk.App
 	rec *metrics.Recorder // nil when metrics are disabled
@@ -85,12 +84,8 @@ type pipeline struct {
 	mgr       *sourcesink.Manager
 	reflEdges map[ir.Stmt][]*ir.Method
 	cn        *cone.Cone
-
-	// The call graph and ICFG solve holds, built under UseCHA == cha.
-	cha      bool
-	graph    *callgraph.Graph
-	ptaProps int
-	icfg     *cfg.ICFG
+	graph     *callgraph.Graph
+	icfg      *cfg.ICFG
 }
 
 // clickHandlers collects each layout's declaratively registered click
@@ -189,10 +184,10 @@ func (pl *pipeline) finish(res *Result) {
 	}
 }
 
-// prepare runs the passes upstream of the call graph. Its result holds
+// prepare runs the passes upstream of the taint solve. Its result holds
 // what every attempt's result starts from — Lint, Soundness, Callbacks,
-// EntryPoint and the reflection and cone counters; a Status other than
-// Complete ends the run before any solve.
+// EntryPoint, CallGraph and the reflection, cone and call-graph counters;
+// a Status other than Complete ends the run before any solve.
 func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err error) {
 	res = &Result{App: pl.app, Status: Complete, Taint: &taint.Results{}}
 	defer pl.finish(res)
@@ -363,54 +358,45 @@ func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err
 	}); err != nil {
 		return nil, err
 	}
-	return res, nil
-}
 
-// solve is one attempt under opts: call graph, ICFG, summary-store
-// session and the taint solve. Its result starts from a copy of
-// prepared, prepare's Complete result.
-func (pl *pipeline) solve(ctx context.Context, opts Options, prepared *Result) (res *Result) {
-	attempt := *prepared
-	res = &attempt
-	defer pl.finish(res)
-
-	pl.stage = "callgraph"
-	if pl.graph == nil || pl.cha != opts.UseCHA {
-		pl.icfg = nil
-		pl.pass("callgraph", func() error {
-			if opts.UseCHA {
-				pl.graph, pl.ptaProps = callgraph.BuildCHAWithExtra(ctx, pl.sc, pl.reflEdges, res.EntryPoint), 0
-			} else {
-				p := pta.BuildWithExtra(ctx, pl.sc, pl.reflEdges, res.EntryPoint)
-				pl.graph, pl.ptaProps = p.Graph, p.Propagations
-			}
-			pl.cha = opts.UseCHA
-			return nil
-		})
-	}
+	pl.pass("callgraph", func() error {
+		if opts.UseCHA {
+			pl.graph = callgraph.BuildCHAWithExtra(ctx, pl.sc, pl.reflEdges, res.EntryPoint)
+		} else {
+			p := pta.BuildWithExtra(ctx, pl.sc, pl.reflEdges, res.EntryPoint)
+			pl.graph, res.Counters.PTAPropagations = p.Graph, p.Propagations
+		}
+		return nil
+	})
 	res.CallGraph = pl.graph
-	res.Counters.PTAPropagations = pl.ptaProps
 	res.Counters.CallGraphEdges = pl.graph.NumEdges()
 	if pl.rec != nil {
 		pl.rec.Gauge("callgraph.reachable", metrics.Deterministic).Set(int64(len(pl.graph.Reachable())))
 	}
 	if ctx.Err() != nil {
-		res.Status = DeadlineExceeded
-		return res
+		return truncated()
 	}
 
-	if pl.icfg == nil {
-		// The per-method CFGs inside the ICFG are shared via the scene.
-		pl.pass("icfg", func() error {
-			pl.icfg = cfg.NewICFG(pl.sc, pl.graph)
-			return nil
-		})
-	}
+	// The per-method CFGs inside the ICFG are shared via the scene.
+	pl.pass("icfg", func() error {
+		pl.icfg = cfg.NewICFG(pl.sc, pl.graph)
+		return nil
+	})
+	return res, nil
+}
+
+// solve is one attempt under opts: the summary-store session and the
+// taint solve. Its result starts from a copy of prepared, prepare's
+// Complete result.
+func (pl *pipeline) solve(ctx context.Context, opts Options, prepared *Result) (res *Result) {
+	attempt := *prepared
+	res = &attempt
+	defer pl.finish(res)
 
 	// Summaries: the persistent-store session for this attempt, scoped by
 	// the configuration fingerprint and the call graph it hashed methods
-	// against. Every rung changes the fingerprint (CHA, access-path
-	// length), so each attempt opens its own session.
+	// against. Every rung changes the fingerprint (access-path length),
+	// so each attempt opens its own session.
 	var sess *summarystore.Session
 	if opts.SummaryStore != nil {
 		pl.pass("summaries", func() error {

@@ -203,13 +203,10 @@ type degradeStep struct {
 }
 
 // degradeLadder returns the downgrade rungs applicable to opts, cheapest
-// precision loss first: swap points-to for CHA, then shorten access
-// paths. Each rung is cumulative with the previous ones.
+// precision loss first: shorten access paths to 3, then to 1. A rung
+// changes only the taint solve; the call graph stays as configured.
 func degradeLadder(opts Options) []degradeStep {
 	var steps []degradeStep
-	if !opts.UseCHA {
-		steps = append(steps, degradeStep{"cha-callgraph", func(o *Options) { o.UseCHA = true }})
-	}
 	if opts.Taint.APLength > 3 || opts.Taint.APLength <= 0 {
 		steps = append(steps, degradeStep{"ap-length=3", func(o *Options) { o.Taint.APLength = 3 }})
 	}

@@ -99,8 +99,8 @@ func TestBudgetExhausted(t *testing.T) {
 }
 
 // TestGracefulDegradation: with -degrade semantics enabled, a budget-
-// exhausted run walks the ladder (CHA, then shorter access paths) and
-// records each rung it applied.
+// exhausted run walks the ladder (shorter access paths) and records each
+// rung it applied.
 func TestGracefulDegradation(t *testing.T) {
 	app := stressApp(t)
 	opts := core.DefaultOptions()
@@ -113,8 +113,8 @@ func TestGracefulDegradation(t *testing.T) {
 	if len(res.Degraded) == 0 {
 		t.Fatal("budget-exhausted run with Degrade on recorded no downgrade rungs")
 	}
-	if res.Degraded[0] != "cha-callgraph" {
-		t.Errorf("first rung = %q, want cha-callgraph (cheapest precision loss first)", res.Degraded[0])
+	if res.Degraded[0] != "ap-length=3" {
+		t.Errorf("first rung = %q, want ap-length=3 (cheapest precision loss first)", res.Degraded[0])
 	}
 
 	// A run that never exhausts anything must not degrade.

@@ -9,18 +9,15 @@ import (
 	"flowdroid/internal/core"
 )
 
-// TestStringCarrierEquivalence: the string-carrier alias gate decides
-// once per call site, so every DroidBench case must produce a
-// byte-identical report, path witnesses included, and the same performed
-// and gated alias-search counts on repeated runs. The gate-on versus
-// un-gated comparison lives in the taint package's TestGateEquivalence,
-// the only place the reference mode is reachable.
+// TestStringCarrierEquivalence: every DroidBench case must produce a
+// byte-identical report, path witnesses included, and the same alias
+// search count on repeated runs.
 func TestStringCarrierEquivalence(t *testing.T) {
 	for _, c := range Cases() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			var base []byte
-			var baseAlias, baseGated int
+			var baseAlias int
 			for run := 0; run < 2; run++ {
 				res, err := core.AnalyzeFiles(context.Background(), c.Files, core.DefaultOptions())
 				if err != nil {
@@ -30,17 +27,16 @@ func TestStringCarrierEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st := res.Taint.Stats
+				alias := res.Taint.Stats.AliasQueries
 				if run == 0 {
-					base, baseAlias, baseGated = js, st.AliasQueries, st.GatedAliasQueries
+					base, baseAlias = js, alias
 					continue
 				}
 				if !bytes.Equal(base, js) {
 					t.Errorf("report differs between runs:\n%s\nvs\n%s", base, js)
 				}
-				if st.AliasQueries != baseAlias || st.GatedAliasQueries != baseGated {
-					t.Errorf("%d alias searches, %d gated; first run: %d, %d",
-						st.AliasQueries, st.GatedAliasQueries, baseAlias, baseGated)
+				if alias != baseAlias {
+					t.Errorf("%d alias searches; first run: %d", alias, baseAlias)
 				}
 			}
 		})

@@ -5,12 +5,9 @@ import (
 	"testing"
 )
 
-// TestStringCarrierEquivalence: the string-carrier alias gate decides
-// once per call site, so every SecuriBench case must produce a
-// byte-identical report and the same performed and gated alias-search
-// counts on repeated runs. The gate-on versus un-gated comparison lives
-// in the taint package's TestGateEquivalence, the only place the
-// reference mode is reachable.
+// TestStringCarrierEquivalence: every SecuriBench case must produce a
+// byte-identical report and the same alias search count on repeated
+// runs.
 func TestStringCarrierEquivalence(t *testing.T) {
 	for _, c := range Cases() {
 		c := c
@@ -19,9 +16,8 @@ func TestStringCarrierEquivalence(t *testing.T) {
 			if a, b := reportJSON(t, first), reportJSON(t, again); !bytes.Equal(a, b) {
 				t.Errorf("report differs between runs:\n%s\nvs\n%s", a, b)
 			}
-			if a, b := first.Stats, again.Stats; a.AliasQueries != b.AliasQueries || a.GatedAliasQueries != b.GatedAliasQueries {
-				t.Errorf("%d alias searches, %d gated; first run: %d, %d",
-					b.AliasQueries, b.GatedAliasQueries, a.AliasQueries, a.GatedAliasQueries)
+			if a, b := first.Stats.AliasQueries, again.Stats.AliasQueries; a != b {
+				t.Errorf("%d alias searches; first run: %d", b, a)
 			}
 		})
 	}

@@ -126,8 +126,8 @@ type Request struct {
 	// MaxPropagations is the taint propagation budget (0 inherits the
 	// server default).
 	MaxPropagations int `json:"maxPropagations,omitempty"`
-	// Degrade enables the CHA/access-path degradation ladder on budget
-	// exhaustion.
+	// Degrade enables the access-path degradation ladder (length 3, then
+	// 1) on budget exhaustion.
 	Degrade bool `json:"degrade,omitempty"`
 	// APLength overrides the maximal access-path length (0 = paper
 	// default of 5).

@@ -8,7 +8,7 @@ import (
 
 // carrierFixtures are the string-carrier test programs. Every fixture is
 // also a report-identity case: across repeated runs
-// (TestCarrierEquivalence) and against the un-gated reference mode
+// (TestCarrierEquivalence) and against the report golden
 // (TestGateEquivalence).
 var carrierFixtures = []struct {
 	Name string
@@ -150,7 +150,7 @@ class Main {
 `
 
 // An explicit alias of the builder taken before the tainted append: the
-// receiver alias search is load-bearing and the gate must stay open.
+// receiver alias search is load-bearing.
 const carrierAliasCaptured = `
 class Main {
   static method main(): void {
@@ -166,8 +166,8 @@ class Main {
 }
 `
 
-// An upstream append whose result was captured: r aliases sb, so the gate
-// must stay open at the later tainted append.
+// An upstream append whose result was captured: r aliases sb at the later
+// tainted append.
 const carrierResultCaptured = `
 class Main {
   static method main(): void {
@@ -182,8 +182,7 @@ class Main {
 }
 `
 
-// The builder is a parameter: its aliases live in the caller, so the gate
-// must stay open inside the callee.
+// The builder is a parameter: its aliases live in the caller.
 const carrierParamBase = `
 class Main {
   static method pump(sb: java.lang.StringBuilder): void {
@@ -202,8 +201,7 @@ class Main {
 `
 
 // The carrier sits in a method that can re-enter itself: facts seeded by
-// the outer activation can activate at the recursive call site, so the
-// gate's region proof does not apply.
+// the outer activation can activate at the recursive call site.
 const carrierRecursive = `
 class Main {
   static method loopy(s: java.lang.String): java.lang.String {
@@ -263,36 +261,6 @@ func TestCarrierTransfers(t *testing.T) {
 	}
 	for _, c := range checks {
 		expectLeak(t, c.src, c.marker, c.want, DefaultConfig())
-	}
-}
-
-// TestCarrierGateFires: on the canonical fresh-builder pattern the receiver
-// alias searches are provably redundant and must be gated.
-func TestCarrierGateFires(t *testing.T) {
-	r := analyze(t, carrierAppend, DefaultConfig())
-	if r.Stats.GatedAliasQueries == 0 {
-		t.Error("expected gated alias queries on the fresh-builder fixture, got 0")
-	}
-	r = analyze(t, carrierAppend, WithoutAliasGate(DefaultConfig()))
-	if r.Stats.GatedAliasQueries != 0 {
-		t.Errorf("reference mode: GatedAliasQueries = %d, want 0", r.Stats.GatedAliasQueries)
-	}
-}
-
-// TestCarrierGateStaysOpen: each fixture that makes the receiver alias
-// search load-bearing (or unprovable) must record zero gated queries — the
-// gate may never fire where skipping could lose facts.
-func TestCarrierGateStaysOpen(t *testing.T) {
-	for _, f := range []struct{ name, src string }{
-		{"alias-captured", carrierAliasCaptured},
-		{"result-captured", carrierResultCaptured},
-		{"param-base", carrierParamBase},
-		{"recursive", carrierRecursive},
-	} {
-		r := analyze(t, f.src, DefaultConfig())
-		if n := r.Stats.GatedAliasQueries; n != 0 {
-			t.Errorf("%s: GatedAliasQueries = %d, want 0", f.name, n)
-		}
 	}
 }
 

@@ -74,13 +74,6 @@ type Config struct {
 	// Like the Cone it never changes the leak report, only how much of
 	// it is recomputed.
 	Summaries Summaries
-
-	// noAliasGate selects the un-gated reference mode: every carrier
-	// receiver gen spawns its backward alias search (see carrier.go).
-	// The leak report is byte-identical either way; tests set it through
-	// WithoutAliasGate to compare against, and never together with a
-	// summary store, whose fingerprint does not cover it.
-	noAliasGate bool
 }
 
 // Cone is the solver's view of the reachability-cone pass (built in
@@ -195,8 +188,9 @@ type Stats struct {
 	ForwardEdges  int
 	BackwardEdges int
 	AliasQueries  int
-	// GatedAliasQueries counts receiver alias searches at string-carrier
-	// call sites that the alias gate proved redundant and skipped.
+	// GatedAliasQueries is always 0: every receiver gen spawns its alias
+	// search (AliasQueries). The benchmark harness still reads the field;
+	// it goes with the next change to the benchmark.
 	GatedAliasQueries int
 	// Propagations counts novel path-edge insertions (forward plus
 	// backward); duplicates the jump tables absorb are not counted. This

@@ -103,21 +103,17 @@ type engine struct {
 	idxFields map[int64]*ir.Field
 	idxClass  *ir.Class
 
-	// gate is the carrier alias gate's reusable scan state.
-	gate gateScan
-
 	q workQueue
 }
 
 // engineStats are the live counters; run copies them into the exported
 // Stats.
 type engineStats struct {
-	propagations      int
-	forwardEdges      int
-	backwardEdges     int
-	aliasQueries      int
-	gatedAliasQueries int
-	summaries         int
+	propagations  int
+	forwardEdges  int
+	backwardEdges int
+	aliasQueries  int
+	summaries     int
 
 	// Summary-store outcome counters, one per distinct method context.
 	storeHits        int
@@ -181,8 +177,7 @@ type methodState struct {
 	// each statement n (the jump tables).
 	fw, bw []edgeSet
 	// sites memoizes per-call-site static facts (resolved wrapper rules,
-	// bodied callees, stub dispatch, sink rule, carrier classification,
-	// alias gate); see carrier.go.
+	// bodied callees, stub dispatch, sink rule); see callsite.go.
 	sites []*callSite
 }
 
@@ -416,13 +411,12 @@ func (e *engine) run(ctx context.Context, entries []*ir.Method) *Results {
 	e.drain(ctx)
 
 	stats := Stats{
-		ForwardEdges:      e.stats.forwardEdges,
-		BackwardEdges:     e.stats.backwardEdges,
-		AliasQueries:      e.stats.aliasQueries,
-		GatedAliasQueries: e.stats.gatedAliasQueries,
-		Propagations:      e.stats.propagations,
-		Summaries:         e.stats.summaries,
-		PeakAbstractions:  e.ai.size(),
+		ForwardEdges:     e.stats.forwardEdges,
+		BackwardEdges:    e.stats.backwardEdges,
+		AliasQueries:     e.stats.aliasQueries,
+		Propagations:     e.stats.propagations,
+		Summaries:        e.stats.summaries,
+		PeakAbstractions: e.ai.size(),
 	}
 	if e.conf.Cone != nil {
 		stats.ConeMethods = e.conf.Cone.Methods
@@ -470,7 +464,6 @@ func (e *engine) exportMetrics(s Stats) {
 	rec.Counter("taint.forward_edges", metrics.Deterministic).Add(int64(s.ForwardEdges))
 	rec.Counter("taint.backward_edges", metrics.Deterministic).Add(int64(s.BackwardEdges))
 	rec.Counter("taint.alias_queries", metrics.Deterministic).Add(int64(s.AliasQueries))
-	rec.Counter("taint.alias_queries_gated", metrics.Deterministic).Add(int64(s.GatedAliasQueries))
 	rec.Counter("taint.access_paths", metrics.Deterministic).Add(int64(e.in.size()))
 }
 

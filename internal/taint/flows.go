@@ -277,12 +277,7 @@ func (e *engine) libraryFlow(n ir.Stmt, si *callSite, d1, d2 *Abstraction) []*Ab
 			return
 		}
 		// Wrapper-tainted objects may have aliases: a collection stored
-		// in a field elsewhere, for instance. A carrier receiver's search
-		// is skipped where the site's gate proves it report-neutral.
-		if slot == SlotBase && si.carrier && e.carrierGate(n, si) {
-			e.stats.gatedAliasQueries++
-			return
-		}
+		// in a field elsewhere, for instance.
 		e.spawnAliasSearch(n, d1, na)
 	}
 

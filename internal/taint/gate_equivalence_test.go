@@ -1,9 +1,16 @@
 package taint_test
 
 import (
-	"bytes"
+	"bufio"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"flowdroid/internal/appgen"
@@ -15,25 +22,30 @@ import (
 	"flowdroid/internal/taint"
 )
 
-// TestGateEquivalence: the string-carrier alias gate is pure mechanism.
-// On every corpus the gated default and the un-gated reference mode must
-// produce byte-identical canonical reports. On the builder-heavy
-// benchtaint corpus the gate must also do its job: skip real receiver
-// alias searches without costing allocations. That corpus also holds the
-// solver's absolute allocation ratchet.
+// goldenPath pins, per input, the leak count and the SHA-256 of the
+// Report() JSON, path witnesses included. It was written while a
+// string-carrier alias gate still skipped the backward alias search at
+// String/StringBuilder/StringBuffer receivers it proved report-neutral;
+// every receiver gen now spawns its search, as in the paper, and must
+// reproduce each line. Refresh it, when a report change is intentional,
+// with
 //
-// Not parallel: the benchtaint allocation comparison reads process-wide
-// malloc counters.
+//	UPDATE_GOLDEN=1 go test ./internal/taint -run TestGateEquivalence
+const goldenPath = "testdata/reports.golden"
+
+// TestGateEquivalence: on every corpus the former alias gate was checked
+// on — the carrier fixtures, DroidBench, SecuriBench, a stress corpus and
+// the builder-heavy benchtaint corpus — the reports match the golden
+// byte for byte.
 func TestGateEquivalence(t *testing.T) {
 	ctx := context.Background()
+	g := loadGolden(t)
 
 	t.Run("carriers", func(t *testing.T) {
 		for _, f := range taint.CarrierFixtures {
 			f := f
 			t.Run(f.Name, func(t *testing.T) {
-				assertGateNeutral(t, taint.DefaultConfig(), func(conf taint.Config) []byte {
-					return canonical(t, taint.AnalyzeFixture(t, f.Src, conf))
-				})
+				g.check(t, "carriers/"+f.Name, taint.AnalyzeFixture(t, f.Src, taint.DefaultConfig()))
 			})
 		}
 	})
@@ -42,9 +54,7 @@ func TestGateEquivalence(t *testing.T) {
 		for _, c := range droidbench.Cases() {
 			c := c
 			t.Run(c.Name, func(t *testing.T) {
-				assertGateNeutral(t, core.DefaultOptions().Taint, func(conf taint.Config) []byte {
-					return runApp(t, c.Files, conf).report
-				})
+				g.check(t, "droidbench/"+c.Name, runApp(t, c.Files))
 			})
 		}
 	})
@@ -53,156 +63,170 @@ func TestGateEquivalence(t *testing.T) {
 		for _, c := range securibench.Cases() {
 			c := c
 			t.Run(c.Name, func(t *testing.T) {
-				assertGateNeutral(t, securibench.Config(), func(conf taint.Config) []byte {
-					prog, err := securibench.Program(c)
-					if err != nil {
-						t.Fatal(err)
+				prog, err := securibench.Program(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var entries []*ir.Method
+				for _, cls := range prog.Classes() {
+					if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
+						entries = append(entries, m)
 					}
-					var entries []*ir.Method
-					for _, cls := range prog.Classes() {
-						if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
-							entries = append(entries, m)
-						}
-					}
-					res, err := core.AnalyzeJava(ctx, prog, securibench.Rules(), conf, entries...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return canonical(t, res)
-				})
+				}
+				res, err := core.AnalyzeJava(ctx, prog, securibench.Rules(), securibench.Config(), entries...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.check(t, "securibench/"+c.Name, res)
 			})
 		}
 	})
 
-	t.Run("stress", func(t *testing.T) {
-		apps := appgen.GenerateCorpus(appgen.Stress, 6, 42)
-		assertGateNeutral(t, core.DefaultOptions().Taint, func(conf taint.Config) []byte {
-			p := runCorpus(t, apps, conf)
-			if p.leaks == 0 {
-				t.Fatal("stress corpus found no leaks; the equivalence check would be vacuous")
+	corpus := func(name string, apps []appgen.App) {
+		t.Run(name, func(t *testing.T) {
+			leaks := 0
+			for _, app := range apps {
+				r := runApp(t, app.Files)
+				leaks += len(r.DistinctSourceSinkPairs())
+				g.check(t, name+"/"+app.Name, r)
 			}
-			return p.report
+			if leaks == 0 {
+				t.Fatalf("%s corpus found no leaks; the check would be vacuous", name)
+			}
 		})
-	})
+	}
+	corpus("stress", appgen.GenerateCorpus(appgen.Stress, 6, 42))
+	corpus("benchtaint", appgen.GenerateCorpus(benchTaintProfile(), 4, 7))
 
-	t.Run("benchtaint", func(t *testing.T) {
-		apps := appgen.GenerateCorpus(benchTaintProfile(), 4, 7)
-		gated := core.DefaultOptions().Taint
-		ref := taint.WithoutAliasGate(gated)
-		// The framework base is parsed once per process, on first use.
-		// Load it before measuring, so that neither pass carries its
-		// allocations, whichever subtests ran first.
-		framework.NewProgram()
-		on := runCorpus(t, apps, gated)
-		off := runCorpus(t, apps, ref)
-		t.Logf("gated %d of %d receiver alias searches; allocs %d gated vs %d reference; %d propagations",
-			on.gated, off.alias, on.mallocs, off.mallocs, on.props)
-
-		if on.gated <= 0 {
-			t.Error("gated mode skipped no alias searches: the gate never fired")
-		}
-		if off.gated != 0 {
-			t.Errorf("reference mode gated %d alias searches, want 0", off.gated)
-		}
-		if off.alias <= 0 {
-			t.Error("reference mode ran no alias searches: the corpus stopped exercising builders")
-		}
-		if on.alias >= off.alias {
-			t.Errorf("gated alias queries (%d) not strictly below reference (%d)", on.alias, off.alias)
-		}
-		// The gate must never cost memory; 2% absorbs cross-pass noise.
-		if float64(on.mallocs) > 1.02*float64(off.mallocs) {
-			t.Errorf("gated allocs (%d) exceed reference (%d) by more than 2%%", on.mallocs, off.mallocs)
-		}
-		// The solver's allocation ratchet: with dense per-method solver
-		// state (index-keyed jump tables and call-site memos, shared CFG
-		// edge lists) the gated pass measures ~101,800 heap allocations,
-		// and ~107,400 under -race, whose runtime allocates more; the
-		// bound is the -race count plus 5%. A run past it means the
-		// allocation diet regressed; raise this only with a measured
-		// justification.
-		if on.mallocs > 113_000 {
-			t.Errorf("gated allocs (%d) exceed the 113,000 ratchet: the solver allocation diet regressed", on.mallocs)
-		}
-		if on.leaks != off.leaks {
-			t.Errorf("leak counts differ: gated %d, reference %d", on.leaks, off.leaks)
-		}
-
-		if !bytes.Equal(off.report, on.report) {
-			t.Error("reference report differs from gated")
-		}
-	})
+	g.finish(t)
 }
 
-// assertGateNeutral runs analyze under the gated mode and the reference
-// mode derived from base and requires byte-identical canonical reports.
-func assertGateNeutral(t *testing.T, base taint.Config, analyze func(taint.Config) []byte) {
-	t.Helper()
-	gated := analyze(base)
-	if ref := analyze(taint.WithoutAliasGate(base)); !bytes.Equal(ref, gated) {
-		t.Errorf("reference report differs from gated:\n%s\nvs\n%s", gated, ref)
+// TestSolverAllocs is the solver's absolute allocation ratchet, on the
+// builder-heavy benchtaint corpus. With dense per-method solver state
+// (index-keyed jump tables and call-site memos, shared CFG edge lists)
+// the corpus measures ~102,100 heap allocations, and ~107,400 under
+// -race, whose runtime allocates more; the bound is the -race count plus
+// 5%. A run past it means the allocation diet regressed; raise it only
+// with a measured justification.
+//
+// Not parallel: it reads process-wide malloc counters.
+func TestSolverAllocs(t *testing.T) {
+	apps := appgen.GenerateCorpus(benchTaintProfile(), 4, 7)
+	// The framework base is parsed once per process, on first use. Load
+	// it before measuring, whichever tests ran first.
+	framework.NewProgram()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs0 := ms.Mallocs
+	alias, props, leaks := 0, 0, 0
+	for _, app := range apps {
+		r := runApp(t, app.Files)
+		// Rendering the report is part of the measured run.
+		if _, err := r.CanonicalJSON(); err != nil {
+			t.Fatal(err)
+		}
+		leaks += len(r.DistinctSourceSinkPairs())
+		alias += r.Stats.AliasQueries
+		props += r.Stats.Propagations
+	}
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs - mallocs0
+	t.Logf("%d allocs; %d alias searches; %d propagations; %d leaks", mallocs, alias, props, leaks)
+
+	if alias <= 0 {
+		t.Error("no alias searches ran: the corpus stopped exercising builders")
+	}
+	if mallocs > 113_000 {
+		t.Errorf("%d allocs exceed the 113,000 ratchet: the solver allocation diet regressed", mallocs)
 	}
 }
 
-func canonical(t *testing.T, r *taint.Results) []byte {
+// golden is the loaded report golden plus, under UPDATE_GOLDEN, the
+// lines a run produced.
+type golden struct {
+	want   map[string]string
+	got    map[string]string
+	update bool
+}
+
+func loadGolden(t *testing.T) *golden {
 	t.Helper()
-	js, err := r.CanonicalJSON()
+	g := &golden{want: map[string]string{}, got: map[string]string{}, update: os.Getenv("UPDATE_GOLDEN") != ""}
+	if g.update {
+		return g
+	}
+	f, err := os.Open(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return js
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if key, rest, ok := strings.Cut(sc.Text(), " "); ok {
+			g.want[key] = rest
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
-// corpusPass aggregates one analysis pass over a set of apps.
-type corpusPass struct {
-	report  []byte // concatenated canonical reports
-	leaks   int
-	props   int
-	alias   int
-	gated   int
-	mallocs uint64
-}
-
-// runApp analyzes one app through the full pipeline under conf and
-// requires a completed run.
-func runApp(t *testing.T, files map[string]string, conf taint.Config) corpusPass {
+// check compares r's report against the golden line for key.
+func (g *golden) check(t *testing.T, key string, r *taint.Results) {
 	t.Helper()
-	opts := core.DefaultOptions()
-	opts.Taint = conf
-	res, err := core.AnalyzeFiles(context.Background(), files, opts)
+	js, err := json.Marshal(r.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf("leaks=%d sha256=%x", len(r.DistinctSourceSinkPairs()), sha256.Sum256(js))
+	g.got[key] = line
+	if !g.update && g.want[key] != line {
+		t.Errorf("%s: %s, golden %q; report:\n%s", key, line, g.want[key], js)
+	}
+}
+
+// finish writes the golden under UPDATE_GOLDEN; otherwise it requires
+// every golden line to have been checked.
+func (g *golden) finish(t *testing.T) {
+	t.Helper()
+	if !g.update {
+		for key := range g.want {
+			if _, ok := g.got[key]; !ok && !t.Failed() {
+				t.Errorf("golden input %s was not analyzed", key)
+			}
+		}
+		return
+	}
+	keys := make([]string, 0, len(g.got))
+	for key := range g.got {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	var sb strings.Builder
+	for _, key := range keys {
+		fmt.Fprintf(&sb, "%s %s\n", key, g.got[key])
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runApp analyzes one app through the full pipeline under the default
+// options and requires a completed run.
+func runApp(t *testing.T, files map[string]string) *taint.Results {
+	t.Helper()
+	res, err := core.AnalyzeFiles(context.Background(), files, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != core.Complete {
 		t.Fatalf("status %v, want complete", res.Status)
 	}
-	st := res.Taint.Stats
-	return corpusPass{
-		report: canonical(t, res.Taint),
-		leaks:  len(res.Leaks()),
-		props:  res.Counters.Propagations,
-		alias:  st.AliasQueries,
-		gated:  st.GatedAliasQueries,
-	}
-}
-
-func runCorpus(t *testing.T, apps []appgen.App, conf taint.Config) corpusPass {
-	t.Helper()
-	var p corpusPass
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocs0 := ms.Mallocs
-	for _, app := range apps {
-		a := runApp(t, app.Files, conf)
-		p.report = append(p.report, a.report...)
-		p.leaks += a.leaks
-		p.props += a.props
-		p.alias += a.alias
-		p.gated += a.gated
-	}
-	runtime.ReadMemStats(&ms)
-	p.mallocs = ms.Mallocs - mallocs0
-	return p
+	return res.Taint
 }
 
 // benchTaintProfile is the stress profile enlarged so the solver, and

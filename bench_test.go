@@ -166,7 +166,7 @@ func BenchmarkCorpusPlay(b *testing.B) {
 	}
 	b.ReportMetric(stats.AvgLeaksPerApp(), "leaks/app")
 	b.ReportMetric(float64(stats.AppsWithLeaks)/float64(stats.Apps)*100, "apps-leaking%")
-	b.ReportMetric(float64(stats.AvgTime().Microseconds()), "µs/app")
+	b.ReportMetric(float64(stats.Times[core.Complete.String()].Avg().Microseconds()), "µs/app")
 }
 
 // E6: RQ3b — malware-profile corpus (100 apps per iteration; scale with
@@ -181,7 +181,7 @@ func BenchmarkCorpusMalware(b *testing.B) {
 		}
 	}
 	b.ReportMetric(stats.AvgLeaksPerApp(), "leaks/app")
-	b.ReportMetric(float64(stats.AvgTime().Microseconds()), "µs/app")
+	b.ReportMetric(float64(stats.Times[core.Complete.String()].Avg().Microseconds()), "µs/app")
 }
 
 // E7: Table 2 — SecuriBench Micro (expect 117/121 TP, 9 FP).

@@ -12,7 +12,7 @@
 //
 //	corpus -profile play -n 500 -seed 1
 //	corpus -profile malware -n 1000 -seed 2
-//	corpus -n 50 -timeout 2s -max-propagations 500000 -degrade
+//	corpus -n 50 -timeout 2s -max-propagations 500000
 //	corpus -profile malware -n 100 -sinks sms
 //
 // With -sinks the batch runs in demand-driven query mode: each app is
@@ -63,7 +63,6 @@ func run(args []string) int {
 		export      = flags.String("export", "", "also write the generated app packages under this directory")
 		timeout     = flags.Duration("timeout", 0, "per-app analysis deadline (0 = none)")
 		maxProps    = flags.Int("max-propagations", 0, "per-app taint-propagation budget (0 = unlimited)")
-		degrade     = flags.Bool("degrade", false, "retry budget-exhausted apps with shorter access paths (length 3, then 1)")
 		forcePanic  = flags.String("force-panic", "", "inject a panic while analyzing the named app (tests batch isolation)")
 		lint        = flags.Bool("lint", false, "run the IR verifier before each app's solvers")
 		sinks       = flags.String("sinks", "", "comma-separated sink selectors for a demand-driven query (empty = all sinks)")
@@ -103,7 +102,6 @@ func run(args []string) int {
 	}
 	opts := core.DefaultOptions()
 	opts.MaxPropagations = *maxProps
-	opts.Degrade = *degrade
 	opts.Lint = *lint
 	opts.SummaryStore = summarystore.Open(*summaryDir)
 	opts.ResolveReflection = !*noReflect

@@ -10,8 +10,8 @@
 // The default configuration matches the paper: access-path length 5, full
 // lifecycle model, on-demand alias analysis with activation statements,
 // taint wrapper enabled. Runs can be bounded with -timeout and
-// -max-propagations; -degrade retries a budget-exhausted run with
-// shorter access paths (length 3, then 1).
+// -max-propagations; a bounded run reports the leaks found before the
+// bound cut it short.
 //
 // Exit codes distinguish the outcomes corpus scripts branch on:
 //
@@ -127,7 +127,6 @@ func run() int {
 		bank        = flags.Bool("insecurebank", false, "analyze the built-in InsecureBank app (RQ2)")
 		timeout     = flags.Duration("timeout", 0, "abort the analysis after this long and report the partial result (0 = no limit)")
 		maxProps    = flags.Int("max-propagations", 0, "taint-propagation budget; 0 = unlimited")
-		degrade     = flags.Bool("degrade", false, "on budget exhaustion retry with shorter access paths (length 3, then 1)")
 		summaryDir  = flags.String("summary-dir", "", "persistent method-summary store directory for warm re-analysis (empty = disabled)")
 		lint        = flags.Bool("lint", false, "run the IR verifier before the solvers; Error diagnostics abort with status InvalidProgram")
 		lintEnable  = flags.String("lint.enable", "", "comma-separated analyzer names to run (default: all)")
@@ -152,7 +151,6 @@ func run() int {
 	opts.ResolveReflection = !*noReflect
 	opts.UseCHA = *useCHA
 	opts.MaxPropagations = *maxProps
-	opts.Degrade = *degrade
 	opts.SummaryStore = summarystore.Open(*summaryDir)
 	opts.Lint = *lint || *lintJSON || *lintEnable != "" || *lintDisable != ""
 	opts.LintEnable = *lintEnable
@@ -310,9 +308,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "flowdroid: %v\n%s", res.Failure, res.Failure.Stack)
 		}
 	}
-	if len(res.Degraded) > 0 {
-		fmt.Printf("degraded configuration: %s\n", strings.Join(res.Degraded, ", "))
-	}
 	if *showPaths {
 		for i, l := range res.Leaks() {
 			fmt.Printf("\npath of leak %d:\n", i+1)
@@ -345,9 +340,6 @@ func run() int {
 		}
 		if n := res.Counters.SummaryFlushErrors; n > 0 {
 			fmt.Printf("summary store: %d write-back error(s), summaries not persisted\n", n)
-		}
-		if len(res.Passes) > 0 {
-			fmt.Printf("passes: %s\n", res.Passes)
 		}
 	}
 	if *showMetrics {

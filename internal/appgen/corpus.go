@@ -63,13 +63,9 @@ type CorpusStats struct {
 	// Resilience accounting: apps whose analysis was cut short are
 	// detailed in Failures; a truncated or recovered app never aborts
 	// the batch.
-	Degraded   int
 	Failures   []string
 	Incomplete int // batch stopped early: apps never attempted
 
-	// Passes sums the per-pass run counters across all apps, degradation
-	// retries included.
-	Passes core.PassStats
 	// PassTimes sums each pipeline pass's build wall time across all
 	// apps — the corpus-level slowest-pass table.
 	PassTimes map[string]time.Duration
@@ -101,23 +97,6 @@ func (s CorpusStats) AvgLeaksPerApp() float64 {
 	return float64(s.TotalFound) / float64(s.Apps)
 }
 
-// AvgTime is the mean per-app analysis time over completed apps. When
-// nothing completed it falls back to the mean over all attempted apps,
-// so a fully truncated corpus still reports a meaningful figure.
-func (s CorpusStats) AvgTime() time.Duration {
-	if r := s.Times[core.Complete.String()]; r.Apps > 0 {
-		return r.Avg()
-	}
-	if s.Apps == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, r := range s.Times {
-		total += r.Total
-	}
-	return total / time.Duration(s.Apps)
-}
-
 // observe adds one app's wall time to the rollup of its outcome.
 func (s *CorpusStats) observe(outcome, app string, el time.Duration) {
 	r := s.Times[outcome]
@@ -145,7 +124,6 @@ func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, opts core.
 	stats := CorpusStats{
 		Profile:      p.Name,
 		BySink:       make(map[string]int),
-		Passes:       make(core.PassStats),
 		PassTimes:    make(map[string]time.Duration),
 		Times:        make(map[string]TimeRollup),
 		QueriedSinks: opts.Query.Sinks,
@@ -183,12 +161,6 @@ func RunCorpusWith(ctx context.Context, p Profile, n int, seed int64, opts core.
 			stats.Failures = append(stats.Failures, fmt.Sprintf("%s: propagation budget exhausted", app.Name))
 		case core.LeakLimitReached:
 			stats.Failures = append(stats.Failures, fmt.Sprintf("%s: leak cap reached (truncated report)", app.Name))
-		}
-		if len(res.Degraded) > 0 {
-			stats.Degraded++
-		}
-		for pass, st := range res.Passes {
-			stats.Passes[pass] = core.PassStat{Runs: stats.Passes[pass].Runs + st.Runs}
 		}
 		for pass, d := range res.PassTimes {
 			stats.PassTimes[pass] += d
@@ -287,9 +259,6 @@ func (s CorpusStats) Render() string {
 	if c.SummaryFlushErrors > 0 {
 		fmt.Fprintf(&sb, "  summary store: %d write-back error(s), those apps' summaries not persisted\n", c.SummaryFlushErrors)
 	}
-	if len(s.Passes) > 0 {
-		fmt.Fprintf(&sb, "  pipeline passes: %d runs (%s)\n", s.Passes.TotalRuns(), s.Passes)
-	}
 	if len(s.PassTimes) > 0 {
 		type pt struct {
 			name string
@@ -313,9 +282,9 @@ func (s CorpusStats) Render() string {
 	apps := func(outcome string) int { return s.Times[outcome].Apps }
 	recovered, timedOut := apps(core.Recovered.String()), apps(core.DeadlineExceeded.String())
 	exhausted, leakCapped := apps(core.BudgetExhausted.String()), apps(core.LeakLimitReached.String())
-	if recovered+timedOut+exhausted+leakCapped+apps("Error")+s.Degraded+s.Incomplete > 0 {
-		fmt.Fprintf(&sb, "  abnormal outcomes: %d recovered, %d timed out, %d budget-exhausted, %d leak-capped, %d errors, %d degraded, %d never attempted\n",
-			recovered, timedOut, exhausted, leakCapped, apps("Error"), s.Degraded, s.Incomplete)
+	if recovered+timedOut+exhausted+leakCapped+apps("Error")+s.Incomplete > 0 {
+		fmt.Fprintf(&sb, "  abnormal outcomes: %d recovered, %d timed out, %d budget-exhausted, %d leak-capped, %d errors, %d never attempted\n",
+			recovered, timedOut, exhausted, leakCapped, apps("Error"), s.Incomplete)
 		for _, f := range s.Failures {
 			fmt.Fprintf(&sb, "    %s\n", f)
 		}

@@ -2,6 +2,7 @@ package appgen
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -84,9 +85,9 @@ func TestCorpusBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestCorpusBudgetAndDegrade: a tiny per-app budget triggers exhaustion
-// accounting, and enabling degradation records downgraded apps.
-func TestCorpusBudgetAndDegrade(t *testing.T) {
+// TestCorpusBudget: a tiny per-app budget triggers exhaustion
+// accounting, and the summary's abnormal-outcomes line counts those apps.
+func TestCorpusBudget(t *testing.T) {
 	const n = 3
 	opts := core.DefaultOptions()
 	opts.MaxPropagations = 10
@@ -94,15 +95,11 @@ func TestCorpusBudgetAndDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Times[core.BudgetExhausted.String()].Apps == 0 {
+	exhausted := stats.Times[core.BudgetExhausted.String()].Apps
+	if exhausted == 0 {
 		t.Error("no app exhausted a 10-propagation budget")
 	}
-	opts.Degrade = true
-	degraded, err := RunCorpusWith(context.Background(), Play, n, 7, opts, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if degraded.Degraded == 0 {
-		t.Error("no app recorded a degraded configuration")
+	if want := fmt.Sprintf("%d budget-exhausted", exhausted); !strings.Contains(stats.Render(), want) {
+		t.Errorf("summary does not report %q:\n%s", want, stats.Render())
 	}
 }

@@ -107,10 +107,10 @@ func (c *MethodCFG) Succs(s ir.Stmt) []ir.Stmt { return c.succs[s.Index()] }
 // shared; callers must not modify it.
 func (c *MethodCFG) Preds(s ir.Stmt) []ir.Stmt { return c.preds[s.Index()] }
 
-// Cache is a store of per-method CFGs. It can be shared across ICFGs
-// (the scene layer shares one per program, so degrade-ladder retries and
-// call-graph swaps never rebuild a method's CFG). Like the scene that
-// owns it, it belongs to one single-threaded analysis.
+// Cache is a store of per-method CFGs. It can be shared (the scene
+// layer shares one per program, so the verifier and the ICFG never
+// rebuild a method's CFG). Like the scene that owns it, it belongs to
+// one single-threaded analysis.
 type Cache struct {
 	cfgs map[*ir.Method]*MethodCFG
 }

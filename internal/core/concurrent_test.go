@@ -70,11 +70,11 @@ func TestConcurrentAnalyzeSharedRecorder(t *testing.T) {
 		}
 	}
 	snap := rec.Snapshot()
-	if got := snap.Deterministic["pipeline.taint.runs"]; got != n {
-		t.Fatalf("pipeline.taint.runs = %d across %d concurrent apps, want %d", got, n, n)
+	if got := snap.Timings["pipeline.taint"].Count; got != n {
+		t.Fatalf("pipeline.taint timing count = %d across %d concurrent apps, want %d", got, n, n)
 	}
-	if got := snap.Deterministic["pipeline.scene.runs"]; got != n {
-		t.Fatalf("pipeline.scene.runs = %d, want %d", got, n)
+	if got := snap.Timings["pipeline.scene"].Count; got != n {
+		t.Fatalf("pipeline.scene timing count = %d, want %d", got, n)
 	}
 }
 

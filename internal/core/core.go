@@ -76,11 +76,6 @@ type Options struct {
 	// 0 is unlimited. Exhausting the budget yields Status ==
 	// BudgetExhausted with the partial leak set.
 	MaxPropagations int
-	// Degrade enables the graceful-degradation ladder: when the
-	// propagation budget runs out and the context still has time, the
-	// taint solve is retried with access-path length 3, then 1,
-	// recording each downgrade in Result.Degraded.
-	Degrade bool
 	// SummaryStore, when non-nil, enables the persistent method-summary
 	// store (see internal/summarystore; summarystore.Open(dir) opens one,
 	// and Open("") returns nil): the taint solver replays summaries
@@ -132,16 +127,11 @@ type Result struct {
 	// the pass was never reached). A leak report is only as complete as
 	// this report's Unresolved list is empty.
 	Soundness *SoundnessReport
-	// Degraded lists the degradation-ladder rungs applied before this
-	// result was produced (empty for a first-attempt result).
-	Degraded []string
 	// Counters are the per-stage effort counters, partial on truncation.
 	Counters Counters
-	// Passes records, per pipeline pass, how often it executed across
-	// this run, degradation retries included.
-	Passes PassStats
-	// PassTimes is the wall time each pass spent across this run, charged
-	// even when the pass was cut short by a panic or a deadline.
+	// PassTimes is the wall time each pass spent in this run, charged
+	// even when the pass was cut short by a panic or a deadline, so its
+	// keys are exactly the passes the run reached; each ran once.
 	// It is the run's only timer: the taint solve is PassTimes["taint"]
 	// (absent when the run never reached it), setup is the sum of the
 	// other passes, and the corpus harness aggregates them into its
@@ -152,48 +142,24 @@ type Result struct {
 // Leaks returns the distinct (source, sink) leaks found.
 func (r *Result) Leaks() []*taint.Leak { return r.Taint.DistinctSourceSinkPairs() }
 
-// AnalyzeApp runs the pipeline on an already loaded app. The context
-// bounds the whole run: on expiry the current stage stops cleanly and the
-// partial result is returned with Status == DeadlineExceeded. A panic in
-// any stage is recovered into Status == Recovered. Load and
-// configuration problems are still reported as ordinary errors.
-//
-// The passes upstream of the taint solve run once. With Options.Degrade,
-// a budget-exhausted solve is retried down the degradation ladder, whose
-// access-path-length rungs re-run the taint solve alone, which
-// Result.Passes makes observable.
+// AnalyzeApp runs the pipeline on an already loaded app, each pass at
+// most once. The context bounds the whole run: on expiry the current
+// stage stops cleanly and the partial result is returned with Status ==
+// DeadlineExceeded; an exhausted propagation budget returns the leaks
+// found so far with Status == BudgetExhausted. A panic in any stage is
+// recovered into Status == Recovered. Load and configuration problems
+// are still reported as ordinary errors.
 //
 // The result is the run's record. On the way out it is published into
-// the context's metrics recorder, if any: the Counters series describe
-// the final attempt, while Passes count every attempt's pass runs.
+// the context's metrics recorder, if any.
 func AnalyzeApp(ctx context.Context, app *apk.App, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	pl := newPipeline(app, metrics.From(ctx))
-	res, err := pl.prepare(ctx, opts)
+	res, err := pl.run(ctx, opts)
 	if err != nil {
 		return nil, err
-	}
-	if res.Status == Complete {
-		prepared := res
-		res = pl.solve(ctx, opts, prepared)
-		if opts.Degrade {
-			// Graceful degradation: a budget-exhausted attempt is retried
-			// down the ladder while the context still has time. (A
-			// deadline overrun cannot be retried — the clock is already
-			// spent.)
-			var degraded []string
-			for _, step := range degradeLadder(opts) {
-				if res.Status != BudgetExhausted || ctx.Err() != nil {
-					break
-				}
-				step.apply(&opts)
-				degraded = append(degraded, step.name)
-				res = pl.solve(ctx, opts, prepared)
-			}
-			res.Degraded = degraded
-		}
 	}
 	publish(pl.rec, res)
 	return res, nil

@@ -41,8 +41,8 @@ func TestLintInvalidProgramSkipsSolvers(t *testing.T) {
 	// No solver may have run: the verifier gates the pipeline before
 	// callbacks, lifecycle, call-graph construction and the taint solve.
 	for _, pass := range []string{"callbacks", "lifecycle", "callgraph", "icfg", "taint"} {
-		if st := res.Passes[pass]; st.Runs != 0 {
-			t.Errorf("pass %s ran %d time(s) on an invalid program", pass, st.Runs)
+		if _, ok := res.PassTimes[pass]; ok {
+			t.Errorf("pass %s ran on an invalid program", pass)
 		}
 	}
 	if res.CallGraph != nil || res.EntryPoint != nil {
@@ -72,8 +72,8 @@ func TestLintCleanAppStillFindsLeak(t *testing.T) {
 	if len(res.Leaks()) == 0 {
 		t.Error("lint-gated run lost the leak")
 	}
-	if st := res.Passes["verify"]; st.Runs != 1 {
-		t.Errorf("verify pass runs = %d, want 1", st.Runs)
+	if _, ok := res.PassTimes["verify"]; !ok {
+		t.Error("verify pass did not run under Options.Lint")
 	}
 }
 
@@ -85,7 +85,7 @@ func TestLintOffByDefault(t *testing.T) {
 	if res.Lint != nil {
 		t.Error("lint ran without Options.Lint")
 	}
-	if st := res.Passes["verify"]; st.Runs != 0 {
+	if _, ok := res.PassTimes["verify"]; ok {
 		t.Error("verify pass ran without Options.Lint")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"maps"
 	"sort"
 	"time"
 
@@ -26,66 +25,15 @@ import (
 	"flowdroid/internal/taint"
 )
 
-// PassStat counts how often a pipeline pass executed across a run,
-// degrade-ladder attempts included: an upstream pass runs once however
-// many attempts follow, the taint pass once per attempt.
-type PassStat struct {
-	Runs int `json:"runs"`
-}
-
-// PassStats maps pass names (scene, sourcesink, verify, constprop, cone,
-// callbacks, lifecycle, callgraph, icfg, summaries, taint) to their run
-// counters.
-type PassStats map[string]PassStat
-
-// TotalRuns sums the Runs of every pass.
-func (ps PassStats) TotalRuns() int {
-	n := 0
-	for _, st := range ps {
-		n += st.Runs
-	}
-	return n
-}
-
-// String renders the stats as "pass N run(s)" pairs in name order.
-func (ps PassStats) String() string {
-	names := make([]string, 0, len(ps))
-	for n := range ps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += fmt.Sprintf("%s %d run(s)", n, ps[n].Runs)
-	}
-	return out
-}
-
 // pipeline is one AnalyzeApp call's pass graph, Figure 4 of the paper run
-// straight through. prepare runs the passes no degrade rung changes, once:
-// scene, sourcesink, verify, constprop, cone, callbacks, lifecycle,
-// callgraph and icfg. solve runs the rest — summaries and taint — once
-// per attempt; a rung changes only the access-path length. The ladder
-// retries only BudgetExhausted, which only a finished prepare reaches, so
-// no partial product is ever reused.
+// straight through: scene, sourcesink, verify, constprop, cone, callbacks,
+// lifecycle, callgraph, icfg, summaries and taint, each at most once.
 type pipeline struct {
 	app *apk.App
 	rec *metrics.Recorder // nil when metrics are disabled
 
-	runs  map[string]int
 	times map[string]time.Duration
 	stage string // the pass running now, named by a Recovered result
-
-	// Products of prepare.
-	sc        *scene.Scene
-	mgr       *sourcesink.Manager
-	reflEdges map[ir.Stmt][]*ir.Method
-	cn        *cone.Cone
-	graph     *callgraph.Graph
-	icfg      *cfg.ICFG
 }
 
 // clickHandlers collects each layout's declaratively registered click
@@ -143,68 +91,68 @@ func newPipeline(app *apk.App, rec *metrics.Recorder) *pipeline {
 	return &pipeline{
 		app:   app,
 		rec:   rec,
-		runs:  make(map[string]int),
 		times: make(map[string]time.Duration),
 	}
 }
 
-// pass runs f as the pipeline pass name. It counts the run up front — so
-// a pass that panics still counts as attempted — makes name the stage a
-// panic is reported at, and charges f's wall time to the pass and its
+// pass runs f as the pipeline pass name. It makes name the stage a panic
+// is reported at, and charges f's wall time to the pass and its
 // "pipeline.<name>" trace span, also when f panics or a deadline cuts it
-// short.
+// short, so a pass that was reached always has a PassTimes entry.
 func (pl *pipeline) pass(name string, f func() error) error {
 	pl.stage = name
-	pl.runs[name]++
 	sp := pl.rec.StartSpan("pipeline." + name)
 	start := time.Now()
 	defer func() {
-		pl.times[name] += time.Since(start)
+		pl.times[name] = time.Since(start)
 		sp.End()
 	}()
 	return f()
 }
 
-// finish is deferred by prepare and solve. It turns a panic into a
-// Recovered result naming the stage it struck, and stamps the result with
-// the run's cumulative Passes and PassTimes — its only timing record —
-// and body counts.
+// finish is deferred by run. It turns a panic into a Recovered result
+// naming the stage it struck, and stamps the result with the run's
+// PassTimes — its only per-pass record — and body counts.
 func (pl *pipeline) finish(res *Result) {
 	if r := recover(); r != nil {
 		res.Status = Recovered
 		res.Failure = &Failure{Stage: pl.stage, Value: r, Stack: stackTrace()}
 	}
-	res.Passes = make(PassStats, len(pl.runs))
-	for n, runs := range pl.runs {
-		res.Passes[n] = PassStat{Runs: runs}
-	}
-	res.PassTimes = maps.Clone(pl.times)
+	res.PassTimes = pl.times
 	if prog := pl.app.Program; prog != nil {
 		res.Counters.Bodies, res.Counters.BodiesParsed = prog.BodyCounts()
 	}
 }
 
-// prepare runs the passes upstream of the taint solve. Its result holds
-// what every attempt's result starts from — Lint, Soundness, Callbacks,
-// EntryPoint, CallGraph and the reflection, cone and call-graph counters;
-// a Status other than Complete ends the run before any solve.
-func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err error) {
+// run executes the passes in order and returns the run's one result. A
+// Status other than Complete set by a pass ends the run there; a
+// configuration error ends it with no result.
+func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err error) {
 	res = &Result{App: pl.app, Status: Complete, Taint: &taint.Results{}}
 	defer pl.finish(res)
+	// The passes' products, each read by the passes after it.
+	var (
+		sc        *scene.Scene
+		mgr       *sourcesink.Manager
+		reflEdges map[ir.Stmt][]*ir.Method
+		cn        *cone.Cone
+		graph     *callgraph.Graph
+		icfg      *cfg.ICFG
+	)
 	truncated := func() (*Result, error) {
 		res.Status = DeadlineExceeded
 		return res, nil
 	}
 
 	pl.pass("scene", func() error {
-		pl.sc = scene.New(pl.app.Program)
+		sc = scene.New(pl.app.Program)
 		return nil
 	})
 
 	// Source/sink manager: built early because the verify and cone passes
 	// both consume it.
 	if err := pl.pass("sourcesink", func() error {
-		m, err := manager(pl.sc, opts)
+		m, err := manager(sc, opts)
 		if err != nil {
 			return err
 		}
@@ -214,7 +162,7 @@ func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err
 				return fmt.Errorf("core: %w", err)
 			}
 		}
-		pl.mgr = m
+		mgr = m
 		return nil
 	}); err != nil {
 		return nil, err
@@ -239,14 +187,14 @@ func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err
 			}
 			cfg := irlint.Config{
 				Analyzers:     ans,
-				Sources:       pl.mgr.Sources(),
-				Sinks:         pl.mgr.Sinks(),
+				Sources:       mgr.Sources(),
+				Sinks:         mgr.Sinks(),
 				ClickHandlers: clickHandlers(pl.app),
 			}
-			if pl.mgr.Restricted() {
-				cfg.QueriedSinks = pl.mgr.QueriedSinks()
+			if mgr.Restricted() {
+				cfg.QueriedSinks = mgr.QueriedSinks()
 			}
-			res.Lint = irlint.Run(pl.sc, cfg)
+			res.Lint = irlint.Run(sc, cfg)
 			return nil
 		}); err != nil {
 			return nil, err
@@ -269,7 +217,7 @@ func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err
 	if opts.ResolveReflection {
 		var r *constprop.Result
 		if err := pl.pass("constprop", func() error {
-			r = constprop.Analyze(ctx, pl.sc)
+			r = constprop.Analyze(ctx, sc)
 			if r.Truncated {
 				return nil
 			}
@@ -279,9 +227,9 @@ func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err
 			}
 			if len(edges) > 0 {
 				// Materialization added the bridges class to the program.
-				pl.sc.Refresh()
+				sc.Refresh()
 			}
-			pl.reflEdges = edges
+			reflEdges = edges
 			return nil
 		}); err != nil {
 			return nil, err
@@ -300,7 +248,7 @@ func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err
 	// on the skip set it feeds).
 	if !opts.Query.IsAll() {
 		pl.pass("cone", func() error {
-			pl.cn = cone.BuildWithExtra(ctx, pl.sc, pl.mgr, pl.reflEdges)
+			cn = cone.BuildWithExtra(ctx, sc, mgr, reflEdges)
 			return nil
 		})
 		if ctx.Err() != nil {
@@ -309,7 +257,7 @@ func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err
 	}
 
 	pl.pass("callbacks", func() error {
-		res.Callbacks = callbacks.DiscoverWith(ctx, pl.app, pl.sc)
+		res.Callbacks = callbacks.DiscoverWith(ctx, pl.app, sc)
 		return nil
 	})
 	if ctx.Err() != nil {
@@ -318,19 +266,19 @@ func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err
 
 	pl.stage = "lifecycle"
 	lopts := opts.Lifecycle
-	if pl.cn != nil {
+	if cn != nil {
 		// Components entirely outside the escape closure cannot influence
 		// the queried sinks (static fields are the only cross-component
 		// channel) — leave them out of dummy-main modeling.
 		var skip []string
 		for _, comp := range lifecycle.ModeledComponents(pl.app, lopts) {
-			if pl.cn.ComponentSkippable(res.Callbacks.EntryPoints(pl.sc, comp)) {
+			if cn.ComponentSkippable(res.Callbacks.EntryPoints(sc, comp)) {
 				skip = append(skip, comp.Class)
 			}
 		}
 		sort.Strings(skip)
 		lopts.SkipComponents = skip
-		res.Counters.ConeMethods = pl.cn.Methods()
+		res.Counters.ConeMethods = cn.Methods()
 		res.Counters.SkippedComponents = len(skip)
 	}
 	if err := pl.pass("lifecycle", func() error {
@@ -347,12 +295,12 @@ func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err
 				return nil
 			}
 		}
-		m, err := lifecycle.GenerateWith(pl.app, res.Callbacks, pl.sc, lopts)
+		m, err := lifecycle.GenerateWith(pl.app, res.Callbacks, sc, lopts)
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 		// Generation added the dummy-main class to the program.
-		pl.sc.Refresh()
+		sc.Refresh()
 		res.EntryPoint = m
 		return nil
 	}); err != nil {
@@ -361,17 +309,17 @@ func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err
 
 	pl.pass("callgraph", func() error {
 		if opts.UseCHA {
-			pl.graph = callgraph.BuildCHAWithExtra(ctx, pl.sc, pl.reflEdges, res.EntryPoint)
+			graph = callgraph.BuildCHAWithExtra(ctx, sc, reflEdges, res.EntryPoint)
 		} else {
-			p := pta.BuildWithExtra(ctx, pl.sc, pl.reflEdges, res.EntryPoint)
-			pl.graph, res.Counters.PTAPropagations = p.Graph, p.Propagations
+			p := pta.BuildWithExtra(ctx, sc, reflEdges, res.EntryPoint)
+			graph, res.Counters.PTAPropagations = p.Graph, p.Propagations
 		}
 		return nil
 	})
-	res.CallGraph = pl.graph
-	res.Counters.CallGraphEdges = pl.graph.NumEdges()
+	res.CallGraph = graph
+	res.Counters.CallGraphEdges = graph.NumEdges()
 	if pl.rec != nil {
-		pl.rec.Gauge("callgraph.reachable", metrics.Deterministic).Set(int64(len(pl.graph.Reachable())))
+		pl.rec.Gauge("callgraph.reachable", metrics.Deterministic).Set(int64(len(graph.Reachable())))
 	}
 	if ctx.Err() != nil {
 		return truncated()
@@ -379,29 +327,18 @@ func (pl *pipeline) prepare(ctx context.Context, opts Options) (res *Result, err
 
 	// The per-method CFGs inside the ICFG are shared via the scene.
 	pl.pass("icfg", func() error {
-		pl.icfg = cfg.NewICFG(pl.sc, pl.graph)
+		icfg = cfg.NewICFG(sc, graph)
 		return nil
 	})
-	return res, nil
-}
 
-// solve is one attempt under opts: the summary-store session and the
-// taint solve. Its result starts from a copy of prepared, prepare's
-// Complete result.
-func (pl *pipeline) solve(ctx context.Context, opts Options, prepared *Result) (res *Result) {
-	attempt := *prepared
-	res = &attempt
-	defer pl.finish(res)
-
-	// Summaries: the persistent-store session for this attempt, scoped by
-	// the configuration fingerprint and the call graph it hashed methods
-	// against. Every rung changes the fingerprint (access-path length),
-	// so each attempt opens its own session.
+	// Summaries: the run's persistent-store session, scoped by the
+	// configuration fingerprint and the call graph it hashed methods
+	// against.
 	var sess *summarystore.Session
 	if opts.SummaryStore != nil {
 		pl.pass("summaries", func() error {
 			sumFP := summaryFingerprint(pl.app, opts)
-			sess = opts.SummaryStore.Session(pl.app.Package, sumFP, summarystore.HashMethods(pl.graph))
+			sess = opts.SummaryStore.Session(pl.app.Package, sumFP, summarystore.HashMethods(graph))
 			return nil
 		})
 	}
@@ -410,10 +347,10 @@ func (pl *pipeline) solve(ctx context.Context, opts Options, prepared *Result) (
 	if opts.MaxPropagations > 0 {
 		tc.MaxPropagations = opts.MaxPropagations
 	}
-	if pl.cn != nil {
+	if cn != nil {
 		tc.Cone = &taint.Cone{
-			Relevant:          pl.cn.Relevant,
-			Methods:           pl.cn.Methods(),
+			Relevant:          cn.Relevant,
+			Methods:           cn.Methods(),
 			SkippedComponents: res.Counters.SkippedComponents,
 		}
 	}
@@ -421,7 +358,7 @@ func (pl *pipeline) solve(ctx context.Context, opts Options, prepared *Result) (
 		tc.Summaries = sess
 	}
 	pl.pass("taint", func() error {
-		res.Taint = taint.Analyze(ctx, pl.icfg, pl.mgr, tc, res.EntryPoint)
+		res.Taint = taint.Analyze(ctx, icfg, mgr, tc, res.EntryPoint)
 		return nil
 	})
 	if sess != nil {
@@ -441,5 +378,5 @@ func (pl *pipeline) solve(ctx context.Context, opts Options, prepared *Result) (
 	case taint.LeakLimitReached:
 		res.Status = LeakLimitReached
 	}
-	return res
+	return res, nil
 }

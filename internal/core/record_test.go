@@ -19,10 +19,9 @@ import (
 // TestRecorderAgreesWithCounters: the result is the run's only record,
 // and the recorder series backed by it are published from it. On a fresh
 // recorder, every Counters field with a metric tag must equal its series
-// and every pipeline.<pass>.runs must equal Result.Passes, across
-// whole-program, query, reflective, store, flush-failure and degraded
-// runs. On the degraded run the series describe the final attempt, as
-// the counters do.
+// and the pipeline.<pass> timings must name exactly the passes in
+// Result.PassTimes, one run each, across whole-program, query,
+// reflective, store, flush-failure and budget-exhausted runs.
 func TestRecorderAgreesWithCounters(t *testing.T) {
 	tmp := t.TempDir()
 	file := filepath.Join(tmp, "file")
@@ -53,9 +52,14 @@ func TestRecorderAgreesWithCounters(t *testing.T) {
 		{"flush-failure", insecurebank.Files,
 			func(o *core.Options) { o.SummaryStore = summarystore.Open(filepath.Join(file, "store")) },
 			func(r *core.Result) string { return nonzero(r.Counters.SummaryFlushErrors, "SummaryFlushErrors") }},
-		{"degraded", insecurebank.Files,
-			func(o *core.Options) { o.MaxPropagations, o.Degrade = 50, true },
-			func(r *core.Result) string { return nonzero(len(r.Degraded), "len(Degraded)") }},
+		{"budget-exhausted", insecurebank.Files,
+			func(o *core.Options) { o.MaxPropagations = 50 },
+			func(r *core.Result) string {
+				if r.Status != core.BudgetExhausted {
+					return "status " + r.Status.String()
+				}
+				return ""
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := metrics.New()
@@ -85,7 +89,7 @@ func nonzero(n int, what string) string {
 // checkRecord compares a snapshot with the result it was published from.
 func checkRecord(t *testing.T, res *core.Result, snap metrics.Snapshot) {
 	t.Helper()
-	// The two series a degraded run used to sum over every attempt.
+	// The two solver effort series, checked by name.
 	if got, want := snap.Deterministic["taint.propagations"], int64(res.Counters.Propagations); got != want {
 		t.Errorf("taint.propagations = %d, want Counters.Propagations = %d", got, want)
 	}
@@ -113,19 +117,18 @@ func checkRecord(t *testing.T, res *core.Result, snap metrics.Snapshot) {
 	if tagged == 0 {
 		t.Error("no Counters field declares its metric name")
 	}
-	for name, st := range res.Passes {
-		if got := snap.Deterministic["pipeline."+name+".runs"]; got != int64(st.Runs) {
-			t.Errorf("pipeline.%s.runs = %d, want Passes[%s].Runs = %d", name, got, name, st.Runs)
+	for name := range res.PassTimes {
+		if got := snap.Timings["pipeline."+name].Count; got != 1 {
+			t.Errorf("pipeline.%s timing count = %d, want 1 (PassTimes has the pass)", name, got)
 		}
 	}
-	for key := range snap.Deterministic {
-		rest, ok := strings.CutPrefix(key, "pipeline.")
+	for key := range snap.Timings {
+		name, ok := strings.CutPrefix(key, "pipeline.")
 		if !ok {
 			continue
 		}
-		name := rest[:strings.LastIndexByte(rest, '.')]
-		if _, ok := res.Passes[name]; !ok {
-			t.Errorf("series %s has no pass %q in Result.Passes %v", key, name, res.Passes)
+		if _, ok := res.PassTimes[name]; !ok {
+			t.Errorf("timing %s has no pass %q in Result.PassTimes %v", key, name, res.PassTimes)
 		}
 	}
 }

@@ -44,8 +44,8 @@ func TestReflectiveLeakEndToEnd(t *testing.T) {
 	if res.Counters.ReflectionResolved != res.Soundness.ResolvedSites {
 		t.Errorf("counter mismatch: %d vs %d", res.Counters.ReflectionResolved, res.Soundness.ResolvedSites)
 	}
-	if st, ok := res.Passes["constprop"]; !ok || st.Runs != 1 {
-		t.Errorf("constprop pass stats = %+v, want 1 run", res.Passes)
+	if _, ok := res.PassTimes["constprop"]; !ok {
+		t.Errorf("constprop pass missing from PassTimes %v", res.PassTimes)
 	}
 }
 
@@ -65,8 +65,8 @@ func TestReflectiveLeakGatedByFlag(t *testing.T) {
 	if res.Soundness != nil {
 		t.Errorf("Soundness should be nil with reflection off, got %+v", res.Soundness)
 	}
-	if _, ok := res.Passes["constprop"]; ok {
-		t.Error("constprop pass must not appear in PassStats with reflection off")
+	if _, ok := res.PassTimes["constprop"]; ok {
+		t.Error("constprop pass must not appear in PassTimes with reflection off")
 	}
 	if res.App.Program.Class(constprop.BridgesClass) != nil {
 		t.Error("bridges class materialized despite reflection off")

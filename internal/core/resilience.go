@@ -29,8 +29,7 @@ const (
 	Recovered
 	// LeakLimitReached means the taint solve stopped at the configured
 	// MaxLeaks cap; the reported leaks are a truncated set and more may
-	// exist. Unlike BudgetExhausted this is not retried down the degrade
-	// ladder — the cap is a configured cutoff, not a resource failure.
+	// exist.
 	LeakLimitReached
 	// InvalidProgram means the IR verifier (Options.Lint) found
 	// Error-severity defects in the program; no solver ran. The
@@ -141,10 +140,11 @@ func (c *Counters) Add(o Counters) {
 }
 
 // publish writes a finished run's record into the recorder: every
-// Counters field with a metric tag, and every pass's runs. It is
-// the only writer of these series, so they equal the result by
-// construction. Counters add, so a recorder shared by many runs sums
-// them; gauges hold the last run's value.
+// Counters field with a metric tag. It is the only writer of these
+// series, so they equal the result by construction. A pass-tagged series
+// is published when its pass has a PassTimes entry. Counters add, so a
+// recorder shared by many runs sums them; gauges hold the last run's
+// value.
 func publish(rec *metrics.Recorder, res *Result) {
 	if rec == nil {
 		return
@@ -157,7 +157,8 @@ func publish(rec *metrics.Recorder, res *Result) {
 			continue
 		}
 		n, pass := v.Field(i).Int(), f.Tag.Get("pass")
-		if pass == "" && n == 0 || pass != "" && res.Passes[pass].Runs == 0 {
+		_, reached := res.PassTimes[pass]
+		if pass == "" && n == 0 || pass != "" && !reached {
 			continue // its pass was never reached, or its event never happened
 		}
 		class := metrics.Deterministic
@@ -169,9 +170,6 @@ func publish(rec *metrics.Recorder, res *Result) {
 		} else {
 			rec.Counter(name, class).Add(n)
 		}
-	}
-	for name, st := range res.Passes {
-		rec.Counter("pipeline."+name+".runs", metrics.Deterministic).Add(int64(st.Runs))
 	}
 }
 
@@ -195,23 +193,3 @@ func countersFromTaint(c *Counters, st taint.Stats) {
 
 // stackTrace captures the panicking goroutine's stack for Failure.Stack.
 func stackTrace() []byte { return debug.Stack() }
-
-// degradeStep is one rung of the graceful-degradation ladder.
-type degradeStep struct {
-	name  string
-	apply func(*Options)
-}
-
-// degradeLadder returns the downgrade rungs applicable to opts, cheapest
-// precision loss first: shorten access paths to 3, then to 1. A rung
-// changes only the taint solve; the call graph stays as configured.
-func degradeLadder(opts Options) []degradeStep {
-	var steps []degradeStep
-	if opts.Taint.APLength > 3 || opts.Taint.APLength <= 0 {
-		steps = append(steps, degradeStep{"ap-length=3", func(o *Options) { o.Taint.APLength = 3 }})
-	}
-	if opts.Taint.APLength > 1 || opts.Taint.APLength <= 0 {
-		steps = append(steps, degradeStep{"ap-length=1", func(o *Options) { o.Taint.APLength = 1 }})
-	}
-	return steps
-}

@@ -98,39 +98,6 @@ func TestBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestGracefulDegradation: with -degrade semantics enabled, a budget-
-// exhausted run walks the ladder (shorter access paths) and records each
-// rung it applied.
-func TestGracefulDegradation(t *testing.T) {
-	app := stressApp(t)
-	opts := core.DefaultOptions()
-	opts.MaxPropagations = 500
-	opts.Degrade = true
-	res, err := core.AnalyzeFiles(context.Background(), app.Files, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Degraded) == 0 {
-		t.Fatal("budget-exhausted run with Degrade on recorded no downgrade rungs")
-	}
-	if res.Degraded[0] != "ap-length=3" {
-		t.Errorf("first rung = %q, want ap-length=3 (cheapest precision loss first)", res.Degraded[0])
-	}
-
-	// A run that never exhausts anything must not degrade.
-	clean, err := core.AnalyzeFiles(context.Background(), insecurebank.Files, func() core.Options {
-		o := core.DefaultOptions()
-		o.Degrade = true
-		return o
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Status != core.Complete || len(clean.Degraded) != 0 {
-		t.Errorf("unbounded run: status %v, degraded %v; want Complete with no downgrades", clean.Status, clean.Degraded)
-	}
-}
-
 // TestRecoveredFromStagePanic: a panic inside a pipeline stage becomes a
 // Recovered result carrying the stage name and stack, not a crash and not
 // an error.

@@ -9,6 +9,7 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,22 +32,18 @@ func timingApp(t *testing.T) *apk.App {
 // TestPanicDuringTaintChargesTaintTime: a panic raised inside the taint
 // stage must yield Recovered with stage "taint", a nonzero
 // PassTimes["taint"], and setup passes that were timed too. The panic is
-// forced by dropping the source/sink manager between prepare and solve,
-// which the taint engine nil-derefs while seeding.
+// forced by a context whose Err panics once the pipeline's taint span
+// has begun: the solver polls the context after seeding.
 func TestPanicDuringTaintChargesTaintTime(t *testing.T) {
 	app := timingApp(t)
-	opts := DefaultOptions()
-	pl := newPipeline(app, nil)
-	prepared, err := pl.prepare(context.Background(), opts)
+	ctx := &panicOnErr{Context: context.Background()}
+	rec := metrics.New()
+	rec.SetTrace(metrics.NewTrace(&onTaintSpan{fn: func() { ctx.armed.Store(true) }}))
+
+	res, err := AnalyzeApp(metrics.Into(ctx, rec), app, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prepared.Status != Complete {
-		t.Fatalf("prepare status = %v, want %v", prepared.Status, Complete)
-	}
-	pl.mgr = nil
-
-	res := pl.solve(context.Background(), opts, prepared)
 	if res.Status != Recovered {
 		t.Fatalf("status = %v, want %v", res.Status, Recovered)
 	}
@@ -59,25 +56,35 @@ func TestPanicDuringTaintChargesTaintTime(t *testing.T) {
 	if d := setupTime(res); d <= 0 {
 		t.Errorf("setup passes timed %v, want > 0 (setup did run)", d)
 	}
-	if st := res.Passes["taint"]; st.Runs != 1 {
-		t.Errorf("taint pass runs = %d, want 1 (a panicking attempt still counts)", st.Runs)
+}
+
+// panicOnErr is a context whose Err panics once armed.
+type panicOnErr struct {
+	context.Context
+	armed atomic.Bool
+}
+
+func (c *panicOnErr) Err() error {
+	if c.armed.Load() {
+		panic("injected: context polled inside the taint solve")
 	}
+	return c.Context.Err()
 }
 
-// cancelOnTaintSpan is an io.Writer trace sink that cancels a context
-// the moment the pipeline's taint span begins — a deterministic way to
-// make the deadline strike inside the solve.
-type cancelOnTaintSpan struct {
-	mu     sync.Mutex
-	cancel context.CancelFunc
+// onTaintSpan is an io.Writer trace sink that calls fn once, the moment
+// the pipeline's taint span begins — a deterministic way to make an
+// event strike inside the solve.
+type onTaintSpan struct {
+	mu sync.Mutex
+	fn func()
 }
 
-func (w *cancelOnTaintSpan) Write(p []byte) (int, error) {
+func (w *onTaintSpan) Write(p []byte) (int, error) {
 	if strings.Contains(string(p), `"ev":"B"`) && strings.Contains(string(p), `"name":"pipeline.taint"`) {
 		w.mu.Lock()
-		if w.cancel != nil {
-			w.cancel()
-			w.cancel = nil
+		if w.fn != nil {
+			w.fn()
+			w.fn = nil
 		}
 		w.mu.Unlock()
 	}
@@ -92,9 +99,8 @@ func TestCancelDuringTaintChargesTaintTime(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	w := &cancelOnTaintSpan{cancel: cancel}
 	rec := metrics.New()
-	rec.SetTrace(metrics.NewTrace(w))
+	rec.SetTrace(metrics.NewTrace(&onTaintSpan{fn: cancel}))
 
 	res, err := AnalyzeApp(metrics.Into(ctx, rec), app, DefaultOptions())
 	if err != nil {

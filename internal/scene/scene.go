@@ -180,8 +180,8 @@ func (s *Scene) Resolver() *callgraph.Resolver {
 }
 
 // CFGs returns the scene's shared per-method CFG cache. It implements
-// cfg.CacheProvider, so NewICFG adopts it automatically: CFGs survive
-// call-graph swaps and degrade-ladder retries.
+// cfg.CacheProvider, so NewICFG and the IR verifier adopt it
+// automatically and build each method's CFG once between them.
 func (s *Scene) CFGs() *cfg.Cache { return s.cfgs }
 
 // Hierarchy interface conformance (compile-time checks).

@@ -52,19 +52,16 @@ type JobStatus struct {
 
 // Report is the machine-readable result envelope of one analysis run,
 // shared by the daemon's job results and cmd/flowdroid -json: status,
-// failure and degradation metadata, the core.Counters (whose JSON tags
-// are the counter schema), pass reuse, lint diagnostics, the soundness
-// report and the leaks. ResultReport fills Leaks with the canonical
-// (path-witness-free) form, so two analyses of the same app under the
-// same configuration serialize byte-identically whether or not the
-// summary store replayed part of the solve; the CLI swaps in the
-// path-witness report.
+// failure, the core.Counters (whose JSON tags are the counter schema),
+// lint diagnostics, the soundness report and the leaks. ResultReport
+// fills Leaks with the canonical (path-witness-free) form, so two
+// analyses of the same app under the same configuration serialize
+// byte-identically whether or not the summary store replayed part of the
+// solve; the CLI swaps in the path-witness report.
 type Report struct {
 	Status   string              `json:"status"`
 	Failure  string              `json:"failure,omitempty"`
-	Degraded []string            `json:"degraded,omitempty"`
 	Counters core.Counters       `json:"counters"`
-	Passes   core.PassStats      `json:"passes,omitempty"`
 	Lint     []irlint.Diagnostic `json:"lint,omitempty"`
 	// Soundness is the reflection pass's account of the app's reflective
 	// surface, present only when there is one (the field is omitted for
@@ -78,9 +75,7 @@ type Report struct {
 func ResultReport(res *core.Result) Report {
 	rep := Report{
 		Status:   res.Status.String(),
-		Degraded: res.Degraded,
 		Counters: res.Counters,
-		Passes:   res.Passes,
 		Leaks:    res.Taint.CanonicalReport(),
 	}
 	if res.Failure != nil {

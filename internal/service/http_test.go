@@ -155,6 +155,40 @@ func TestHTTPResultBeforeDone(t *testing.T) {
 	release <- struct{}{}
 }
 
+// TestHTTPRejectsRetiredDegradeField: the request schema no longer has
+// "degrade", and the decoder rejects unknown fields, so a client still
+// sending it gets a 400 naming the field instead of a job that silently
+// ignores it. The same package without the field is accepted.
+func TestHTTPRejectsRetiredDegradeField(t *testing.T) {
+	_, ts := newTestAPI(t, Config{Analyses: 1})
+	files, err := json.Marshal(appgen.GenerateCorpus(appgen.Play, 1, 4)[0].Files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.String()
+	}
+	code, body := post(`{"files": ` + string(files) + `, "maxPropagations": 5, "degrade": true}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("submit with \"degrade\": %d %s, want 400", code, body)
+	}
+	var e httpError
+	if err := json.Unmarshal([]byte(body), &e); err != nil || !strings.Contains(e.Error, `"degrade"`) {
+		t.Errorf("400 body %s does not name the rejected field \"degrade\"", body)
+	}
+	if code, body := post(`{"files": ` + string(files) + `, "maxPropagations": 5}`); code != http.StatusAccepted {
+		t.Fatalf("submit without \"degrade\": %d %s, want 202", code, body)
+	}
+}
+
 func TestHTTPRejections(t *testing.T) {
 	s, ts := newTestAPI(t, Config{QueueSize: 1, Analyses: 1})
 	release := make(chan struct{})

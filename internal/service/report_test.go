@@ -29,15 +29,11 @@ import (
 const reportGolden = "testdata/report_schema.golden"
 
 // schemaKeys adds the dotted key paths of a decoded JSON value to keys.
-// Array elements share the path "[]"; the keys of "passes" are pass
-// names (data, not schema) and collapse to "*".
+// Array elements share the path "[]".
 func schemaKeys(v any, path string, keys map[string]bool) {
 	switch v := v.(type) {
 	case map[string]any:
 		for k, sub := range v {
-			if path == "passes" {
-				k = "*"
-			}
 			p := k
 			if path != "" {
 				p = path + "." + k
@@ -89,11 +85,12 @@ func TestReportSchema(t *testing.T) {
 	}
 	analyze("lint", d.Apply(appgen.GenerateCorpus(appgen.Play, 1, 1)[0]).Files, lint)
 
-	// A budget-exhausted run retried down the degradation ladder.
-	degrade := core.DefaultOptions()
-	degrade.MaxPropagations = 5
-	degrade.Degrade = true
-	analyze("degrade", genApp(t, appgen.Play, 1), degrade)
+	// A budget-exhausted run: its status and partial counters.
+	budget := core.DefaultOptions()
+	budget.MaxPropagations = 5
+	if res := analyze("budget", genApp(t, appgen.Play, 1), budget); res.Status != core.BudgetExhausted {
+		t.Fatalf("budget run ended %v, want BudgetExhausted", res.Status)
+	}
 
 	// A summary store: a cold run persists summaries (misses, explored
 	// methods); a mutated version of the app replays the unchanged ones

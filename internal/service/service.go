@@ -126,9 +126,6 @@ type Request struct {
 	// MaxPropagations is the taint propagation budget (0 inherits the
 	// server default).
 	MaxPropagations int `json:"maxPropagations,omitempty"`
-	// Degrade enables the access-path degradation ladder (length 3, then
-	// 1) on budget exhaustion.
-	Degrade bool `json:"degrade,omitempty"`
 	// APLength overrides the maximal access-path length (0 = paper
 	// default of 5).
 	APLength int `json:"apLength,omitempty"`
@@ -471,7 +468,6 @@ func (s *Server) runJob(j *job) {
 	if opts.MaxPropagations == 0 {
 		opts.MaxPropagations = s.cfg.DefaultMaxPropagations
 	}
-	opts.Degrade = j.req.Degrade
 	opts.UseCHA = j.req.UseCHA
 	opts.Lint = j.req.Lint
 	opts.Query = core.Query{Sinks: j.req.Sinks}

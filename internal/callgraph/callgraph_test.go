@@ -160,10 +160,10 @@ func TestReachesTransitivelySelf(t *testing.T) {
 	g := BuildCHA(context.Background(), prog, main)
 	site := callIn(main)
 	helper := prog.Class("Main").Method("helper", 0)
-	if !g.ReachesTransitively(site, helper) {
+	if !g.ReachesTransitively(site, helper, new(Reach)) {
 		t.Error("direct call should reach its target")
 	}
-	if g.ReachesTransitively(site, main) {
+	if g.ReachesTransitively(site, main, new(Reach)) {
 		t.Error("non-recursive call must not reach the caller")
 	}
 }

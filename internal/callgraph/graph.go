@@ -78,46 +78,55 @@ func (g *Graph) NumEdges() int {
 	return n
 }
 
+// Reach is the reusable scratch of ReachesTransitively queries: a
+// visited mark per method and a work stack. The zero value is ready. A
+// Reach belongs to one goroutine, so the caller owns it, not the Graph,
+// which analyses share once built.
+type Reach struct {
+	// visited holds the number of the query that last visited each
+	// method, so a new query needs no clearing.
+	visited map[*ir.Method]uint32
+	query   uint32
+	stack   []*ir.Method
+}
+
 // ReachesTransitively reports whether any method of the call site s's
 // callee subtree is the method m, i.e. whether invoking s can transitively
 // execute m. The taint analysis uses this to decide whether a call site
 // can activate an inactive alias taint (activation statements represent
-// call trees).
-func (g *Graph) ReachesTransitively(s ir.Stmt, m *ir.Method) bool {
-	seen := make(map[*ir.Method]bool)
-	var stack []*ir.Method
-	for _, t := range g.calleesOf[s] {
-		if !seen[t] {
-			seen[t] = true
-			stack = append(stack, t)
+// call trees). The walk runs on r's scratch and allocates only while r's
+// tables grow.
+func (g *Graph) ReachesTransitively(s ir.Stmt, m *ir.Method, r *Reach) bool {
+	if r.visited == nil {
+		r.visited = make(map[*ir.Method]uint32)
+	}
+	if r.query++; r.query == 0 { // wrapped: old marks would read as this query's
+		clear(r.visited)
+		r.query = 1
+	}
+	r.stack = r.stack[:0]
+	push := func(site ir.Stmt) {
+		for _, t := range g.calleesOf[site] {
+			if r.visited[t] != r.query {
+				r.visited[t] = r.query
+				r.stack = append(r.stack, t)
+			}
 		}
 	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	push(s)
+	for len(r.stack) > 0 {
+		cur := r.stack[len(r.stack)-1]
+		r.stack = r.stack[:len(r.stack)-1]
 		if cur == m {
 			return true
 		}
-		for _, site := range callsIn(cur) {
-			for _, t := range g.calleesOf[site] {
-				if !seen[t] {
-					seen[t] = true
-					stack = append(stack, t)
-				}
+		for _, st := range cur.Body() {
+			if ir.IsCall(st) {
+				push(st)
 			}
 		}
 	}
 	return false
-}
-
-func callsIn(m *ir.Method) []ir.Stmt {
-	var out []ir.Stmt
-	for _, s := range m.Body() {
-		if ir.IsCall(s) {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // Resolver resolves the possible runtime targets of invocation

@@ -193,9 +193,10 @@ func IsOverridableMethod(name string, nargs int) bool {
 }
 
 // NewProgram returns a fresh program preloaded with the linked framework
-// model. The stubs are parsed and linked once per process; every program
-// NewProgram returns shares those classes read-only, and the classes added
-// to it are its own. Call prog.Link() after adding the app classes.
+// model. The stubs are parsed, linked and sealed once per process; every
+// program NewProgram returns shares those classes, their cached method
+// lists and their subtype index read-only, and the classes added to it
+// are its own. Call prog.Link() after adding the app classes.
 func NewProgram() *ir.Program { return base().Clone() }
 
 // base is the linked framework model every NewProgram result clones.
@@ -210,5 +211,8 @@ var base = sync.OnceValue(func() *ir.Program {
 		// parse or link it is a programming error in this package.
 		panic(fmt.Sprintf("framework: %v", err))
 	}
+	// Fill every lazily built cache before the base is shared, so no
+	// analysis writes to a base class.
+	prog.Seal()
 	return prog
 })

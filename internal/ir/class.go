@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Field is a field declaration. Identity is pointer identity; access paths
@@ -40,6 +41,11 @@ type Class struct {
 
 	fields  map[string]*Field
 	methods map[methodKey]*Method
+	// sortedMethods caches Methods(), filled under methodsOnce; AddMethod
+	// resets both. The once orders the fill before every read, so
+	// concurrent readers of a finished class may fill it.
+	methodsOnce   sync.Once
+	sortedMethods []*Method
 	// linked is set by Program.Link and cleared when the class gains a
 	// method or one of its methods a new body.
 	linked bool
@@ -92,6 +98,8 @@ func (c *Class) AddMethod(m *Method) error {
 	}
 	m.Class = c
 	c.methods[k] = m
+	c.methodsOnce = sync.Once{}
+	c.sortedMethods = nil
 	c.linked = false
 	return nil
 }
@@ -115,19 +123,23 @@ func (c *Class) MethodsNamed(name string) []*Method {
 	return out
 }
 
-// Methods returns the declared methods sorted by name then arity.
+// Methods returns the declared methods sorted by name then arity. The
+// slice is cached until the next AddMethod; callers must not modify it.
 func (c *Class) Methods() []*Method {
-	out := make([]*Method, 0, len(c.methods))
-	for _, m := range c.methods {
-		out = append(out, m)
-	}
-	slices.SortFunc(out, func(a, b *Method) int {
-		if c := strings.Compare(a.Name, b.Name); c != 0 {
-			return c
+	c.methodsOnce.Do(func() {
+		out := make([]*Method, 0, len(c.methods))
+		for _, m := range c.methods {
+			out = append(out, m)
 		}
-		return len(a.Params) - len(b.Params)
+		slices.SortFunc(out, func(a, b *Method) int {
+			if c := strings.Compare(a.Name, b.Name); c != 0 {
+				return c
+			}
+			return len(a.Params) - len(b.Params)
+		})
+		c.sortedMethods = out
 	})
-	return out
+	return c.sortedMethods
 }
 
 // Method is a method declaration with an optional body. Framework stubs

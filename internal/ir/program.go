@@ -5,7 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
+	"sync"
 )
 
 // Program is a closed world of classes: the app's own classes plus the
@@ -13,9 +13,20 @@ import (
 // subtyping) happens against a Program.
 type Program struct {
 	classes map[string]*Class
-	// sorted caches Classes(); AddClass clears it. It is atomic so that
-	// concurrent readers of a finished program may fill it.
-	sorted atomic.Pointer[[]*Class]
+	// order lists the classes in the order they were added. A clone
+	// shares its source's array, capped at its length, so the clone's
+	// first AddClass copies it.
+	order []*Class
+	// sorted caches Classes(): the first len(sorted) classes of order,
+	// in name order, filled under sortOnce. AddClass resets the once, and
+	// the next Classes merges in the classes added since. The once orders
+	// the fill before every read, so concurrent readers of a finished
+	// program may fill it.
+	sortOnce sync.Once
+	sorted   []*Class
+	// types is the subtype index of the sealed program this one was
+	// cloned from, or of this one if it is sealed; nil if there is none.
+	types *SubtypeIndex
 	// pending lists the methods declared with a body to parse on demand,
 	// in declaration order; onParse runs on each such body once parsed.
 	pending []*Method
@@ -30,14 +41,38 @@ func NewProgram() *Program {
 // Clone returns a program holding the same classes as p. The two share
 // their *Class values, which both must then treat as read-only; a class
 // added to either program is invisible to the other. The framework model
-// is linked once and cloned into every app's program this way.
+// is linked and sealed once and cloned into every app's program this way.
 func (p *Program) Clone() *Program {
-	c := &Program{classes: make(map[string]*Class, 2*len(p.classes))} // room for an app's classes
+	c := &Program{
+		classes: make(map[string]*Class, 2*len(p.classes)), // room for an app's classes
+		order:   p.order[:len(p.order):len(p.order)],
+		sorted:  p.Classes(),
+		types:   p.types,
+	}
 	for name, cls := range p.classes {
 		c.classes[name] = cls
 	}
-	c.sorted.Store(p.sorted.Load())
 	return c
+}
+
+// Seal readies a finished program to be cloned and shared. It fills the
+// caches that readers would otherwise fill on first use (the sorted class
+// list and each class's sorted methods), so readers of a shared class
+// only load them, and it indexes the subtype relation once for every
+// clone to extend (see NewSubtypeIndex). A program whose classes name a
+// missing supertype gets no index: declaring that name later would
+// change those classes' supertype sets.
+func (p *Program) Seal() {
+	for _, c := range p.Classes() {
+		c.Methods()
+	}
+	x := NewSubtypeIndex(p)
+	for name := range x.subtypes {
+		if p.classes[name] == nil {
+			return
+		}
+	}
+	p.types = x
 }
 
 // AddClass registers a class; it returns an error on duplicate names.
@@ -46,26 +81,47 @@ func (p *Program) AddClass(c *Class) error {
 		return fmt.Errorf("duplicate class %s", c.Name)
 	}
 	p.classes[c.Name] = c
-	p.sorted.Store(nil)
+	p.order = append(p.order, c)
+	p.sortOnce = sync.Once{}
 	return nil
 }
 
 // Class returns the named class, or nil.
 func (p *Program) Class(name string) *Class { return p.classes[name] }
 
-// Classes returns all classes in name order. The slice is cached until
-// the next AddClass; callers must not modify it.
+// Classes returns all classes in name order. The slice is cached; a call
+// after AddClass sorts only the classes added since the cached list and
+// merges them into a new one. Callers must not modify it.
 func (p *Program) Classes() []*Class {
-	if out := p.sorted.Load(); out != nil {
-		return *out
+	p.sortOnce.Do(p.mergeAdded)
+	return p.sorted
+}
+
+// mergeAdded sorts the classes added since the cached list and merges
+// them into a new one.
+func (p *Program) mergeAdded() {
+	old := p.sorted
+	if len(old) == len(p.order) {
+		return
 	}
-	out := make([]*Class, 0, len(p.classes))
-	for _, c := range p.classes {
-		out = append(out, c)
+	// Sort the added classes into the front of out, then merge old in
+	// from the back: every write lands at or after the next unread
+	// element of the front run, so the merge needs no second buffer.
+	out := make([]*Class, len(p.order))
+	added := out[:len(p.order)-len(old)]
+	copy(added, p.order[len(old):])
+	slices.SortFunc(added, func(a, b *Class) int { return strings.Compare(a.Name, b.Name) })
+	i, j := len(old)-1, len(added)-1
+	for k := len(out) - 1; i >= 0; k-- {
+		if j >= 0 && added[j].Name > old[i].Name {
+			out[k] = added[j]
+			j--
+		} else {
+			out[k] = old[i]
+			i--
+		}
 	}
-	slices.SortFunc(out, func(a, b *Class) int { return strings.Compare(a.Name, b.Name) })
-	p.sorted.Store(&out)
-	return out
+	p.sorted = out
 }
 
 // Methods returns every method of every class, in deterministic order.

@@ -239,10 +239,10 @@ func TestReachesTransitively(t *testing.T) {
 	site := findCallTo(main, "who")
 	bWho := prog.Class("B").Method("who", 0)
 	aWho := prog.Class("A").Method("who", 0)
-	if !res.Graph.ReachesTransitively(site, bWho) {
+	if !res.Graph.ReachesTransitively(site, bWho, new(callgraph.Reach)) {
 		t.Error("call site should reach B.who")
 	}
-	if res.Graph.ReachesTransitively(site, aWho) {
+	if res.Graph.ReachesTransitively(site, aWho, new(callgraph.Reach)) {
 		t.Error("call site should not reach A.who")
 	}
 }

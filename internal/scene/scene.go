@@ -12,25 +12,24 @@
 // including cyclic ones). A Scene belongs to one analysis, which runs on
 // one goroutine, so its memo tables are unsynchronized. Refresh is
 // required after the program gains classes, e.g. dummy-main generation.
+// The hierarchy index is ir.SubtypeIndex; on an app program it extends
+// the framework base's index, built once per process.
 package scene
 
 import (
-	"sort"
-
 	"flowdroid/internal/callgraph"
 	"flowdroid/internal/cfg"
 	"flowdroid/internal/ir"
 )
 
 // Scene is the cached program model. Create with New, refresh after
-// mutating the underlying program's class set.
+// adding classes to the underlying program.
 type Scene struct {
 	prog *ir.Program
 
 	// Immutable between Refresh calls.
-	classes  []*ir.Class
-	supers   map[string]map[string]bool // transitive supertypes (self excluded)
-	subtypes map[string][]string        // inverted, sorted, self included
+	classes []*ir.Class
+	types   *ir.SubtypeIndex
 
 	// Lazy resolution caches.
 	methodCache map[memberKey]*ir.Method
@@ -50,9 +49,11 @@ type memberKey struct {
 	nargs int
 }
 
-// New builds a Scene over prog, precomputing the type hierarchy eagerly.
-// A nil program yields a scene over an empty one, so a malformed app
-// fails in the stage that actually dereferences it, not here.
+// New builds a Scene over prog, indexing the type hierarchy eagerly. On
+// a program cloned from the sealed framework base, only the app's own
+// classes are indexed; the base's index is shared. A nil program yields
+// a scene over an empty one, so a malformed app fails in the stage that
+// actually dereferences it, not here.
 func New(prog *ir.Program) *Scene {
 	if prog == nil {
 		prog = ir.NewProgram()
@@ -65,65 +66,52 @@ func New(prog *ir.Program) *Scene {
 // Program returns the wrapped program.
 func (s *Scene) Program() *ir.Program { return s.prog }
 
-// Refresh recomputes the hierarchy and drops the resolution caches after
-// the underlying program changed (classes or members added). The CFG
-// cache is kept: method bodies are immutable once finalized, so existing
-// CFGs stay valid and new methods fill in lazily.
-func (s *Scene) Refresh() { s.rebuild() }
-
-// rebuild recomputes every program-derived index.
-func (s *Scene) rebuild() {
-	s.classes = s.prog.Classes()
-	s.supers = make(map[string]map[string]bool, len(s.classes))
-	s.subtypes = make(map[string][]string, len(s.classes))
-	for _, c := range s.classes {
-		s.supers[c.Name] = s.computeSupers(c.Name)
+// Refresh brings the scene up to date after classes were added to the
+// underlying program (the constprop bridges, the dummy main). It extends
+// the hierarchy index with the added classes and drops the resolution
+// answers that mention them, plus the resolver, whose virtual-target
+// sets depend on subtypes. Other answers stay: an added class is in no
+// existing class's supertype chain, unless an existing class named it as
+// a missing supertype, and then Refresh rebuilds everything. Members
+// added to a class the scene already indexed are not seen; after load a
+// program grows only by whole classes. The CFG cache is kept: method
+// bodies are immutable once finalized, so existing CFGs stay valid and
+// new methods fill in lazily.
+func (s *Scene) Refresh() {
+	added, ok := s.types.Extend(s.prog)
+	if !ok {
+		s.rebuild()
+		return
 	}
-	for _, c := range s.classes {
-		s.subtypes[c.Name] = append(s.subtypes[c.Name], c.Name)
-		for super := range s.supers[c.Name] {
-			if super != c.Name {
-				s.subtypes[super] = append(s.subtypes[super], c.Name)
-			}
+	if len(added) == 0 {
+		return
+	}
+	s.classes = s.prog.Classes()
+	fresh := make(map[string]bool, len(added))
+	for _, c := range added {
+		fresh[c.Name] = true
+	}
+	for k := range s.methodCache {
+		if fresh[k.class] {
+			delete(s.methodCache, k)
 		}
 	}
-	for name := range s.subtypes {
-		sort.Strings(s.subtypes[name])
+	for k := range s.fieldCache {
+		if fresh[k.class] {
+			delete(s.fieldCache, k)
+		}
 	}
+	s.resolver = nil
+}
+
+// rebuild indexes the program afresh and drops every resolution answer.
+func (s *Scene) rebuild() {
+	s.classes = s.prog.Classes()
+	s.types = ir.NewSubtypeIndex(s.prog)
 	s.methodCache = make(map[memberKey]*ir.Method)
 	s.fieldCache = make(map[memberKey]*ir.Field)
 	// The resolver indexes the old class set; rebuild it lazily.
 	s.resolver = nil
-}
-
-// computeSupers collects every name reachable from start along superclass
-// and interface edges. Names of missing classes are included (they are
-// valid supertypes per Program.SubtypeOf) but contribute no further
-// edges; cycles are tolerated.
-func (s *Scene) computeSupers(start string) map[string]bool {
-	out := make(map[string]bool)
-	work := []string{start}
-	seen := map[string]bool{start: true}
-	for len(work) > 0 {
-		name := work[len(work)-1]
-		work = work[:len(work)-1]
-		c := s.prog.Class(name)
-		if c == nil {
-			continue
-		}
-		edges := append([]string{}, c.Interfaces...)
-		if c.Super != "" {
-			edges = append(edges, c.Super)
-		}
-		for _, e := range edges {
-			if !seen[e] {
-				seen[e] = true
-				out[e] = true
-				work = append(work, e)
-			}
-		}
-	}
-	return out
 }
 
 // Class returns the named class, or nil.
@@ -135,14 +123,12 @@ func (s *Scene) Classes() []*ir.Class { return s.classes }
 
 // SubtypeOf reports whether sub is the same as, a subclass of, or an
 // implementor of super. O(1) against the precomputed sets.
-func (s *Scene) SubtypeOf(sub, super string) bool {
-	return sub == super || s.supers[sub][super]
-}
+func (s *Scene) SubtypeOf(sub, super string) bool { return s.types.SubtypeOf(sub, super) }
 
 // SubtypesOf returns the names of every class that is a subtype of the
 // named class or interface (including itself if declared), in name
 // order. The slice is shared and must not be mutated.
-func (s *Scene) SubtypesOf(name string) []string { return s.subtypes[name] }
+func (s *Scene) SubtypesOf(name string) []string { return s.types.SubtypesOf(name) }
 
 // ResolveMethod finds the method (name, nargs) starting at class and
 // walking up the superclass chain, then the transitive interfaces.

@@ -201,31 +201,40 @@ func TestResolutionCacheConsistencyAfterRefresh(t *testing.T) {
 }
 
 // TestSceneMatchesProgramOnRandomHierarchies cross-checks every hierarchy
-// query against the uncached program on randomly generated class DAGs
-// with interfaces, dangling supertype names, and scattered members.
+// query against the uncached program and a freshly built scene on
+// randomly generated class DAGs with interfaces, dangling supertype
+// names, and scattered members. The scene is built over a random prefix
+// of the classes; the rest arrive in random batches, each followed by
+// Refresh. The late classes include some that earlier classes named as
+// dangling supertypes, which forces Refresh's full rebuild. In half the
+// trials the prefix is a closed class set, sealed and cloned the way the
+// framework base is, so the scene extends the sealed program's index.
 func TestSceneMatchesProgramOnRandomHierarchies(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		prog := ir.NewProgram()
+	for trial := 0; trial < 60; trial++ {
 		n := 3 + rng.Intn(12)
 		names := make([]string, n)
 		for i := range names {
 			names[i] = fmt.Sprintf("C%d", i)
 		}
+		dangling := []string{"dangling.D0", "dangling.D1", "dangling.D2"}
+		sealed := trial%2 == 1
+		closedFrom := n - 1 - rng.Intn(n/2+1) // C[closedFrom:] name no dangling supertype when sealed
 		// Classes only reference higher-numbered names (a DAG) plus the
-		// occasional dangling name that is never declared.
-		for i := 0; i < n; i++ {
+		// occasional dangling name; a declared dangling name may close a
+		// cycle, which both implementations tolerate.
+		newClass := func(name string, higher []string, mayDangle bool) *ir.Class {
 			super := ""
 			switch pick := rng.Intn(4); {
-			case pick == 0 && i+1 < n:
-				super = names[i+1+rng.Intn(n-i-1)]
-			case pick == 1:
-				super = fmt.Sprintf("dangling.D%d", rng.Intn(3))
+			case pick == 0 && len(higher) > 0:
+				super = higher[rng.Intn(len(higher))]
+			case pick == 1 && mayDangle:
+				super = dangling[rng.Intn(len(dangling))]
 			}
-			c := ir.NewClass(names[i], super)
+			c := ir.NewClass(name, super)
 			c.Interface = rng.Intn(3) == 0
-			for k := 0; k < rng.Intn(3) && i+1 < n; k++ {
-				c.Interfaces = append(c.Interfaces, names[i+1+rng.Intn(n-i-1)])
+			for k := 0; k < rng.Intn(3) && len(higher) > 0; k++ {
+				c.Interfaces = append(c.Interfaces, higher[rng.Intn(len(higher))])
 			}
 			if rng.Intn(2) == 0 {
 				m := ir.NewMethod(fmt.Sprintf("m%d", rng.Intn(3)), ir.Void, false)
@@ -238,30 +247,109 @@ func TestSceneMatchesProgramOnRandomHierarchies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := prog.AddClass(c); err != nil {
-				t.Fatal(err)
+			return c
+		}
+		var classes []*ir.Class
+		for i := range names {
+			classes = append(classes, newClass(names[i], names[i+1:], !sealed || i < closedFrom))
+		}
+		for _, d := range dangling {
+			if rng.Intn(2) == 0 {
+				classes = append(classes, newClass(d, names, false))
 			}
 		}
+
+		prog := ir.NewProgram()
+		late := classes
+		if sealed {
+			for _, c := range classes[closedFrom:n] {
+				if err := prog.AddClass(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prog.Seal()
+			prog = prog.Clone()
+			late = append(append([]*ir.Class{}, classes[:closedFrom]...), classes[n:]...)
+		}
+		rng.Shuffle(len(late), func(i, j int) { late[i], late[j] = late[j], late[i] })
+		add := func(cs []*ir.Class) {
+			for _, c := range cs {
+				if err := prog.AddClass(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		k := rng.Intn(len(late) + 1)
+		add(late[:k])
+		late = late[k:]
 		sc := scene.New(prog)
-		queries := append(append([]string{}, names...), "dangling.D0", "dangling.D1", "nowhere.X")
-		for _, sub := range queries {
-			for _, super := range queries {
-				if got, want := sc.SubtypeOf(sub, super), prog.SubtypeOf(sub, super); got != want {
-					t.Fatalf("trial %d: SubtypeOf(%s, %s): scene %v, program %v", trial, sub, super, got, want)
-				}
+		queries := append(append(append([]string{}, names...), dangling...), "nowhere.X")
+		step := "prefix"
+		for {
+			checkScene(t, fmt.Sprintf("trial %d (%s)", trial, step), sc, prog, queries)
+			if len(late) == 0 {
+				break
 			}
-			if got, want := fmt.Sprint(sc.SubtypesOf(sub)), fmt.Sprint(prog.SubtypesOf(sub)); got != want {
-				t.Fatalf("trial %d: SubtypesOf(%s): scene %v, program %v", trial, sub, got, want)
+			b := 1 + rng.Intn(len(late))
+			add(late[:b])
+			step = fmt.Sprintf("after refresh with %d classes", b)
+			late = late[b:]
+			sc.Refresh()
+		}
+	}
+}
+
+// checkScene compares every query of sc over the names in queries with
+// the program's uncached answer and a fresh scene's.
+func checkScene(t *testing.T, at string, sc *scene.Scene, prog *ir.Program, queries []string) {
+	t.Helper()
+	fresh := scene.New(prog)
+	classNames := func(cs []*ir.Class) string {
+		var out []string
+		for _, c := range cs {
+			out = append(out, c.Name)
+		}
+		return fmt.Sprint(out)
+	}
+	if got, want := classNames(sc.Classes()), classNames(prog.Classes()); got != want {
+		t.Fatalf("%s: Classes: scene %v, program %v", at, got, want)
+	}
+	if got, want := classNames(fresh.Classes()), classNames(prog.Classes()); got != want {
+		t.Fatalf("%s: Classes: fresh scene %v, program %v", at, got, want)
+	}
+	for _, sub := range queries {
+		for _, super := range queries {
+			want := prog.SubtypeOf(sub, super)
+			if got := sc.SubtypeOf(sub, super); got != want {
+				t.Fatalf("%s: SubtypeOf(%s, %s): scene %v, program %v", at, sub, super, got, want)
 			}
-			for k := 0; k < 3; k++ {
-				mn := fmt.Sprintf("m%d", k)
-				if got, want := sc.ResolveMethod(sub, mn, 0), prog.ResolveMethod(sub, mn, 0); got != want {
-					t.Fatalf("trial %d: ResolveMethod(%s, %s): scene %v, program %v", trial, sub, mn, got, want)
-				}
-				fn := fmt.Sprintf("f%d", k)
-				if got, want := sc.ResolveField(sub, fn), prog.ResolveField(sub, fn); got != want {
-					t.Fatalf("trial %d: ResolveField(%s, %s): scene %v, program %v", trial, sub, fn, got, want)
-				}
+			if got := fresh.SubtypeOf(sub, super); got != want {
+				t.Fatalf("%s: SubtypeOf(%s, %s): fresh scene %v, program %v", at, sub, super, got, want)
+			}
+		}
+		want := fmt.Sprint(prog.SubtypesOf(sub))
+		if got := fmt.Sprint(sc.SubtypesOf(sub)); got != want {
+			t.Fatalf("%s: SubtypesOf(%s): scene %v, program %v", at, sub, got, want)
+		}
+		if got := fmt.Sprint(fresh.SubtypesOf(sub)); got != want {
+			t.Fatalf("%s: SubtypesOf(%s): fresh scene %v, program %v", at, sub, got, want)
+		}
+		for k := 0; k < 3; k++ {
+			mn := fmt.Sprintf("m%d", k)
+			want := prog.ResolveMethod(sub, mn, 0)
+			if got := sc.ResolveMethod(sub, mn, 0); got != want {
+				t.Fatalf("%s: ResolveMethod(%s, %s): scene %v, program %v", at, sub, mn, got, want)
+			}
+			if got := fresh.ResolveMethod(sub, mn, 0); got != want {
+				t.Fatalf("%s: ResolveMethod(%s, %s): fresh scene %v, program %v", at, sub, mn, got, want)
+			}
+			fn := fmt.Sprintf("f%d", k)
+			wantF := prog.ResolveField(sub, fn)
+			if got := sc.ResolveField(sub, fn); got != wantF {
+				t.Fatalf("%s: ResolveField(%s, %s): scene %v, program %v", at, sub, fn, got, wantF)
+			}
+			if got := fresh.ResolveField(sub, fn); got != wantF {
+				t.Fatalf("%s: ResolveField(%s, %s): fresh scene %v, program %v", at, sub, fn, got, wantF)
 			}
 		}
 	}

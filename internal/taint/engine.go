@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"flowdroid/internal/callgraph"
 	"flowdroid/internal/cfg"
 	"flowdroid/internal/ir"
 	"flowdroid/internal/metrics"
@@ -67,6 +68,7 @@ type engine struct {
 	leakSeen map[leakKey]bool
 
 	actCache map[actKey]bool
+	reach    callgraph.Reach // scratch of the canActivate walks
 
 	// sumDecision memoizes the per-context summary-store decision; nil
 	// when no summary session is configured.
@@ -654,7 +656,7 @@ func (e *engine) canActivate(site ir.Stmt, act ir.Stmt) bool {
 	k := actKey{site, act.Method()}
 	v, ok := e.actCache[k]
 	if !ok {
-		v = e.icfg.Graph.ReachesTransitively(site, k.m)
+		v = e.icfg.Graph.ReachesTransitively(site, k.m, &e.reach)
 		e.actCache[k] = v
 	}
 	return v

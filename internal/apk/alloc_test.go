@@ -17,8 +17,8 @@ func TestLoadAllocs(t *testing.T) {
 		profile  appgen.Profile
 		measured float64
 	}{
-		{appgen.Play, 475},
-		{appgen.Stress, 3070},
+		{appgen.Play, 329},
+		{appgen.Stress, 1975},
 	} {
 		app := appgen.GenerateCorpus(tc.profile, 1, 1)[0]
 		load := func() {

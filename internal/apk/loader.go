@@ -24,11 +24,11 @@ import (
 // irtext.DeclareInto). A lexical or brace error in a body fails the load;
 // a grammar error fails the first use of its body.
 func Load(fsys fs.FS) (*App, error) {
-	manifestData, err := fs.ReadFile(fsys, "AndroidManifest.xml")
+	manifestText, err := readText(fsys, "AndroidManifest.xml")
 	if err != nil {
 		return nil, fmt.Errorf("apk: reading manifest: %w", err)
 	}
-	manifest, err := ParseManifest(manifestData)
+	manifest, err := parseManifest(strings.NewReader(manifestText))
 	if err != nil {
 		return nil, err
 	}
@@ -63,12 +63,12 @@ func Load(fsys fs.FS) (*App, error) {
 	sort.Strings(layoutFiles)
 
 	for _, p := range layoutFiles {
-		data, err := fs.ReadFile(fsys, p)
+		text, err := readText(fsys, p)
 		if err != nil {
 			return nil, fmt.Errorf("apk: reading %s: %w", p, err)
 		}
 		name := strings.TrimSuffix(path.Base(p), ".xml")
-		l, err := ParseLayout(name, data)
+		l, err := ParseLayout(name, strings.NewReader(text))
 		if err != nil {
 			return nil, err
 		}
@@ -77,11 +77,11 @@ func Load(fsys fs.FS) (*App, error) {
 
 	prog := framework.NewProgram()
 	for _, p := range irFiles {
-		data, err := fs.ReadFile(fsys, p)
+		text, err := readText(fsys, p)
 		if err != nil {
 			return nil, fmt.Errorf("apk: reading %s: %w", p, err)
 		}
-		if err := irtext.DeclareInto(prog, string(data), p); err != nil {
+		if err := irtext.DeclareInto(prog, text, p); err != nil {
 			return nil, err
 		}
 	}
@@ -116,6 +116,18 @@ func Load(fsys fs.FS) (*App, error) {
 		return nil, err
 	}
 	return app, nil
+}
+
+// readText returns the contents of the named file. A memFS file is its
+// string as is; other sources are read and copied once.
+func readText(fsys fs.FS, name string) (string, error) {
+	if m, ok := fsys.(memFS); ok {
+		if text, ok := m[name]; ok {
+			return text, nil
+		}
+	}
+	data, err := fs.ReadFile(fsys, name)
+	return string(data), err
 }
 
 // collectResRefs gathers all symbolic resource names the app's code

@@ -1,6 +1,7 @@
 package apk
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -9,34 +10,6 @@ import (
 
 	"flowdroid/internal/framework"
 )
-
-// xmlManifest mirrors the AndroidManifest.xml structure we consume.
-type xmlManifest struct {
-	XMLName     xml.Name       `xml:"manifest"`
-	Package     string         `xml:"package,attr"`
-	Application xmlApplication `xml:"application"`
-}
-
-type xmlApplication struct {
-	Attrs      []xml.Attr     `xml:",any,attr"`
-	Activities []xmlComponent `xml:"activity"`
-	Services   []xmlComponent `xml:"service"`
-	Receivers  []xmlComponent `xml:"receiver"`
-	Providers  []xmlComponent `xml:"provider"`
-}
-
-type xmlComponent struct {
-	Attrs         []xml.Attr        `xml:",any,attr"`
-	IntentFilters []xmlIntentFilter `xml:"intent-filter"`
-}
-
-type xmlIntentFilter struct {
-	Actions []xmlAction `xml:"action"`
-}
-
-type xmlAction struct {
-	Attrs []xml.Attr `xml:",any,attr"`
-}
 
 // attr fetches an attribute by local name, ignoring the android: namespace
 // prefix (real manifests qualify attributes; we accept both).
@@ -49,75 +22,148 @@ func attr(attrs []xml.Attr, local string) (string, bool) {
 	return "", false
 }
 
+// componentTags are the <application> children that declare components,
+// in the order ParseManifest lists their kinds.
+var componentTags = [...]struct {
+	tag  string
+	kind framework.ComponentKind
+}{
+	{"activity", framework.Activity},
+	{"service", framework.Service},
+	{"receiver", framework.Receiver},
+	{"provider", framework.Provider},
+}
+
 // ParseManifest parses AndroidManifest.xml content into the manifest
 // model. Component names beginning with "." are resolved against the
 // package name, as on Android.
 func ParseManifest(data []byte) (*Manifest, error) {
-	var xm xmlManifest
-	if err := xml.Unmarshal(data, &xm); err != nil {
-		return nil, fmt.Errorf("apk: parsing manifest: %w", err)
-	}
-	if xm.Package == "" {
-		return nil, fmt.Errorf("apk: manifest has no package attribute")
-	}
-	m := &Manifest{Package: xm.Package}
-	if name, ok := attr(xm.Application.Attrs, "name"); ok && name != "" {
-		if strings.HasPrefix(name, ".") {
-			name = xm.Package + name
+	return parseManifest(bytes.NewReader(data))
+}
+
+// parseManifest reads the manifest with a token loop. It reads what
+// xml.Unmarshal would into a manifest/application/component/
+// intent-filter/action tree, and nothing more: the document up to the
+// root's end tag, the root's package attribute (the last one wins), the
+// first android:name among the <application> elements' attributes, and
+// each component element directly under an <application>, with the
+// actions of its intent filters. Any other element is skipped with its
+// subtree. Components are listed by kind in componentTags order, then in
+// document order.
+func parseManifest(r io.Reader) (*Manifest, error) {
+	dec := xml.NewDecoder(r)
+	var root xml.StartElement
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, fmt.Errorf("apk: parsing manifest: %w", err)
 		}
-		m.Application = name
+		if se, ok := tok.(xml.StartElement); ok {
+			root = se
+			break
+		}
 	}
-	add := func(kind framework.ComponentKind, comps []xmlComponent) error {
-		for _, xc := range comps {
-			name, ok := attr(xc.Attrs, "name")
-			if !ok || name == "" {
-				return fmt.Errorf("apk: %s component without android:name", kind)
+	if root.Name.Local != "manifest" {
+		return nil, fmt.Errorf("apk: parsing manifest: %w",
+			xml.UnmarshalError("expected element type <manifest> but have <"+root.Name.Local+">"))
+	}
+	m := &Manifest{}
+	for _, a := range root.Attr {
+		if a.Name.Local == "package" {
+			m.Package = a.Value
+		}
+	}
+
+	var comps [len(componentTags)][]*Component
+	var cur *Component // the component element being read
+	appName, appNamed := "", false
+	// depth counts the open elements below the root; matched is how many
+	// of them, from the outermost, follow the component path.
+	depth, matched := 0, 0
+	for depth >= 0 {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, fmt.Errorf("apk: parsing manifest: %w", err)
+		}
+		switch t := tok.(type) {
+		case xml.EndElement:
+			if matched == depth {
+				matched--
 			}
-			if strings.HasPrefix(name, ".") {
-				name = xm.Package + name
+			depth--
+		case xml.StartElement:
+			depth++
+			if matched != depth-1 {
+				continue
 			}
-			c := &Component{Kind: kind, Class: name, Enabled: true}
-			if v, ok := attr(xc.Attrs, "enabled"); ok {
-				c.Enabled = v != "false"
-			}
-			if v, ok := attr(xc.Attrs, "exported"); ok {
-				c.Exported = v == "true"
-			}
-			for _, f := range xc.IntentFilters {
-				for _, act := range f.Actions {
-					if v, ok := attr(act.Attrs, "name"); ok {
-						c.IntentActions = append(c.IntentActions, v)
-						if v == "android.intent.action.MAIN" {
-							c.Main = true
-						}
+			switch name := t.Name.Local; {
+			case depth == 1 && name == "application":
+				matched = depth
+				if !appNamed {
+					appName, appNamed = attr(t.Attr, "name")
+				}
+			case depth == 2:
+				for i, ct := range componentTags {
+					if name != ct.tag {
+						continue
+					}
+					matched = depth
+					cur = &Component{Kind: ct.kind, Enabled: true}
+					cur.Class, _ = attr(t.Attr, "name")
+					if v, ok := attr(t.Attr, "enabled"); ok {
+						cur.Enabled = v != "false"
+					}
+					if v, ok := attr(t.Attr, "exported"); ok {
+						cur.Exported = v == "true"
+					}
+					comps[i] = append(comps[i], cur)
+					break
+				}
+			case depth == 3 && name == "intent-filter":
+				matched = depth
+			case depth == 4 && name == "action":
+				matched = depth
+				if v, ok := attr(t.Attr, "name"); ok {
+					cur.IntentActions = append(cur.IntentActions, v)
+					if v == "android.intent.action.MAIN" {
+						cur.Main = true
 					}
 				}
 			}
+		}
+	}
+
+	if m.Package == "" {
+		return nil, fmt.Errorf("apk: manifest has no package attribute")
+	}
+	qualify := func(name string) string {
+		if strings.HasPrefix(name, ".") {
+			return m.Package + name
+		}
+		return name
+	}
+	if appName != "" {
+		m.Application = qualify(appName)
+	}
+	for i, list := range comps {
+		for _, c := range list {
+			if c.Class == "" {
+				return nil, fmt.Errorf("apk: %s component without android:name", componentTags[i].kind)
+			}
+			c.Class = qualify(c.Class)
 			m.Components = append(m.Components, c)
 		}
-		return nil
-	}
-	if err := add(framework.Activity, xm.Application.Activities); err != nil {
-		return nil, err
-	}
-	if err := add(framework.Service, xm.Application.Services); err != nil {
-		return nil, err
-	}
-	if err := add(framework.Receiver, xm.Application.Receivers); err != nil {
-		return nil, err
-	}
-	if err := add(framework.Provider, xm.Application.Providers); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
 
-// ParseLayout parses a res/layout XML file into the flat control model.
-// The element tree is walked generically: any element carrying android:id,
-// android:onClick or android:inputType contributes a control.
-func ParseLayout(name string, data []byte) (*Layout, error) {
+// ParseLayout parses a res/layout XML file, read from r, into the flat
+// control model. The element tree is walked generically: any element
+// carrying android:id, android:onClick or android:inputType contributes
+// a control.
+func ParseLayout(name string, r io.Reader) (*Layout, error) {
 	l := &Layout{Name: name}
-	dec := xml.NewDecoder(strings.NewReader(string(data)))
+	dec := xml.NewDecoder(r)
 	for {
 		tok, err := dec.Token()
 		if err != nil {

@@ -26,9 +26,9 @@ func TestAnalyzeAllocs(t *testing.T) {
 		opts     core.Options
 		measured float64
 	}{
-		{appgen.Play, core.DefaultOptions(), 2440},
-		{appgen.Reflection, core.DefaultOptions(), 4905},
-		{appgen.Malware, sms, 2215},
+		{appgen.Play, core.DefaultOptions(), 1777},
+		{appgen.Reflection, core.DefaultOptions(), 3596},
+		{appgen.Malware, sms, 1741},
 	} {
 		app := appgen.GenerateCorpus(tc.profile, 1, 1)[0]
 		analyze := func() {

@@ -153,12 +153,19 @@ func (p *parser) expectIdent() (string, error) {
 }
 
 // qname parses a dot-separated qualified name (e.g. android.app.Activity).
+// A name written without blanks or comments between its parts is sliced
+// from the source; only a spaced-out one ("a . b") is concatenated.
 func (p *parser) qname() (string, error) {
+	start := p.cur.pos
 	name, err := p.expectIdent()
 	if err != nil {
 		return "", err
 	}
+	end, contiguous := start+len(name), true
 	for p.isPunct(".") {
+		if contiguous && (p.cur.pos != end || p.next.pos != end+1) {
+			contiguous, name = false, p.lex.src[start:end]
+		}
 		if err := p.advance(); err != nil {
 			return "", err
 		}
@@ -166,7 +173,14 @@ func (p *parser) qname() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		name += "." + part
+		if contiguous {
+			end += 1 + len(part)
+		} else {
+			name += "." + part
+		}
+	}
+	if contiguous {
+		return p.lex.src[start:end], nil
 	}
 	return name, nil
 }
@@ -380,15 +394,8 @@ func (p *parser) parseBody(m *ir.Method) ([]ir.Stmt, error) {
 		return nil, err
 	}
 	var body []ir.Stmt
+	var err error
 	pendingLabel := ""
-	emit := func(s ir.Stmt, line int) {
-		if pendingLabel != "" {
-			setLabel(s, pendingLabel)
-			pendingLabel = ""
-		}
-		setLine(s, line)
-		body = append(body, s)
-	}
 	for !p.isPunct("}") {
 		line := p.cur.line
 		// Label: IDENT ":" (not followed by a type, i.e. not a local decl).
@@ -406,12 +413,17 @@ func (p *parser) parseBody(m *ir.Method) ([]ir.Stmt, error) {
 			}
 			continue
 		}
-		stmts, err := p.parseStmt(m)
+		n := len(body)
+		body, err = p.parseStmt(m, body)
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range stmts {
-			emit(s, line)
+		for _, s := range body[n:] {
+			if pendingLabel != "" {
+				setLabel(s, pendingLabel)
+				pendingLabel = ""
+			}
+			setLine(s, line)
 		}
 	}
 	if pendingLabel != "" {
@@ -437,9 +449,10 @@ func setLine(s ir.Stmt, n int) {
 	}
 }
 
-// parseStmt parses one source statement; constructor sugar may expand to
-// two IR statements.
-func (p *parser) parseStmt(m *ir.Method) ([]ir.Stmt, error) {
+// parseStmt parses one source statement and appends what it yields to
+// body: nothing for a local declaration, two IR statements for
+// constructor sugar, one otherwise.
+func (p *parser) parseStmt(m *ir.Method, body []ir.Stmt) ([]ir.Stmt, error) {
 	switch {
 	case p.isIdent("local"):
 		// "local x: T" declares a typed local; emits no statement.
@@ -460,7 +473,7 @@ func (p *parser) parseStmt(m *ir.Method) ([]ir.Stmt, error) {
 		l := m.Local(name)
 		l.Type = t
 		l.Declared = true
-		return nil, nil
+		return body, nil
 
 	case p.isIdent("if"):
 		if err := p.advance(); err != nil {
@@ -482,7 +495,7 @@ func (p *parser) parseStmt(m *ir.Method) ([]ir.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []ir.Stmt{&ir.IfStmt{Target: target}}, nil
+		return append(body, &ir.IfStmt{Target: target}), nil
 
 	case p.isIdent("goto"):
 		if err := p.advance(); err != nil {
@@ -492,7 +505,7 @@ func (p *parser) parseStmt(m *ir.Method) ([]ir.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []ir.Stmt{&ir.GotoStmt{Target: target}}, nil
+		return append(body, &ir.GotoStmt{Target: target}), nil
 
 	case p.isIdent("return"):
 		if err := p.advance(); err != nil {
@@ -500,23 +513,23 @@ func (p *parser) parseStmt(m *ir.Method) ([]ir.Stmt, error) {
 		}
 		// A value follows unless the next token starts a new statement.
 		if p.isPunct("}") || p.startsStmt() {
-			return []ir.Stmt{&ir.ReturnStmt{}}, nil
+			return append(body, &ir.ReturnStmt{}), nil
 		}
 		v, err := p.operand(m)
 		if err != nil {
 			return nil, err
 		}
-		return []ir.Stmt{&ir.ReturnStmt{Value: v}}, nil
+		return append(body, &ir.ReturnStmt{Value: v}), nil
 
 	case p.isIdent("nop"):
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return []ir.Stmt{&ir.NopStmt{}}, nil
+		return append(body, &ir.NopStmt{}), nil
 	}
 
 	// Everything else begins with a path: an assignment or a call.
-	return p.parsePathStmt(m)
+	return p.parsePathStmt(m, body)
 }
 
 // startsStmt reports whether the current token begins a new statement

@@ -401,3 +401,46 @@ func TestStringConstRoundTrip(t *testing.T) {
 		t.Errorf("formatting is not a fixed point:\n%q\nvs\n%q", once, twice)
 	}
 }
+
+// TestSpacedQualifiedNames: blanks, newlines or a comment between the
+// parts of a qualified name do not change it, whether it names a class,
+// a supertype, a field, parameter or return type, or a type in a body
+// (allocation, cast, local declaration), and whether every dot or only
+// some are spaced.
+func TestSpacedQualifiedNames(t *testing.T) {
+	const tmpl = `class a{1}b{2}C extends a{1}b{2}Base {
+  field f: a{1}b{2}C
+  method m(x: java{1}lang{2}String): a{1}b{2}C {
+    local w: a{1}b{2}C[]
+    y = new a{1}b{2}C
+    z = (a{1}b{2}C) y
+    a{1}b{2}Sink.leak(x)
+    return z
+  }
+}
+`
+	render := func(sep1, sep2 string) string {
+		src := strings.NewReplacer("{1}", sep1, "{2}", sep2).Replace(tmpl)
+		prog, err := ParseProgram(src, "spaced.ir")
+		if err != nil {
+			t.Fatalf("separators %q, %q: %v\n%s", sep1, sep2, err, src)
+		}
+		c := prog.Class("a.b.C")
+		if c == nil {
+			t.Fatalf("separators %q, %q: class a.b.C not declared", sep1, sep2)
+		}
+		w := c.Method("m", 1).LookupLocal("w")
+		return ir.PrintClass(c) + "local w: " + w.Type.String()
+	}
+	want := render(".", ".")
+	if !strings.HasSuffix(want, "local w: a.b.C[]") {
+		t.Fatalf("contiguous names print\n%s", want)
+	}
+	for _, sep := range []string{" . ", "\t.", ".\n", "\n.\n  ", " // note\n.", ". // note\n"} {
+		for _, pair := range [][2]string{{sep, sep}, {".", sep}, {sep, "."}} {
+			if got := render(pair[0], pair[1]); got != want {
+				t.Errorf("separators %q, %q print\n%s\nwant\n%s", pair[0], pair[1], got, want)
+			}
+		}
+	}
+}

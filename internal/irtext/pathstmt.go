@@ -46,9 +46,10 @@ func (p *parser) parsePath() (path, error) {
 // definite-assignment analyzer (internal/irlint, "defuse"), not here.
 func isLocal(m *ir.Method, name string) bool { return m.HasLocal(name) }
 
-// parsePathStmt parses a statement beginning with a path: an assignment
-// (to a local, field, static field or array element) or a stand-alone call.
-func (p *parser) parsePathStmt(m *ir.Method) ([]ir.Stmt, error) {
+// parsePathStmt parses a statement beginning with a path, an assignment
+// (to a local, field, static field or array element) or a stand-alone
+// call, and appends it to body.
+func (p *parser) parsePathStmt(m *ir.Method, body []ir.Stmt) ([]ir.Stmt, error) {
 	pa, err := p.parsePath()
 	if err != nil {
 		return nil, err
@@ -60,7 +61,7 @@ func (p *parser) parsePathStmt(m *ir.Method) ([]ir.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []ir.Stmt{&ir.InvokeStmt{Call: call}}, nil
+		return append(body, &ir.InvokeStmt{Call: call}), nil
 	}
 
 	// Array store: local "[" index "]" "=" operand.
@@ -86,7 +87,7 @@ func (p *parser) parsePathStmt(m *ir.Method) ([]ir.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []ir.Stmt{&ir.AssignStmt{LHS: &ir.ArrayRef{Base: base, Index: idx}, RHS: rhs}}, nil
+		return append(body, &ir.AssignStmt{LHS: &ir.ArrayRef{Base: base, Index: idx}, RHS: rhs}), nil
 	}
 
 	// Otherwise an assignment: lvalue "=" rvalue.
@@ -97,7 +98,7 @@ func (p *parser) parsePathStmt(m *ir.Method) ([]ir.Stmt, error) {
 	if err := p.expectPunct("="); err != nil {
 		return nil, err
 	}
-	return p.parseRvalue(m, lhs)
+	return p.parseRvalue(m, lhs, body)
 }
 
 // lvalueOf interprets a path as an assignment target.
@@ -186,9 +187,9 @@ func (p *parser) finishCall(m *ir.Method, pa path) (*ir.InvokeExpr, error) {
 	}, nil
 }
 
-// parseRvalue parses the right-hand side of "lhs =" and returns the
-// resulting statement(s); constructor sugar expands to two statements.
-func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) ([]ir.Stmt, error) {
+// parseRvalue parses the right-hand side of "lhs =" and appends the
+// resulting statement to body; constructor sugar appends two.
+func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value, body []ir.Stmt) ([]ir.Stmt, error) {
 	switch {
 	case p.isIdent("new"):
 		if err := p.advance(); err != nil {
@@ -200,7 +201,7 @@ func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) ([]ir.Stmt, error) {
 		}
 		alloc := &ir.AssignStmt{LHS: lhs, RHS: &ir.New{Type: ir.Ref(cls)}}
 		if !p.isPunct("(") {
-			return []ir.Stmt{alloc}, nil
+			return append(body, alloc), nil
 		}
 		// Constructor sugar: "x = new C(a, b)" expands to the allocation
 		// followed by a special-invoke of C.init.
@@ -233,7 +234,7 @@ func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) ([]ir.Stmt, error) {
 			Ref:  ir.MethodRef{Class: cls, Name: "init", NArgs: len(args)},
 			Args: args,
 		}}
-		return []ir.Stmt{alloc, ctor}, nil
+		return append(body, alloc, ctor), nil
 
 	case p.isIdent("newarray"):
 		if err := p.advance(); err != nil {
@@ -243,7 +244,7 @@ func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) ([]ir.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: &ir.NewArray{Elem: t}}}, nil
+		return append(body, &ir.AssignStmt{LHS: lhs, RHS: &ir.NewArray{Elem: t}}), nil
 
 	case p.isPunct("("): // cast: "(C) x"
 		if err := p.advance(); err != nil {
@@ -260,7 +261,7 @@ func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) ([]ir.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: &ir.Cast{To: t, X: x}}}, nil
+		return append(body, &ir.AssignStmt{LHS: lhs, RHS: &ir.Cast{To: t, X: x}}), nil
 
 	case p.cur.kind == tokInt || p.cur.kind == tokString || p.cur.kind == tokRes ||
 		p.isIdent("null"):
@@ -268,7 +269,7 @@ func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) ([]ir.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.maybeBinop(m, lhs, v)
+		return p.maybeBinop(m, lhs, v, body)
 	}
 
 	// A path: local copy, field load, static load, array load, binop or
@@ -282,7 +283,7 @@ func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) ([]ir.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: call}}, nil
+		return append(body, &ir.AssignStmt{LHS: lhs, RHS: call}), nil
 	}
 	if p.isPunct("[") {
 		if len(pa.segs) != 1 {
@@ -299,13 +300,13 @@ func (p *parser) parseRvalue(m *ir.Method, lhs ir.Value) ([]ir.Stmt, error) {
 		if err := p.expectPunct("]"); err != nil {
 			return nil, err
 		}
-		return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: &ir.ArrayRef{Base: base, Index: idx}}}, nil
+		return append(body, &ir.AssignStmt{LHS: lhs, RHS: &ir.ArrayRef{Base: base, Index: idx}}), nil
 	}
 	v, err := p.pathValue(m, pa)
 	if err != nil {
 		return nil, err
 	}
-	return p.maybeBinop(m, lhs, v)
+	return p.maybeBinop(m, lhs, v, body)
 }
 
 // pathValue interprets a path in value position.
@@ -326,10 +327,10 @@ func (p *parser) pathValue(m *ir.Method, pa path) (ir.Value, error) {
 }
 
 // maybeBinop checks for a trailing binary operator after the first operand
-// and builds either a plain assignment or a binop assignment.
-func (p *parser) maybeBinop(m *ir.Method, lhs, first ir.Value) ([]ir.Stmt, error) {
+// and appends either a plain assignment or a binop assignment to body.
+func (p *parser) maybeBinop(m *ir.Method, lhs, first ir.Value, body []ir.Stmt) ([]ir.Stmt, error) {
 	if p.cur.kind != tokOp {
-		return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: first}}, nil
+		return append(body, &ir.AssignStmt{LHS: lhs, RHS: first}), nil
 	}
 	if !ir.IsSimple(first) {
 		return nil, p.errf("binary operands must be locals or constants; introduce a temporary")
@@ -342,5 +343,5 @@ func (p *parser) maybeBinop(m *ir.Method, lhs, first ir.Value) ([]ir.Stmt, error
 	if err != nil {
 		return nil, err
 	}
-	return []ir.Stmt{&ir.AssignStmt{LHS: lhs, RHS: &ir.Binop{Op: op, L: first, R: second}}}, nil
+	return append(body, &ir.AssignStmt{LHS: lhs, RHS: &ir.Binop{Op: op, L: first, R: second}}), nil
 }

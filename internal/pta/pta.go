@@ -455,13 +455,18 @@ func (a *analysis) solve() {
 func (a *analysis) applyFallback() bool {
 	changed := false
 	// Snapshot: visiting methods during iteration appends constraints.
-	methods := make([]*ir.Method, 0, len(a.visited))
-	for m := range a.visited {
-		methods = append(methods, m)
+	// Each method's rendered name is its sort key, rendered once.
+	type keyed struct {
+		key string
+		m   *ir.Method
 	}
-	sort.Slice(methods, func(i, j int) bool { return methods[i].String() < methods[j].String() })
-	for _, m := range methods {
-		for _, s := range m.Body() {
+	methods := make([]keyed, 0, len(a.visited))
+	for m := range a.visited {
+		methods = append(methods, keyed{m.String(), m})
+	}
+	sort.Slice(methods, func(i, j int) bool { return methods[i].key < methods[j].key })
+	for _, km := range methods {
+		for _, s := range km.m.Body() {
 			call := ir.CallOf(s)
 			if call == nil || call.Kind != ir.VirtualInvoke || call.Base == nil {
 				continue

@@ -9,9 +9,11 @@ package sourcesink
 import (
 	"bufio"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"flowdroid/internal/apk"
 	"flowdroid/internal/ir"
@@ -104,13 +106,21 @@ func NewManager(prog ir.Hierarchy, sources []Source, sinks []Sink) *Manager {
 	}
 }
 
-// Default creates a manager with the built-in Android source/sink rules.
-func Default(prog ir.Hierarchy) *Manager {
-	m, err := Parse(prog, DefaultRules)
+// defaultRules is DefaultRules parsed once per process. Its rule slices
+// are shared by every manager Default returns, which is safe because a
+// manager only reads them and appends to clipped copies.
+var defaultRules = sync.OnceValue(func() *Manager {
+	m, err := Parse(nil, DefaultRules)
 	if err != nil {
 		panic("sourcesink: built-in rules do not parse: " + err.Error())
 	}
 	return m
+})
+
+// Default creates a manager with the built-in Android source/sink rules.
+func Default(prog ir.Hierarchy) *Manager {
+	r := defaultRules()
+	return NewManager(prog, slices.Clip(r.sources), slices.Clip(r.sinks))
 }
 
 // AttachApp registers the app's layout model so that password input

@@ -2,6 +2,7 @@ package sourcesink
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"flowdroid/internal/apk"
@@ -208,5 +209,54 @@ func TestAddSourceAddSink(t *testing.T) {
 	m.AddSink(Sink{Class: "a.C", Name: "out", NArgs: 1, Args: []int{0}, Label: "y"})
 	if len(m.Sources()) != 1 || len(m.Sinks()) != 1 {
 		t.Error("Add* did not register rules")
+	}
+}
+
+// TestDefaultManagersAreIndependent: Default parses the built-in rules
+// once per process and shares them, so one manager's AddSource/AddSink
+// must not show in another's rules, and concurrent Default calls (run
+// under -race) must not race.
+func TestDefaultManagersAreIndependent(t *testing.T) {
+	prog := framework.NewProgram()
+	if err := prog.Link(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	mgrs := make([]*Manager, 4)
+	for i := range mgrs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			mgrs[i] = Default(prog)
+		}(i)
+	}
+	wg.Wait()
+	a, b := mgrs[0], mgrs[1]
+	nSrc, nSnk := len(b.Sources()), len(b.Sinks())
+	a.AddSource(Source{Class: "a.A", Name: "src", Param: Return, Label: "from-a"})
+	a.AddSink(Sink{Class: "a.A", Name: "snk", Label: "from-a"})
+	b.AddSource(Source{Class: "b.B", Name: "src", Param: Return, Label: "from-b"})
+	b.AddSink(Sink{Class: "b.B", Name: "snk", Label: "from-b"})
+	for _, tc := range []struct {
+		m    *Manager
+		want string
+	}{{a, "from-a"}, {b, "from-b"}, {Default(prog), ""}} {
+		srcs, snks := tc.m.Sources(), tc.m.Sinks()
+		extra := 0
+		if tc.want != "" {
+			extra = 1
+		}
+		if len(srcs) != nSrc+extra || len(snks) != nSnk+extra {
+			t.Fatalf("manager has %d sources, %d sinks, want %d, %d", len(srcs), len(snks), nSrc+extra, nSnk+extra)
+		}
+		if tc.want == "" {
+			continue
+		}
+		if got := srcs[nSrc].Label; got != tc.want {
+			t.Errorf("added source label %q, want %q", got, tc.want)
+		}
+		if got := snks[nSnk].Label; got != tc.want {
+			t.Errorf("added sink label %q, want %q", got, tc.want)
+		}
 	}
 }

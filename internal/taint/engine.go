@@ -58,6 +58,10 @@ type engine struct {
 	lastMethod *ir.Method
 	lastState  *methodState
 
+	// edges is both directions' jump tables: every path edge inserted so
+	// far (see pathEdge).
+	edges map[pathEdge]struct{}
+
 	// incoming and endSum pair caller contexts with end summaries:
 	// whichever of the two arrives second applies the pair, so every
 	// (caller, summary) pair is applied exactly once.
@@ -164,51 +168,44 @@ func (q *workQueue) stop(st Status) {
 // aborted reports whether stop was called.
 func (q *workQueue) aborted() bool { return q.status != Completed }
 
-// methodState is the solver's dense per-method record: every table the
-// hot loop consults per statement, as a slice indexed by Stmt.Index().
-// It is created on the first lookup of its method, and each table is
-// allocated on first use, so a method the backward solver never enters
-// carries no backward table.
+// methodState is the solver's dense per-method record, created on the
+// first lookup of its method.
 type methodState struct {
 	// cfg is the method's CFG; nil when the engine has no ICFG (the
 	// whitebox tests that drive propagation directly).
 	cfg *cfg.MethodCFG
-	// size is the method's body length, the length of every table.
+	// size is the method's body length, the length of sites.
 	size int
-	// fw and bw are the two directions' path edges ⟨d1⟩ → ⟨n, d2⟩ at
-	// each statement n (the jump tables).
-	fw, bw []edgeSet
+	// ord is the method's dense ordinal in this analysis, the high half
+	// of its path edges' pathEdge.at.
+	ord uint32
 	// sites memoizes per-call-site static facts (resolved wrapper rules,
-	// bodied callees, stub dispatch, sink rule); see callsite.go.
+	// bodied callees, stub dispatch, sink rule), indexed by Stmt.Index()
+	// and allocated on first use; see callsite.go.
 	sites []*callSite
 }
 
-// edgeSet is one statement's path edges in one direction, keyed by
-// edgeKey.
-type edgeSet map[uint64]struct{}
+// pathEdge is one path edge ⟨d1⟩ → ⟨n, d2⟩ of either direction: at packs
+// n's method ordinal, n's statement index and the direction, edge is
+// edgeKey(d1, d2). Both solvers' jump tables are one set of these per
+// analysis, so inserting an edge allocates nothing per statement.
+type pathEdge struct{ at, edge uint64 }
 
 // edgeKey packs the path edge ⟨d1⟩ → ⟨d2⟩ into one map key.
 func edgeKey(d1, d2 *Abstraction) uint64 { return uint64(d1.id)<<32 | uint64(d2.id) }
 
-// insertEdge adds the path edge d1 → d2 at statement index i to the jump
-// table *t of a method with size statements, allocating the table and
-// the statement's set on first use, and reports whether it was novel.
-func insertEdge(t *[]edgeSet, size, i int, d1, d2 *Abstraction) bool {
-	if *t == nil {
-		*t = make([]edgeSet, size)
+// insertEdge adds the path edge d1 → ⟨n, d2⟩ in the given direction to
+// the jump table and reports whether it was novel.
+func (e *engine) insertEdge(backward bool, d1 *Abstraction, n ir.Stmt, d2 *Abstraction) bool {
+	at := uint64(e.stateOf(n.Method()).ord)<<32 | uint64(n.Index())<<1
+	if backward {
+		at |= 1
 	}
-	set := (*t)[i]
-	if set == nil {
-		// Most statements accumulate a handful of edges; pre-sizing the
-		// set skips the first grow-and-rehash cycles.
-		set = make(edgeSet, 8)
-		(*t)[i] = set
-	}
-	k := edgeKey(d1, d2)
-	if _, ok := set[k]; ok {
+	k := pathEdge{at, edgeKey(d1, d2)}
+	if _, ok := e.edges[k]; ok {
 		return false
 	}
-	set[k] = struct{}{}
+	e.edges[k] = struct{}{}
 	return true
 }
 
@@ -219,7 +216,7 @@ func (e *engine) stateOf(m *ir.Method) *methodState {
 	}
 	ms := e.methods[m]
 	if ms == nil {
-		ms = &methodState{size: len(m.Body())}
+		ms = &methodState{size: len(m.Body()), ord: uint32(len(e.methods))}
 		if e.icfg != nil {
 			ms.cfg = e.icfg.CFGOf(m)
 		}
@@ -331,14 +328,15 @@ func newEngine(icfg *cfg.ICFG, mgr *sourcesink.Manager, conf Config) *engine {
 		in:       newInterner(conf.APLength),
 		ai:       newAbsInterner(),
 		methods:  make(map[*ir.Method]*methodState),
+		edges:    make(map[pathEdge]struct{}),
 		incoming: make(map[methodCtx]*callers),
 		endSum:   make(map[methodCtx][]exitRec),
 		leakSeen: make(map[leakKey]bool),
 		actCache: make(map[actKey]bool),
 		srcRecs:  make(map[srcKey]*SourceRecord),
-		// Even small apps enqueue thousands of path edges; starting with
-		// a real backing array skips the first several append growths.
-		q: workQueue{items: make([]task, 0, 1024)},
+		// A small app makes a few hundred propagations, but the LIFO
+		// queue holds only the unprocessed frontier; append grows it.
+		q: workQueue{items: make([]task, 0, 64)},
 	}
 	if conf.Summaries != nil {
 		e.sumDecision = make(map[methodCtx]sumDec)
@@ -479,7 +477,7 @@ func (e *engine) fwPropagate(d1 *Abstraction, n ir.Stmt, d2 *Abstraction) {
 	if e.q.aborted() {
 		return
 	}
-	if ms := e.stateOf(n.Method()); !insertEdge(&ms.fw, ms.size, n.Index(), d1, d2) {
+	if !e.insertEdge(false, d1, n, d2) {
 		return
 	}
 	e.stats.forwardEdges++
@@ -491,7 +489,7 @@ func (e *engine) bwPropagate(d1 *Abstraction, n ir.Stmt, d2 *Abstraction) {
 	if e.q.aborted() {
 		return
 	}
-	if ms := e.stateOf(n.Method()); !insertEdge(&ms.bw, ms.size, n.Index(), d1, d2) {
+	if !e.insertEdge(true, d1, n, d2) {
 		return
 	}
 	e.stats.backwardEdges++

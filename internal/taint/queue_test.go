@@ -55,6 +55,48 @@ func TestDuplicateEdgeConsumesNoBudget(t *testing.T) {
 	}
 }
 
+// TestEdgeKeySeparatesMethodsAndDirections: the jump table is one set per
+// analysis, so the same (d1, d2) pair at the same statement index must
+// give a distinct edge in each method and in each direction.
+func TestEdgeKeySeparatesMethodsAndDirections(t *testing.T) {
+	prog := framework.NewProgram()
+	src := stubs + `
+class Main {
+  static method main(): void {
+    return
+  }
+  static method other(): void {
+    return
+  }
+}
+`
+	if err := irtext.ParseInto(prog, src, "whitebox.ir"); err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Link(); err != nil {
+		t.Fatal(err)
+	}
+	a := prog.Class("Main").Method("main", 0).Body()[0]
+	b := prog.Class("Main").Method("other", 0).Body()[0]
+	if a.Index() != b.Index() {
+		t.Fatalf("fixture statements at indices %d and %d, want equal", a.Index(), b.Index())
+	}
+	e := newEngine(nil, nil, Config{APLength: 5})
+	e.fwPropagate(e.zero, a, e.zero)
+	e.bwPropagate(e.zero, a, e.zero)
+	e.fwPropagate(e.zero, b, e.zero)
+	e.bwPropagate(e.zero, b, e.zero)
+	if got := e.stats.propagations; got != 4 {
+		t.Errorf("propagations = %d, want 4 distinct edges", got)
+	}
+	if fw, bw := e.stats.forwardEdges, e.stats.backwardEdges; fw != 2 || bw != 2 {
+		t.Errorf("edges = fw %d/bw %d, want fw 2/bw 2", fw, bw)
+	}
+	if len(e.edges) != 4 {
+		t.Errorf("jump table holds %d edges, want 4", len(e.edges))
+	}
+}
+
 // TestBudgetStopsOnCrossing: the insertion that reaches MaxPropagations
 // records BudgetExhausted and is not enqueued; later insertions are also
 // refused, so a budgeted run ends with exactly MaxPropagations

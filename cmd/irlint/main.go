@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"flowdroid/internal/apk"
@@ -177,13 +176,13 @@ func lintArgs(paths []string, analyzers []*irlint.Analyzer, rules string) report
 			if err != nil {
 				loadError(err)
 			}
-			h, handlers = app.Program, clickHandlers(app)
+			h, handlers = app.Program, app.ClickHandlers()
 		default:
 			app, err := apk.LoadDir(path)
 			if err != nil {
 				loadError(err)
 			}
-			h, handlers = app.Program, clickHandlers(app)
+			h, handlers = app.Program, app.ClickHandlers()
 		}
 		conf := irlint.Config{Analyzers: analyzers, ClickHandlers: handlers}
 		if rules != "" {
@@ -209,7 +208,7 @@ func lintFixtures(analyzers []*irlint.Analyzer) report {
 		}
 		res := irlint.Run(app.Program, irlint.Config{
 			Analyzers:     analyzers,
-			ClickHandlers: clickHandlers(app),
+			ClickHandlers: app.ClickHandlers(),
 		})
 		rep.Packages = append(rep.Packages, pkg(name, res))
 	}
@@ -255,23 +254,6 @@ func pkg(name string, res *irlint.Result) pkgReport {
 		d = []irlint.Diagnostic{}
 	}
 	return pkgReport{Package: name, Diagnostics: d, Errors: res.Errors(), Warnings: res.Warnings()}
-}
-
-// clickHandlers collects the app's layout-declared android:onClick
-// handlers keyed by layout name, for the registrations analyzer.
-func clickHandlers(app *apk.App) map[string][]string {
-	out := make(map[string][]string)
-	names := make([]string, 0, len(app.Layouts))
-	for name := range app.Layouts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if hs := app.Layouts[name].ClickHandlers(); len(hs) > 0 {
-			out[name] = hs
-		}
-	}
-	return out
 }
 
 func loadError(err error) {

@@ -1,6 +1,6 @@
-// Aliasing walkthrough: the paper's Listings 2 and 3 run directly against
-// the taint engine, demonstrating the two mechanisms that make the
-// on-demand alias analysis precise:
+// Aliasing walkthrough: the paper's Listings 2 and 3 run as plain
+// programs, demonstrating the two mechanisms that make the on-demand alias
+// analysis precise:
 //
 //  1. Context injection (Listing 2 / Figure 3): the alias found inside
 //     taintIt is tainted only under the calling context that passed
@@ -19,10 +19,8 @@ import (
 	"fmt"
 	"log"
 
-	"flowdroid/internal/cfg"
 	"flowdroid/internal/core"
-	"flowdroid/internal/pta"
-	"flowdroid/internal/sourcesink"
+	"flowdroid/internal/ir"
 	"flowdroid/internal/taint"
 )
 
@@ -83,14 +81,15 @@ func run(entryClass string, conf taint.Config) *taint.Results {
 	if err != nil {
 		log.Fatal(err)
 	}
-	entry := prog.Class(entryClass).Method("main", 0)
-	res := pta.Build(context.Background(), prog, entry)
-	icfg := cfg.NewICFG(prog, res.Graph)
-	mgr, err := sourcesink.Parse(prog, rules)
+	opts := core.DefaultOptions()
+	opts.Taint = conf
+	opts.SourceSinkRules = rules
+	entries := []*ir.Method{prog.Class(entryClass).Method("main", 0)}
+	res, err := core.AnalyzeProgram(context.Background(), prog, entries, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return taint.Analyze(context.Background(), icfg, mgr, conf, entry)
+	return res.Taint
 }
 
 func report(title string, r *taint.Results) {

@@ -16,6 +16,7 @@ import (
 	"log"
 
 	"flowdroid/internal/core"
+	"flowdroid/internal/ir"
 	"flowdroid/internal/taint"
 )
 
@@ -81,20 +82,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	conf := taint.DefaultConfig()
+	opts := core.DefaultOptions()
+	opts.SourceSinkRules = rules
 	extra, err := taint.ParseWrapper(wrapperRules)
 	if err != nil {
 		log.Fatal(err)
 	}
-	conf.Wrapper = taint.MergeWrappers(conf.Wrapper, extra)
+	opts.Taint.Wrapper = taint.MergeWrappers(opts.Taint.Wrapper, extra)
 
-	entry := prog.Class("acme.Main").Method("main", 0)
-	res, err := core.AnalyzeJava(context.Background(), prog, rules, conf, entry)
+	entries := []*ir.Method{prog.Class("acme.Main").Method("main", 0)}
+	res, err := core.AnalyzeProgram(context.Background(), prog, entries, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	leaks := res.DistinctSourceSinkPairs()
+	leaks := res.Leaks()
 	fmt.Printf("%d leak(s):\n", len(leaks))
 	for _, l := range leaks {
 		fmt.Printf("    %s\n", l)

@@ -149,3 +149,16 @@ func (l *Layout) ClickHandlers() []string {
 	sort.Strings(out)
 	return out
 }
+
+// ClickHandlers collects each layout's declaratively registered click
+// handlers, keyed by layout name, for the IR verifier's registrations
+// analyzer.
+func (a *App) ClickHandlers() map[string][]string {
+	out := make(map[string][]string)
+	for name, l := range a.Layouts {
+		if hs := l.ClickHandlers(); len(hs) > 0 {
+			out[name] = hs
+		}
+	}
+	return out
+}

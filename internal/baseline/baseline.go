@@ -14,7 +14,6 @@
 package baseline
 
 import (
-	"context"
 	"fmt"
 
 	"flowdroid/internal/core"
@@ -59,18 +58,15 @@ func analyzer(name string, opts func() core.Options) droidbench.Analyzer {
 
 // safeAnalyze runs one app through the pipeline, converting panics that
 // escape the core stage guards into errors so ablation sweeps and tool
-// comparisons always finish.
+// comparisons always finish. A run that does not complete is the case's
+// error.
 func safeAnalyze(files map[string]string, opts core.Options) (found int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			found, err = 0, fmt.Errorf("baseline: panic: %v", r)
 		}
 	}()
-	res, err := core.AnalyzeFiles(context.Background(), files, opts)
-	if err != nil {
-		return 0, err
-	}
-	return len(res.Leaks()), nil
+	return droidbench.Count(files, opts)
 }
 
 // AppScanLike is the AppScan Source stand-in.

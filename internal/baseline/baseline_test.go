@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"flowdroid/internal/core"
 	"flowdroid/internal/droidbench"
 )
 
@@ -137,6 +138,18 @@ func TestAblationsRun(t *testing.T) {
 		if n != 1 {
 			t.Errorf("%s: DirectLeak1 found %d leaks, want 1 (every ablation keeps trivial flows)", ab.Name, n)
 		}
+	}
+}
+
+// TestCutShortRunIsAnError: a run a propagation budget cuts short is the
+// case's error, named by its status, never a clean count of the leaks it
+// reached.
+func TestCutShortRunIsAnError(t *testing.T) {
+	direct, _ := droidbench.CaseByName("DirectLeak1")
+	a := AblationAnalyzer(Ablation{"budget-1", func(o *core.Options) { o.MaxPropagations = 1 }})
+	n, err := a.Run(direct.Files)
+	if err == nil || !strings.Contains(err.Error(), core.BudgetExhausted.String()) {
+		t.Errorf("DirectLeak1 under a budget of 1: found %d, error %v; want a BudgetExhausted error", n, err)
 	}
 }
 

@@ -49,24 +49,21 @@ type Cone struct {
 	SinkStmts int
 }
 
-// Build computes the cone for the manager's queried sinks over the whole
-// program. Pass a scene.Scene as the hierarchy to reuse its shared
-// resolver. Build walks every method body once to find sink statements,
-// potential sources, static-field writes and reverse call edges, then
-// closes backward from the three root sets. A cancelled context yields a
-// partial (unsound) cone; callers must discard it, as the pipeline's
-// truncation handling does.
-func Build(ctx context.Context, h ir.Hierarchy, mgr *sourcesink.Manager) *Cone {
-	return BuildWithExtra(ctx, h, mgr, nil)
-}
-
-// BuildWithExtra is Build with additional resolved call edges — site
-// statement to target method — folded into the reverse call relation.
-// Resolved reflective edges participate in the backward closure exactly
-// like ordinary call edges: a sink reachable only through a reflective
-// bridge still pulls the invoking method (and its callers) into the
-// cone, keeping demand-driven pruning consistent with the reflection-
-// aware call graph the pipeline builds afterwards.
+// BuildWithExtra computes the cone for the manager's queried sinks over
+// the whole program. Pass a scene.Scene as the hierarchy to reuse its
+// shared resolver. It walks every method body once to find sink
+// statements, potential sources, static-field writes and reverse call
+// edges, then closes backward from the three root sets. A cancelled
+// context yields a partial (unsound) cone; callers must discard it, as the
+// pipeline's truncation handling does.
+//
+// extra holds additional resolved call edges — site statement to target
+// method, nil for none — folded into the reverse call relation. Resolved
+// reflective edges participate in the backward closure exactly like
+// ordinary call edges: a sink reachable only through a reflective bridge
+// still pulls the invoking method (and its callers) into the cone,
+// keeping demand-driven pruning consistent with the reflection-aware call
+// graph the pipeline builds afterwards.
 func BuildWithExtra(ctx context.Context, h ir.Hierarchy, mgr *sourcesink.Manager, extra map[ir.Stmt][]*ir.Method) *Cone {
 	res := callgraph.ResolverFor(h)
 	c := &Cone{

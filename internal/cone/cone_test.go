@@ -75,7 +75,7 @@ func buildCone(t *testing.T, selectors []string) (*cone.Cone, *ir.Program) {
 	if err := mgr.RestrictSinks(selectors); err != nil {
 		t.Fatal(err)
 	}
-	return cone.Build(context.Background(), sc, mgr), prog
+	return cone.BuildWithExtra(context.Background(), sc, mgr, nil), prog
 }
 
 func TestConeClosures(t *testing.T) {
@@ -142,8 +142,8 @@ func TestConeClosures(t *testing.T) {
 }
 
 // TestConeCancelledContextIsPartial documents the contract the pipeline
-// relies on: a cancelled Build returns a (possibly empty) partial cone
-// instead of blocking, and the caller must discard it.
+// relies on: a cancelled BuildWithExtra returns a (possibly empty) partial
+// cone instead of blocking, and the caller must discard it.
 func TestConeCancelledContextIsPartial(t *testing.T) {
 	prog, err := irtext.ParseProgram(coneSrc, "cone.ir")
 	if err != nil {
@@ -159,7 +159,7 @@ func TestConeCancelledContextIsPartial(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if c := cone.Build(ctx, sc, mgr); c.Methods() != 0 {
-		t.Errorf("cancelled Build closed over %d methods, want 0", c.Methods())
+	if c := cone.BuildWithExtra(ctx, sc, mgr, nil); c.Methods() != 0 {
+		t.Errorf("cancelled BuildWithExtra closed over %d methods, want 0", c.Methods())
 	}
 }

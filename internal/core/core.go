@@ -1,7 +1,8 @@
 // Package core wires the full FlowDroid pipeline of Figure 4: load the
 // app package (manifest, layout XMLs, code), detect entry points, sources
 // and sinks, generate the dummy main method, build the call graph and
-// interprocedural CFG, and run the bidirectional taint analysis.
+// interprocedural CFG, and run the bidirectional taint analysis. A plain
+// program runs the same pipeline from its caller's entry points.
 //
 // Every entry point is bounded: the context's deadline and the options'
 // propagation budget cut a runaway analysis short, and a panicking stage
@@ -11,6 +12,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io/fs"
 	"time"
@@ -18,8 +20,6 @@ import (
 	"flowdroid/internal/apk"
 	"flowdroid/internal/callbacks"
 	"flowdroid/internal/callgraph"
-	"flowdroid/internal/cfg"
-	"flowdroid/internal/cone"
 	"flowdroid/internal/constprop"
 	"flowdroid/internal/framework"
 	"flowdroid/internal/ir"
@@ -27,8 +27,6 @@ import (
 	"flowdroid/internal/irtext"
 	"flowdroid/internal/lifecycle"
 	"flowdroid/internal/metrics"
-	"flowdroid/internal/pta"
-	"flowdroid/internal/scene"
 	"flowdroid/internal/sourcesink"
 	"flowdroid/internal/summarystore"
 	"flowdroid/internal/taint"
@@ -107,6 +105,8 @@ type UnresolvedSite = constprop.UnresolvedSite
 
 // Result is the outcome of a full pipeline run.
 type Result struct {
+	// App, EntryPoint (the generated dummy main) and Callbacks are nil
+	// for a plain program.
 	App        *apk.App
 	EntryPoint *ir.Method
 	Callbacks  *callbacks.Result
@@ -153,10 +153,26 @@ func (r *Result) Leaks() []*taint.Leak { return r.Taint.DistinctSourceSinkPairs(
 // The result is the run's record. On the way out it is published into
 // the context's metrics recorder, if any.
 func AnalyzeApp(ctx context.Context, app *apk.App, opts Options) (*Result, error) {
+	return analyze(ctx, &pipeline{prog: app.Program, app: app}, opts)
+}
+
+// AnalyzeProgram is AnalyzeApp for a plain Java-style program (the
+// SecuriBench Micro use case of RQ4): it is entered through the given
+// entry points, with no callbacks pass or dummy main. It refuses a summary
+// store, whose namespace is an app's package and layouts.
+func AnalyzeProgram(ctx context.Context, prog *ir.Program, entries []*ir.Method, opts Options) (*Result, error) {
+	if opts.SummaryStore != nil {
+		return nil, errors.New("core: a plain program cannot use the summary store, which is keyed by an app's package")
+	}
+	return analyze(ctx, &pipeline{prog: prog, entries: entries}, opts)
+}
+
+func analyze(ctx context.Context, pl *pipeline, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pl := newPipeline(app, metrics.From(ctx))
+	pl.rec = metrics.From(ctx)
+	pl.times = make(map[string]time.Duration)
 	res, err := pl.run(ctx, opts)
 	if err != nil {
 		return nil, err
@@ -213,42 +229,8 @@ func AnalyzeFS(ctx context.Context, fsys fs.FS, opts Options) (*Result, error) {
 	return AnalyzeApp(ctx, app, opts)
 }
 
-// AnalyzeJava runs the taint analysis on a plain Java-style program (no
-// Android lifecycle): custom entry points, custom source/sink rules. This
-// is the SecuriBench Micro use case of RQ4. The context bounds the run
-// the same way AnalyzeApp's does.
-func AnalyzeJava(ctx context.Context, prog *ir.Program, rules string, conf taint.Config, entries ...*ir.Method) (*taint.Results, error) {
-	return AnalyzeJavaQuery(ctx, prog, rules, conf, Query{}, entries...)
-}
-
-// AnalyzeJavaQuery is AnalyzeJava restricted to a sink query: only the
-// selected sink rules report leaks, and the solver prunes exploration
-// outside their reachability cone. An empty query analyzes every sink.
-func AnalyzeJavaQuery(ctx context.Context, prog *ir.Program, rules string, conf taint.Config, q Query, entries ...*ir.Method) (*taint.Results, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sc := scene.New(prog)
-	mgr, err := sourcesink.Parse(sc, rules)
-	if err != nil {
-		return nil, err
-	}
-	if !q.IsAll() {
-		if err := mgr.RestrictSinks(q.Sinks); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		cn := cone.Build(ctx, sc, mgr)
-		if ctx.Err() == nil {
-			conf.Cone = &taint.Cone{Relevant: cn.Relevant, Methods: cn.Methods()}
-		}
-	}
-	graph := pta.Build(ctx, sc, entries...).Graph
-	icfg := cfg.NewICFG(sc, graph)
-	return taint.Analyze(ctx, icfg, mgr, conf, entries...), nil
-}
-
 // ParseJava builds a linked plain-Java program (framework stubs plus the
-// given IR source) for AnalyzeJava callers: the entry point for analyzing
+// given IR source) for AnalyzeProgram callers: the entry point for analyzing
 // non-Android code such as the SecuriBench Micro suite.
 func ParseJava(src, filename string) (*ir.Program, error) {
 	prog := framework.NewProgram()

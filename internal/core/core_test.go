@@ -5,8 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"flowdroid/internal/ir"
 	"flowdroid/internal/lifecycle"
-	"flowdroid/internal/taint"
+	"flowdroid/internal/summarystore"
 	"flowdroid/internal/testapps"
 )
 
@@ -142,8 +143,12 @@ func TestResultMetadata(t *testing.T) {
 	}
 }
 
+// TestAnalyzeJava: a plain Java-style program (the SecuriBench use case)
+// runs the app pipeline from its caller's entry points. It gets an app
+// run's record — status, pass times, counters — but no app, callbacks or
+// dummy main, and the callbacks and lifecycle passes never run. A summary
+// store is refused.
 func TestAnalyzeJava(t *testing.T) {
-	// SecuriBench-style use: plain Java program, custom rules.
 	prog, err := ParseJava(`
 class S {
   static method src(): java.lang.String;
@@ -160,14 +165,36 @@ class Main {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AnalyzeJava(context.Background(), prog,
-		"source <S: src/0> -> return\nsink <S: snk/1> -> arg0\n",
-		taint.DefaultConfig(),
-		prog.Class("Main").Method("main", 0))
+	entries := []*ir.Method{prog.Class("Main").Method("main", 0)}
+	opts := DefaultOptions()
+	opts.SourceSinkRules = "source <S: src/0> -> return\nsink <S: snk/1> -> arg0\n"
+	res, err := AnalyzeProgram(context.Background(), prog, entries, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.DistinctSourceSinkPairs()) != 1 {
-		t.Errorf("java-mode leaks = %d, want 1", len(res.DistinctSourceSinkPairs()))
+	if res.Status != Complete {
+		t.Fatalf("status %v, want Complete", res.Status)
+	}
+	if n := len(res.Leaks()); n != 1 {
+		t.Errorf("java-mode leaks = %d, want 1", n)
+	}
+	if res.App != nil || res.EntryPoint != nil || res.Callbacks != nil {
+		t.Errorf("app %v, entry point %v, callbacks %v: want all nil", res.App, res.EntryPoint, res.Callbacks)
+	}
+	for _, pass := range []string{"callbacks", "lifecycle"} {
+		if _, ran := res.PassTimes[pass]; ran {
+			t.Errorf("pass %s ran on a plain program", pass)
+		}
+	}
+	if res.PassTimes["scene"] <= 0 || res.PassTimes["taint"] <= 0 {
+		t.Errorf("timings not recorded: %v", res.PassTimes)
+	}
+	if c := res.Counters; c.Propagations == 0 || c.CallGraphEdges == 0 {
+		t.Errorf("counters not recorded: %+v", c)
+	}
+
+	opts.SummaryStore = summarystore.Open(t.TempDir())
+	if _, err := AnalyzeProgram(context.Background(), prog, entries, opts); err == nil {
+		t.Error("a summary store on a plain program should fail")
 	}
 }

@@ -18,47 +18,77 @@ import (
 	"flowdroid/internal/securibench"
 )
 
-// TestOnDemandEqualsEager: an app whose method bodies are parsed on first
-// use is analyzed exactly as the same app with every body parsed right
-// after load: byte-identical report with path witnesses, the same status
-// and the same counters apart from the parsed-body count.
+// TestOnDemandEqualsEager: an app or a plain-Java SecuriBench program
+// whose method bodies are parsed on first use is analyzed exactly as the
+// same input with every body parsed right after load: byte-identical
+// report with path witnesses, the same status and the same counters apart
+// from the parsed-body count.
 func TestOnDemandEqualsEager(t *testing.T) {
+	ctx := context.Background()
+	// load builds an input with its bodies unparsed and returns its
+	// program and the run that analyzes it.
+	type load func() (*ir.Program, func() (*core.Result, error), error)
 	type input struct {
-		name  string
-		files map[string]string
-		opts  core.Options
+		name string
+		load load
+	}
+	app := func(files map[string]string, opts core.Options) load {
+		return func() (*ir.Program, func() (*core.Result, error), error) {
+			a, err := apk.LoadFiles(files)
+			if err != nil {
+				return nil, nil, err
+			}
+			return a.Program, func() (*core.Result, error) { return core.AnalyzeApp(ctx, a, opts) }, nil
+		}
+	}
+	java := func(c securibench.Case) load {
+		return func() (*ir.Program, func() (*core.Result, error), error) {
+			prog := framework.NewProgram()
+			if err := irtext.DeclareInto(prog, securibench.Source(c), c.Name+".ir"); err != nil {
+				return nil, nil, err
+			}
+			if err := prog.Link(); err != nil {
+				return nil, nil, err
+			}
+			return prog, func() (*core.Result, error) {
+				return core.AnalyzeProgram(ctx, prog, securibench.Entries(prog), securibench.Options())
+			}, nil
+		}
 	}
 	sms := core.DefaultOptions()
 	sms.Query = core.Query{Sinks: []string{"sms"}}
-	inputs := []input{{"insecurebank", insecurebank.Files, core.DefaultOptions()}}
+	inputs := []input{{"insecurebank", app(insecurebank.Files, core.DefaultOptions())}}
 	for _, c := range append(droidbench.Cases(), droidbench.ExtraCases()...) {
-		inputs = append(inputs, input{"droidbench/" + c.Name, c.Files, core.DefaultOptions()})
+		inputs = append(inputs, input{"droidbench/" + c.Name, app(c.Files, core.DefaultOptions())})
 	}
 	for _, w := range []struct {
 		profile appgen.Profile
 		n       int
 	}{{appgen.Play, 3}, {appgen.Stress, 2}, {appgen.Reflection, 4}, {appgen.Malware, 3}} {
-		for _, app := range appgen.GenerateCorpus(w.profile, w.n, 1) {
-			inputs = append(inputs, input{app.Name, app.Files, core.DefaultOptions()})
+		for _, a := range appgen.GenerateCorpus(w.profile, w.n, 1) {
+			inputs = append(inputs, input{a.Name, app(a.Files, core.DefaultOptions())})
 			if w.profile.Name == appgen.Malware.Name {
-				inputs = append(inputs, input{app.Name + " sms", app.Files, sms})
+				inputs = append(inputs, input{a.Name + " sms", app(a.Files, sms)})
 			}
 		}
+	}
+	for _, c := range securibench.Cases() {
+		inputs = append(inputs, input{"securibench/" + c.Name, java(c)})
 	}
 	for _, in := range inputs {
 		var reports [2][]byte
 		var counters [2]core.Counters
 		for i, eager := range []bool{false, true} {
-			app, err := apk.LoadFiles(in.files)
+			prog, run, err := in.load()
 			if err != nil {
 				t.Fatalf("%s: %v", in.name, err)
 			}
 			if eager {
-				if err := app.Program.ParseAll(); err != nil {
+				if err := prog.ParseAll(); err != nil {
 					t.Fatalf("%s: %v", in.name, err)
 				}
 			}
-			res, err := core.AnalyzeApp(context.Background(), app, in.opts)
+			res, err := run()
 			if err != nil {
 				t.Fatalf("%s: %v", in.name, err)
 			}
@@ -79,38 +109,6 @@ func TestOnDemandEqualsEager(t *testing.T) {
 		counters[0].BodiesParsed = counters[1].BodiesParsed
 		if counters[0] != counters[1] {
 			t.Errorf("%s: on-demand counters %+v, eager %+v", in.name, counters[0], counters[1])
-		}
-	}
-}
-
-// TestOnDemandEqualsEagerOnJava extends the relation to the plain-Java
-// SecuriBench cases: declared and parsed on demand, each reports what the
-// eagerly parsed program reports.
-func TestOnDemandEqualsEagerOnJava(t *testing.T) {
-	for _, c := range securibench.Cases() {
-		eager, err := securibench.Program(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lazy := framework.NewProgram()
-		if err := irtext.DeclareInto(lazy, securibench.Source(c), c.Name+".ir"); err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		if err := lazy.Link(); err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		var reports [2][]byte
-		for i, prog := range []*ir.Program{lazy, eager} {
-			res, err := core.AnalyzeJava(context.Background(), prog, securibench.Rules(), securibench.Config(), doGetEntries(prog)...)
-			if err != nil {
-				t.Fatalf("%s: %v", c.Name, err)
-			}
-			if reports[i], err = json.Marshal(res.Report()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !bytes.Equal(reports[0], reports[1]) {
-			t.Errorf("%s: on-demand report\n%s\ndiffers from eager\n%s", c.Name, reports[0], reports[1])
 		}
 	}
 }

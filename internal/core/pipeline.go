@@ -25,28 +25,20 @@ import (
 	"flowdroid/internal/taint"
 )
 
-// pipeline is one AnalyzeApp call's pass graph, Figure 4 of the paper run
+// pipeline is one analysis run's pass graph, Figure 4 of the paper run
 // straight through: scene, sourcesink, verify, constprop, cone, callbacks,
 // lifecycle, callgraph, icfg, summaries and taint, each at most once.
+// An app is entered through the dummy main the callbacks and lifecycle
+// passes generate; a plain program through its caller's entries, without
+// those two passes or the app-keyed summaries.
 type pipeline struct {
-	app *apk.App
-	rec *metrics.Recorder // nil when metrics are disabled
+	prog    *ir.Program
+	app     *apk.App          // nil for a plain program
+	entries []*ir.Method      // a plain program's entry points
+	rec     *metrics.Recorder // nil when metrics are disabled
 
 	times map[string]time.Duration
 	stage string // the pass running now, named by a Recovered result
-}
-
-// clickHandlers collects each layout's declaratively registered click
-// handlers, keyed by layout name, for the verifier's registrations
-// analyzer.
-func clickHandlers(app *apk.App) map[string][]string {
-	out := make(map[string][]string)
-	for name, l := range app.Layouts {
-		if hs := l.ClickHandlers(); len(hs) > 0 {
-			out[name] = hs
-		}
-	}
-	return out
 }
 
 // summaryFingerprint digests every configuration input that changes the
@@ -87,14 +79,6 @@ func summaryFingerprint(app *apk.App, opts Options) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-func newPipeline(app *apk.App, rec *metrics.Recorder) *pipeline {
-	return &pipeline{
-		app:   app,
-		rec:   rec,
-		times: make(map[string]time.Duration),
-	}
-}
-
 // pass runs f as the pipeline pass name. It makes name the stage a panic
 // is reported at, and charges f's wall time to the pass and its
 // "pipeline.<name>" trace span, also when f panics or a deadline cuts it
@@ -119,8 +103,8 @@ func (pl *pipeline) finish(res *Result) {
 		res.Failure = &Failure{Stage: pl.stage, Value: r, Stack: stackTrace()}
 	}
 	res.PassTimes = pl.times
-	if prog := pl.app.Program; prog != nil {
-		res.Counters.Bodies, res.Counters.BodiesParsed = prog.BodyCounts()
+	if pl.prog != nil {
+		res.Counters.Bodies, res.Counters.BodiesParsed = pl.prog.BodyCounts()
 	}
 }
 
@@ -145,7 +129,7 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	}
 
 	pl.pass("scene", func() error {
-		sc = scene.New(pl.app.Program)
+		sc = scene.New(pl.prog)
 		return nil
 	})
 
@@ -156,7 +140,9 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 		if err != nil {
 			return err
 		}
-		m.AttachApp(pl.app)
+		if pl.app != nil {
+			m.AttachApp(pl.app)
+		}
 		if !opts.Query.IsAll() {
 			if err := m.RestrictSinks(opts.Query.Sinks); err != nil {
 				return fmt.Errorf("core: %w", err)
@@ -178,7 +164,7 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 		if err := pl.pass("verify", func() error {
 			// The verifier reads every body: parse them all first, so a
 			// body that does not parse ends the run with its error.
-			if err := pl.app.Program.ParseAll(); err != nil {
+			if err := pl.prog.ParseAll(); err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
 			ans, err := irlint.Select(opts.LintEnable, opts.LintDisable)
@@ -186,10 +172,12 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 				return fmt.Errorf("core: %w", err)
 			}
 			cfg := irlint.Config{
-				Analyzers:     ans,
-				Sources:       mgr.Sources(),
-				Sinks:         mgr.Sinks(),
-				ClickHandlers: clickHandlers(pl.app),
+				Analyzers: ans,
+				Sources:   mgr.Sources(),
+				Sinks:     mgr.Sinks(),
+			}
+			if pl.app != nil {
+				cfg.ClickHandlers = pl.app.ClickHandlers()
 			}
 			if mgr.Restricted() {
 				cfg.QueriedSinks = mgr.QueriedSinks()
@@ -221,7 +209,7 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 			if r.Truncated {
 				return nil
 			}
-			edges, err := r.Materialize(pl.app.Program)
+			edges, err := r.Materialize(pl.prog)
 			if err != nil {
 				return fmt.Errorf("core: %w", err)
 			}
@@ -243,7 +231,7 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 	}
 
 	// Cone: the backward reachability cone of the queried sinks, built
-	// over app code only (before dummy-main generation — the synthetic
+	// over program code only (before dummy-main generation — the synthetic
 	// lifecycle code never contains sinks, and the cone must not depend
 	// on the skip set it feeds).
 	if !opts.Query.IsAll() {
@@ -254,64 +242,71 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 		if ctx.Err() != nil {
 			return truncated()
 		}
-	}
-
-	pl.pass("callbacks", func() error {
-		res.Callbacks = callbacks.DiscoverWith(ctx, pl.app, sc)
-		return nil
-	})
-	if ctx.Err() != nil {
-		return truncated()
-	}
-
-	pl.stage = "lifecycle"
-	lopts := opts.Lifecycle
-	if cn != nil {
-		// Components entirely outside the escape closure cannot influence
-		// the queried sinks (static fields are the only cross-component
-		// channel) — leave them out of dummy-main modeling.
-		var skip []string
-		for _, comp := range lifecycle.ModeledComponents(pl.app, lopts) {
-			if cn.ComponentSkippable(res.Callbacks.EntryPoints(sc, comp)) {
-				skip = append(skip, comp.Class)
-			}
-		}
-		sort.Strings(skip)
-		lopts.SkipComponents = skip
 		res.Counters.ConeMethods = cn.Methods()
-		res.Counters.SkippedComponents = len(skip)
 	}
-	if err := pl.pass("lifecycle", func() error {
-		// The dummy main may already exist in the program (a previous
-		// AnalyzeApp call on the same app); reuse it only when it was
-		// generated for the same component skip set — its marker field
-		// records the set it encoded.
-		if c := pl.app.Program.Class(lifecycle.DummyMainClass); c != nil {
-			if m := c.Method("dummyMain", 0); m != nil {
-				if lifecycle.SkipFingerprintOf(c) != lopts.SkipFingerprint() {
-					return fmt.Errorf("core: %s was generated under a different sink query; reload the app to analyze it under a new query", lifecycle.DummyMainClass)
+
+	// Entry points: a plain program's are its caller's; an app's is the
+	// dummy main generated over its discovered callbacks.
+	entries := pl.entries
+	if pl.app != nil {
+		pl.pass("callbacks", func() error {
+			res.Callbacks = callbacks.DiscoverWith(ctx, pl.app, sc)
+			return nil
+		})
+		if ctx.Err() != nil {
+			return truncated()
+		}
+
+		pl.stage = "lifecycle"
+		lopts := opts.Lifecycle
+		if cn != nil {
+			// Components entirely outside the escape closure cannot
+			// influence the queried sinks (static fields are the only
+			// cross-component channel) — leave them out of dummy-main
+			// modeling.
+			var skip []string
+			for _, comp := range lifecycle.ModeledComponents(pl.app, lopts) {
+				if cn.ComponentSkippable(res.Callbacks.EntryPoints(sc, comp)) {
+					skip = append(skip, comp.Class)
 				}
-				res.EntryPoint = m
-				return nil
 			}
+			sort.Strings(skip)
+			lopts.SkipComponents = skip
+			res.Counters.SkippedComponents = len(skip)
 		}
-		m, err := lifecycle.GenerateWith(pl.app, res.Callbacks, sc, lopts)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
+		if err := pl.pass("lifecycle", func() error {
+			// The dummy main may already exist in the program (a previous
+			// AnalyzeApp call on the same app); reuse it only when it was
+			// generated for the same component skip set — its marker
+			// field records the set it encoded.
+			if c := pl.prog.Class(lifecycle.DummyMainClass); c != nil {
+				if m := c.Method("dummyMain", 0); m != nil {
+					if lifecycle.SkipFingerprintOf(c) != lopts.SkipFingerprint() {
+						return fmt.Errorf("core: %s was generated under a different sink query; reload the app to analyze it under a new query", lifecycle.DummyMainClass)
+					}
+					res.EntryPoint = m
+					return nil
+				}
+			}
+			m, err := lifecycle.GenerateWith(pl.app, res.Callbacks, sc, lopts)
+			if err != nil {
+				return fmt.Errorf("core: %w", err)
+			}
+			// Generation added the dummy-main class to the program.
+			sc.Refresh()
+			res.EntryPoint = m
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		// Generation added the dummy-main class to the program.
-		sc.Refresh()
-		res.EntryPoint = m
-		return nil
-	}); err != nil {
-		return nil, err
+		entries = []*ir.Method{res.EntryPoint}
 	}
 
 	pl.pass("callgraph", func() error {
 		if opts.UseCHA {
-			graph = callgraph.BuildCHAWithExtra(ctx, sc, reflEdges, res.EntryPoint)
+			graph = callgraph.BuildCHAWithExtra(ctx, sc, reflEdges, entries...)
 		} else {
-			p := pta.BuildWithExtra(ctx, sc, reflEdges, res.EntryPoint)
+			p := pta.BuildWithExtra(ctx, sc, reflEdges, entries...)
 			graph, res.Counters.PTAPropagations = p.Graph, p.Propagations
 		}
 		return nil
@@ -358,7 +353,7 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 		tc.Summaries = sess
 	}
 	pl.pass("taint", func() error {
-		res.Taint = taint.Analyze(ctx, icfg, mgr, tc, res.EntryPoint)
+		res.Taint = taint.Analyze(ctx, icfg, mgr, tc, entries...)
 		return nil
 	})
 	if sess != nil {

@@ -16,7 +16,6 @@ import (
 	"flowdroid/internal/appgen"
 	"flowdroid/internal/core"
 	"flowdroid/internal/droidbench"
-	"flowdroid/internal/ir"
 	"flowdroid/internal/securibench"
 	"flowdroid/internal/sourcesink"
 	"flowdroid/internal/taint"
@@ -103,21 +102,26 @@ func TestQueryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}
-			entries := doGetEntries(prog)
+			entries := securibench.Entries(prog)
 			if len(entries) == 0 {
 				t.Fatalf("%s: no doGet entry points", c.Name)
 			}
-			whole, err := core.AnalyzeJava(context.Background(), prog, securibench.Rules(), securibench.Config(), entries...)
+			whole, err := core.AnalyzeProgram(context.Background(), prog, entries, securibench.Options())
 			if err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}
 			for _, q := range queries {
-				want := filteredJSON(t, whole, q)
-				res, err := core.AnalyzeJavaQuery(context.Background(), prog, securibench.Rules(), securibench.Config(), q, entries...)
+				want := filteredJSON(t, whole.Taint, q)
+				opts := securibench.Options()
+				opts.Query = q
+				res, err := core.AnalyzeProgram(context.Background(), prog, entries, opts)
 				if err != nil {
 					t.Fatalf("%s query %v: %v", c.Name, q.Sinks, err)
 				}
-				js, err := res.CanonicalJSON()
+				if res.Status != core.Complete {
+					t.Fatalf("%s query %v: status %v, want complete", c.Name, q.Sinks, res.Status)
+				}
+				js, err := res.Taint.CanonicalJSON()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,18 +193,6 @@ func TestQueryEquivalence(t *testing.T) {
 			t.Logf("malware n=%d seed=%d: sms query %d propagations vs whole-program %d", corpus.n, corpus.seed, smsProps, wholeProps)
 		}
 	})
-}
-
-// doGetEntries collects the SecuriBench entry points the same way the
-// suite runner does.
-func doGetEntries(prog *ir.Program) []*ir.Method {
-	var entries []*ir.Method
-	for _, cls := range prog.Classes() {
-		if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
-			entries = append(entries, m)
-		}
-	}
-	return entries
 }
 
 // TestQueryRejectsUnknownSelector: a selector matching no configured sink

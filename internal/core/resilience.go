@@ -55,10 +55,23 @@ func (s Status) String() string {
 	return "Unknown"
 }
 
+// Err is nil for a Complete run; otherwise it names the run's status and,
+// when Recovered, the panic. Suite drivers score it as the case's error.
+func (r *Result) Err() error {
+	if r.Status == Complete {
+		return nil
+	}
+	if r.Failure != nil {
+		return fmt.Errorf("core: run ended %v: %w", r.Status, r.Failure)
+	}
+	return fmt.Errorf("core: run ended %v", r.Status)
+}
+
 // Failure describes a panic that a pipeline stage recovered from.
 type Failure struct {
-	// Stage is the pipeline stage that panicked (scene, callbacks,
-	// lifecycle, callgraph, icfg, sourcesink, taint).
+	// Stage is the pipeline pass that panicked (scene, sourcesink,
+	// verify, constprop, cone, callbacks, lifecycle, callgraph, icfg,
+	// summaries, taint).
 	Stage string
 	// Value is the recovered panic value.
 	Value any

@@ -90,11 +90,15 @@ func TestAnalyzeErrors(t *testing.T) {
 	}, DefaultOptions()); err == nil {
 		t.Error("bad IR should fail")
 	}
+	prog, err := ParseJava("class Main {}", "ok.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AnalyzeProgram(context.Background(), prog, nil, opts); err == nil {
+		t.Error("bad java rules should fail")
+	}
 	if _, err := ParseJava("class {", "bad.ir"); err == nil {
 		t.Error("bad java IR should fail")
-	}
-	if _, err := AnalyzeJava(context.Background(), nil, "bad rules", DefaultOptions().Taint); err == nil {
-		t.Error("bad java rules should fail")
 	}
 }
 

@@ -19,14 +19,21 @@ type Analyzer struct {
 func FlowDroid() Analyzer {
 	return Analyzer{
 		Name: "FlowDroid",
-		Run: func(files map[string]string) (int, error) {
-			res, err := core.AnalyzeFiles(context.Background(), files, core.DefaultOptions())
-			if err != nil {
-				return 0, err
-			}
-			return len(res.Leaks()), nil
-		},
+		Run:  func(files map[string]string) (int, error) { return Count(files, core.DefaultOptions()) },
 	}
+}
+
+// Count analyzes an app package under opts and returns the number of
+// distinct leaks it reports. A run that does not complete is the error.
+func Count(files map[string]string, opts core.Options) (int, error) {
+	res, err := core.AnalyzeFiles(context.Background(), files, opts)
+	if err == nil {
+		err = res.Err()
+	}
+	if err != nil {
+		return 0, err
+	}
+	return len(res.Leaks()), nil
 }
 
 // CaseResult is one (analyzer, case) outcome, scored DroidBench-style:

@@ -109,13 +109,7 @@ func TestSharedBaseIsImmutable(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				var entries []*ir.Method
-				for _, cls := range prog.Classes() {
-					if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
-						entries = append(entries, m)
-					}
-				}
-				if _, err := core.AnalyzeJava(context.Background(), prog, securibench.Rules(), securibench.Config(), entries...); err != nil {
+				if _, err := core.AnalyzeProgram(context.Background(), prog, securibench.Entries(prog), securibench.Options()); err != nil {
 					return fmt.Errorf("%s: %w", c.Name, err)
 				}
 			}

@@ -9,7 +9,6 @@ import (
 	"flowdroid/internal/appgen"
 	"flowdroid/internal/callgraph"
 	"flowdroid/internal/core"
-	"flowdroid/internal/ir"
 	"flowdroid/internal/pta"
 	"flowdroid/internal/securibench"
 )
@@ -58,12 +57,7 @@ func TestGraphListingIsReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var entries []*ir.Method
-		for _, cls := range prog.Classes() {
-			if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
-				entries = append(entries, m)
-			}
-		}
+		entries := securibench.Entries(prog)
 		check("securibench "+c.Name, func() *callgraph.Graph { return pta.Build(ctx, prog, entries...).Graph })
 	}
 	for _, app := range appgen.GenerateCorpus(appgen.Stress, 3, 1) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"flowdroid/internal/core"
-	"flowdroid/internal/ir"
 	"flowdroid/internal/taint"
 )
 
@@ -18,17 +17,14 @@ func analyzeCase(t *testing.T, c Case) *taint.Results {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entries []*ir.Method
-	for _, cls := range prog.Classes() {
-		if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
-			entries = append(entries, m)
-		}
-	}
-	res, err := core.AnalyzeJava(context.Background(), prog, rules, Config(), entries...)
+	res, err := core.AnalyzeProgram(context.Background(), prog, Entries(prog), Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	if res.Status != core.Complete {
+		t.Fatalf("status %v, want Complete", res.Status)
+	}
+	return res.Taint
 }
 
 // reportJSON renders the report with its path witnesses.

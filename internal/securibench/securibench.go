@@ -103,18 +103,6 @@ var CategoryOrder = []string{
 	"Factory", "Inter", "Session", "StrongUpdates",
 }
 
-// Config is the engine configuration used for the suite: the paper's
-// defaults plus the servlet session wrapper rules.
-func Config() taint.Config {
-	conf := taint.DefaultConfig()
-	extra, err := taint.ParseWrapper(extraWrapperRules)
-	if err != nil {
-		panic("securibench: bad wrapper rules: " + err.Error())
-	}
-	conf.Wrapper = taint.MergeWrappers(conf.Wrapper, extra)
-	return conf
-}
-
 // Program builds the case's linked program (servlet stubs plus the
 // case source), exactly as Run analyzes it — the hook external
 // verification tooling (cmd/irlint, the fixture-cleanliness tests)
@@ -134,8 +122,33 @@ func Source(c Case) string { return servletStubs + c.Source }
 // Rules returns the suite's source/sink rule text.
 func Rules() string { return rules }
 
+// Options is the pipeline configuration the suite is analyzed under: the
+// paper's defaults plus the suite's source/sink rules and the servlet
+// session wrapper rules.
+func Options() core.Options {
+	opts := core.DefaultOptions()
+	opts.SourceSinkRules = rules
+	extra, err := taint.ParseWrapper(extraWrapperRules)
+	if err != nil {
+		panic("securibench: bad wrapper rules: " + err.Error())
+	}
+	opts.Taint.Wrapper = taint.MergeWrappers(opts.Taint.Wrapper, extra)
+	return opts
+}
+
+// Entries returns the program's entry points: every concrete doGet/2.
+func Entries(prog *ir.Program) []*ir.Method {
+	var entries []*ir.Method
+	for _, cls := range prog.Classes() {
+		if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
+			entries = append(entries, m)
+		}
+	}
+	return entries
+}
+
 // Run analyzes one case and returns the number of distinct leaks found.
-// A panic anywhere in the pipeline is recovered into the case's error.
+// A run that does not complete, or a panic, is the case's error.
 func Run(c Case) (found int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -146,20 +159,18 @@ func Run(c Case) (found int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	var entries []*ir.Method
-	for _, cls := range prog.Classes() {
-		if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
-			entries = append(entries, m)
-		}
-	}
+	entries := Entries(prog)
 	if len(entries) == 0 {
 		return 0, fmt.Errorf("securibench %s: no doGet entry points", c.Name)
 	}
-	res, err := core.AnalyzeJava(context.Background(), prog, rules, Config(), entries...)
-	if err != nil {
-		return 0, err
+	res, err := core.AnalyzeProgram(context.Background(), prog, entries, Options())
+	if err == nil {
+		err = res.Err()
 	}
-	return len(res.DistinctSourceSinkPairs()), nil
+	if err != nil {
+		return 0, fmt.Errorf("securibench %s: %w", c.Name, err)
+	}
+	return len(res.Leaks()), nil
 }
 
 // CategoryResult aggregates Table 2's per-category row.

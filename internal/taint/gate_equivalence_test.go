@@ -17,7 +17,6 @@ import (
 	"flowdroid/internal/core"
 	"flowdroid/internal/droidbench"
 	"flowdroid/internal/framework"
-	"flowdroid/internal/ir"
 	"flowdroid/internal/securibench"
 	"flowdroid/internal/taint"
 )
@@ -67,17 +66,11 @@ func TestGateEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var entries []*ir.Method
-				for _, cls := range prog.Classes() {
-					if m := cls.Method("doGet", 2); m != nil && !m.Abstract() {
-						entries = append(entries, m)
-					}
-				}
-				res, err := core.AnalyzeJava(ctx, prog, securibench.Rules(), securibench.Config(), entries...)
+				res, err := core.AnalyzeProgram(ctx, prog, securibench.Entries(prog), securibench.Options())
 				if err != nil {
 					t.Fatal(err)
 				}
-				g.check(t, "securibench/"+c.Name, res)
+				g.check(t, "securibench/"+c.Name, res.Taint)
 			})
 		}
 	})

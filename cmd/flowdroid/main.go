@@ -35,8 +35,9 @@
 //
 // -sinks runs a demand-driven query: only the named sink rules (by
 // label, Class.method or Class.method/N) are analyzed, and the pipeline
-// builds just the backward reachability cone behind them — components
-// outside the cone are never lifecycle-modeled. The report is exactly
+// asks which methods can reach them, reading only the bodies the answers
+// need — components outside that reachability cone are never
+// lifecycle-modeled. The report is exactly
 // the whole-program report filtered to the queried sinks.
 //
 // An interrupt (SIGINT/SIGTERM) cancels the analysis context: the run
@@ -289,7 +290,7 @@ func run() int {
 			res.App.Package, len(res.App.Components()), res.Callbacks.Total(), res.CallGraph.NumEdges())
 	}
 	if !opts.Query.IsAll() {
-		fmt.Printf("sink query [%s]: reachability cone %d method(s), %d component(s) skipped\n",
+		fmt.Printf("sink query [%s]: %d examined method(s) in the reachability cone, %d component(s) skipped\n",
 			strings.Join(opts.Query.Sinks, ", "), res.Counters.ConeMethods, res.Counters.SkippedComponents)
 	}
 	if !res.Soundness.Empty() {

@@ -13,8 +13,9 @@ import (
 
 // TestConcurrentFirstUse: goroutines that read one freshly loaded app's
 // bodies at once, each starting at a different method, parse every body
-// exactly once between them and all see what a sequential parse yields.
-// Run it under -race: the per-method once-guard is what it checks.
+// exactly once between them and all see what a sequential parse yields,
+// the mention test's answers included, asked while others parse. Run it
+// under -race: the per-method once-guard is what it checks.
 func TestConcurrentFirstUse(t *testing.T) {
 	files := appgen.GenerateCorpus(appgen.Stress, 1, 1)[0].Files
 	ref, err := apk.LoadFiles(files)
@@ -53,8 +54,9 @@ func TestConcurrentFirstUse(t *testing.T) {
 }
 
 // renderBodies renders the locals and statements of every method loaded
-// with a pending body, visiting them from index start on and wrapping
-// around, in method order.
+// with a pending body, and whether it may mention its own name and
+// init, visiting them from index start on and wrapping around, in method
+// order.
 func renderBodies(methods []*ir.Method, start int) string {
 	out := make([]string, len(methods))
 	for k := range methods {
@@ -64,6 +66,7 @@ func renderBodies(methods []*ir.Method, start int) string {
 			continue
 		}
 		var b strings.Builder
+		fmt.Fprintf(&b, "%s may mention %s, init: %t, %t\n", m, m.Name, m.MayMention(m.Name), m.MayMention("init"))
 		for _, l := range m.Locals() {
 			fmt.Fprintf(&b, "%s %s: %s\n", m, l.Name, l.Type)
 		}

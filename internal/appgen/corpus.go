@@ -249,7 +249,7 @@ func (s CorpusStats) Render() string {
 			c.ReflectionResolved, c.ReflectionUnresolved)
 	}
 	if len(s.QueriedSinks) > 0 {
-		fmt.Fprintf(&sb, "  sink query [%s]: reachability cone %d method(s), %d component(s) skipped (summed across apps)\n",
+		fmt.Fprintf(&sb, "  sink query [%s]: %d examined method(s) in the reachability cone, %d component(s) skipped (summed across apps)\n",
 			strings.Join(s.QueriedSinks, ", "), c.ConeMethods, c.SkippedComponents)
 	}
 	if c.MethodsReused+c.MethodsExplored > 0 {

@@ -18,7 +18,6 @@ type Graph struct {
 	Entries []*ir.Method
 
 	calleesOf map[ir.Stmt][]*ir.Method
-	callersOf map[*ir.Method][]ir.Stmt
 	reachable []*ir.Method
 	reachSet  map[*ir.Method]bool
 }
@@ -28,7 +27,6 @@ func NewGraph(entries ...*ir.Method) *Graph {
 	g := &Graph{
 		Entries:   entries,
 		calleesOf: make(map[ir.Stmt][]*ir.Method),
-		callersOf: make(map[*ir.Method][]ir.Stmt),
 		reachSet:  make(map[*ir.Method]bool),
 	}
 	for _, e := range entries {
@@ -46,7 +44,6 @@ func (g *Graph) AddEdge(s ir.Stmt, target *ir.Method) {
 		}
 	}
 	g.calleesOf[s] = append(g.calleesOf[s], target)
-	g.callersOf[target] = append(g.callersOf[target], s)
 	g.markReachable(target)
 }
 
@@ -59,9 +56,6 @@ func (g *Graph) markReachable(m *ir.Method) {
 
 // CalleesOf returns the possible targets of the call statement s.
 func (g *Graph) CalleesOf(s ir.Stmt) []*ir.Method { return g.calleesOf[s] }
-
-// CallersOf returns the call statements that may invoke m.
-func (g *Graph) CallersOf(m *ir.Method) []ir.Stmt { return g.callersOf[m] }
 
 // Reachable returns all reachable methods in discovery order.
 func (g *Graph) Reachable() []*ir.Method { return g.reachable }

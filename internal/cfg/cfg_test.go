@@ -2,6 +2,7 @@ package cfg
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"flowdroid/internal/ir"
@@ -94,7 +95,16 @@ func TestICFG(t *testing.T) {
 	if len(callees) != 1 || callees[0] != callee {
 		t.Fatalf("CalleesOf = %v, want [A.callee/1]", callees)
 	}
-	callers := g.Graph.CallersOf(callee)
+	// The call graph's callers of callee, in reachable order, then body
+	// order.
+	var callers []ir.Stmt
+	for _, m := range g.Graph.Reachable() {
+		for _, s := range m.Body() {
+			if slices.Contains(g.Graph.CalleesOf(s), callee) {
+				callers = append(callers, s)
+			}
+		}
+	}
 	if len(callers) != 1 || callers[0] != callSite {
 		t.Errorf("CallersOf = %v, want the call site", callers)
 	}

@@ -1,12 +1,18 @@
-// Package cone implements the backward reachability-cone pass of the
-// demand-driven query mode: starting from the statements that match the
-// queried sinks, it walks the call relation in reverse (resolved with the
-// scene's shared CHA resolver) and computes which methods can reach a
-// queried sink at all. Components none of whose entry points are in the
-// cone need no dummy-main modeling, and the taint solver need not explore
+// Package cone implements the reachability cone of the demand-driven
+// query mode: which methods can reach a statement matching a queried
+// sink at all. Components none of whose entry points are in the cone
+// need no dummy-main modeling, and the taint solver need not explore
 // call trees the query cannot observe — the BackDroid-style insight that
 // a sink-targeted query only needs the slice of the program behind its
 // sinks.
+//
+// The cone is answered on demand: asking about a method walks forward
+// from it over the CHA call relation (resolved with the scene's shared
+// resolver) plus the reflective edges, reading only the bodies that walk
+// reaches. A method's answer is "some method it can reach holds a root",
+// which is exactly "it is in the backward closure from the roots" over
+// the same relation, so the answers are those of a whole-program
+// backward pass without its parse of every body.
 //
 // The cone is a CHA over-approximation of any call graph the pipeline
 // later builds (the points-to builder only refines CHA target sets), so
@@ -29,157 +35,176 @@ import (
 
 	"flowdroid/internal/callgraph"
 	"flowdroid/internal/ir"
-	"flowdroid/internal/metrics"
 	"flowdroid/internal/sourcesink"
 )
 
-// Cone is the result of the backward reachability pass for one query.
-type Cone struct {
-	// inCone holds the methods that can transitively reach a statement
-	// matching a queried sink (the reachability cone proper).
-	inCone map[*ir.Method]bool
-	// escape additionally closes over static-field writers: the set that
-	// decides component skippability.
-	escape map[*ir.Method]bool
-	// relevant additionally closes over potential sources: the set the
-	// solver prunes zero-fact exploration against.
-	relevant map[*ir.Method]bool
+// What a method's call tree holds, one bit per root kind.
+const (
+	sinkBit  uint8 = 1 << iota // a statement matching a queried sink
+	writeBit                   // a static-field write
+	srcBit                     // a potential source, or a source parameter
+)
 
-	// SinkStmts counts the statements matching a queried sink.
+// Cone answers reachability questions for one query. It memoizes every
+// answer and is not safe for concurrent use: one analysis owns it.
+type Cone struct {
+	res   *callgraph.Resolver
+	mgr   *sourcesink.Manager
+	extra map[ir.Stmt][]*ir.Method
+
+	// nodes holds the walk state of every method examined so far.
+	nodes map[*ir.Method]*node
+	// next numbers nodes in visiting order; stack holds the visited
+	// methods whose strongly connected component is still open (Tarjan).
+	next  int
+	stack []*node
+	// methods counts the examined methods that reach a queried sink.
+	methods int
+
+	// SinkStmts counts the statements matching a queried sink in the
+	// methods examined so far.
 	SinkStmts int
 }
 
-// BuildWithExtra computes the cone for the manager's queried sinks over
-// the whole program. Pass a scene.Scene as the hierarchy to reuse its
-// shared resolver. It walks every method body once to find sink
-// statements, potential sources, static-field writes and reverse call
-// edges, then closes backward from the three root sets. A cancelled
-// context yields a partial (unsound) cone; callers must discard it, as the
-// pipeline's truncation handling does.
-//
-// extra holds additional resolved call edges — site statement to target
-// method, nil for none — folded into the reverse call relation. Resolved
-// reflective edges participate in the backward closure exactly like
-// ordinary call edges: a sink reachable only through a reflective bridge
-// still pulls the invoking method (and its callers) into the cone,
-// keeping demand-driven pruning consistent with the reflection-aware call
-// graph the pipeline builds afterwards.
-func BuildWithExtra(ctx context.Context, h ir.Hierarchy, mgr *sourcesink.Manager, extra map[ir.Stmt][]*ir.Method) *Cone {
-	res := callgraph.ResolverFor(h)
-	c := &Cone{
-		inCone:   make(map[*ir.Method]bool),
-		escape:   make(map[*ir.Method]bool),
-		relevant: make(map[*ir.Method]bool),
-	}
-	// callersOf is the reverse CHA call relation over every method body,
-	// independent of any entry point — dummy-main generation happens
-	// after this pass, precisely because its shape depends on the cone.
-	callersOf := make(map[*ir.Method][]*ir.Method)
-	var sinkRoots, writeRoots, srcRoots []*ir.Method
-	classes := h.Classes()
-	for ci, cls := range classes {
-		if ci%64 == 0 && ctx.Err() != nil {
-			return c
-		}
-		for _, m := range cls.Methods() {
-			if m.Abstract() {
-				continue
-			}
-			// A method whose parameters are sources (framework callbacks
-			// like onLocationChanged) is a source root itself: its seeded
-			// taints live under the zero context, and only zero-descend
-			// from its callers links the summaries back out.
-			var isSink, isWrite bool
-			isSrc := len(mgr.ParamSources(m)) > 0
-			for _, s := range m.Body() {
-				if a, ok := s.(*ir.AssignStmt); ok {
-					if _, static := a.LHS.(*ir.StaticFieldRef); static {
-						isWrite = true
-					}
-				}
-				call := ir.CallOf(s)
-				if call == nil {
-					continue
-				}
-				if _, _, ok := mgr.SinkAtCall(s); ok {
-					isSink = true
-					c.SinkStmts++
-				}
-				if mgr.PotentialSourceAt(s) {
-					isSrc = true
-				}
-				for _, t := range res.TargetsOf(call) {
-					if !t.Abstract() {
-						callersOf[t] = append(callersOf[t], m)
-					}
-				}
-				for _, t := range extra[s] {
-					if !t.Abstract() {
-						callersOf[t] = append(callersOf[t], m)
-					}
-				}
-			}
-			if isSink {
-				sinkRoots = append(sinkRoots, m)
-			}
-			if isWrite {
-				writeRoots = append(writeRoots, m)
-			}
-			if isSrc {
-				srcRoots = append(srcRoots, m)
-			}
-		}
-	}
-	closeOver(c.inCone, callersOf, sinkRoots)
-	closeOver(c.escape, callersOf, sinkRoots)
-	closeOver(c.escape, callersOf, writeRoots)
-	closeOver(c.relevant, callersOf, sinkRoots)
-	closeOver(c.relevant, callersOf, writeRoots)
-	closeOver(c.relevant, callersOf, srcRoots)
-	if rec := metrics.From(ctx); rec != nil {
-		rec.Gauge("cone.sink_stmts", metrics.Deterministic).Set(int64(c.SinkStmts))
-	}
-	return c
+// node is one examined method. Once its component is closed (it is off
+// the stack), bits is what its whole call tree holds; before, it is what
+// its own body and the closed components it calls hold.
+type node struct {
+	index, low int
+	onStack    bool
+	bits       uint8
 }
 
-// closeOver adds the roots and everything that reaches them (backward
-// over callersOf) into set.
-func closeOver(set map[*ir.Method]bool, callersOf map[*ir.Method][]*ir.Method, roots []*ir.Method) {
-	var stack []*ir.Method
-	for _, r := range roots {
-		if !set[r] {
-			set[r] = true
-			stack = append(stack, r)
-		}
+// BuildWithExtra returns the cone for the manager's queried sinks. Pass
+// a scene.Scene as the hierarchy to reuse its shared resolver. It reads
+// no body: each question reads the bodies its answer depends on, once,
+// so ctx is not consulted — the passes asking watch their own.
+//
+// extra holds additional resolved call edges — site statement to target
+// method, nil for none — walked like ordinary call edges. A sink
+// reachable only through a reflective bridge still puts the invoking
+// method (and its callers) in the cone, keeping demand-driven pruning
+// consistent with the reflection-aware call graph the pipeline builds
+// afterwards.
+func BuildWithExtra(_ context.Context, h ir.Hierarchy, mgr *sourcesink.Manager, extra map[ir.Stmt][]*ir.Method) *Cone {
+	return &Cone{
+		res:   callgraph.ResolverFor(h),
+		mgr:   mgr,
+		extra: extra,
+		nodes: make(map[*ir.Method]*node),
 	}
-	for len(stack) > 0 {
-		m := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, caller := range callersOf[m] {
-			if !set[caller] {
-				set[caller] = true
-				stack = append(stack, caller)
+}
+
+// bitsOf returns what m's call tree holds, walking what was not walked
+// before.
+func (c *Cone) bitsOf(m *ir.Method) uint8 {
+	if m.Abstract() {
+		return 0
+	}
+	n := c.nodes[m]
+	if n == nil {
+		n = c.visit(m)
+	}
+	return n.bits
+}
+
+// visit is Tarjan's strongly-connected-components walk from m: every
+// method of one component reaches the same roots, so when a component
+// closes, each member's answer is the union of the members' own bits
+// and those of the (already closed) components they call.
+func (c *Cone) visit(m *ir.Method) *node {
+	n := &node{index: c.next, low: c.next, onStack: true}
+	c.next++
+	c.nodes[m] = n
+	c.stack = append(c.stack, n)
+
+	// A method whose parameters are sources (framework callbacks like
+	// onLocationChanged) is a source root itself: its seeded taints live
+	// under the zero context, and only zero-descend from its callers
+	// links the summaries back out.
+	if len(c.mgr.ParamSources(m)) > 0 {
+		n.bits |= srcBit
+	}
+	for _, s := range m.Body() {
+		if a, ok := s.(*ir.AssignStmt); ok {
+			if _, static := a.LHS.(*ir.StaticFieldRef); static {
+				n.bits |= writeBit
 			}
 		}
+		call := ir.CallOf(s)
+		if call == nil {
+			continue
+		}
+		if _, _, ok := c.mgr.SinkAtCall(s); ok {
+			n.bits |= sinkBit
+			c.SinkStmts++
+		}
+		if c.mgr.PotentialSourceAt(s) {
+			n.bits |= srcBit
+		}
+		for _, t := range c.res.TargetsOf(call) {
+			c.edge(n, t)
+		}
+		for _, t := range c.extra[s] {
+			c.edge(n, t)
+		}
+	}
+
+	if n.low == n.index {
+		// n roots a component: everything above it on the stack.
+		i := len(c.stack) - 1
+		for c.stack[i] != n {
+			i--
+		}
+		var bits uint8
+		for _, w := range c.stack[i:] {
+			bits |= w.bits
+		}
+		for _, w := range c.stack[i:] {
+			w.bits, w.onStack = bits, false
+			if bits&sinkBit != 0 {
+				c.methods++
+			}
+		}
+		c.stack = c.stack[:i]
+	}
+	return n
+}
+
+// edge follows the call edge from n to t.
+func (c *Cone) edge(n *node, t *ir.Method) {
+	if t.Abstract() {
+		return
+	}
+	w := c.nodes[t]
+	if w == nil {
+		w = c.visit(t)
+		n.low = min(n.low, w.low)
+	} else if w.onStack {
+		n.low = min(n.low, w.index)
+	}
+	if !w.onStack {
+		n.bits |= w.bits
 	}
 }
 
 // Reaches reports whether m can transitively reach a queried sink.
-func (c *Cone) Reaches(m *ir.Method) bool { return c.inCone[m] }
+func (c *Cone) Reaches(m *ir.Method) bool { return c.bitsOf(m)&sinkBit != 0 }
 
-// Methods is the size of the reachability cone.
-func (c *Cone) Methods() int { return len(c.inCone) }
+// Methods is the number of methods examined so far that can reach a
+// queried sink: the part of the cone the run's questions needed.
+func (c *Cone) Methods() int { return c.methods }
 
 // Escapes reports whether m's call tree can reach a queried sink or write
 // a static field. A component with no entry point in this set cannot
 // contribute to the query's report, directly or through the static heap,
 // and is safe to skip in dummy-main modeling.
-func (c *Cone) Escapes(m *ir.Method) bool { return c.escape[m] }
+func (c *Cone) Escapes(m *ir.Method) bool { return c.bitsOf(m)&(sinkBit|writeBit) != 0 }
 
 // Relevant reports whether descending the solver's zero exploration fact
 // into m can matter to the query: m's call tree contains a potential
 // source, a queried sink, or a static-field write.
-func (c *Cone) Relevant(m *ir.Method) bool { return c.relevant[m] }
+func (c *Cone) Relevant(m *ir.Method) bool { return c.bitsOf(m) != 0 }
 
 // ComponentSkippable reports whether a component whose dummy-main entry
 // points (implemented lifecycle methods plus discovered callbacks) are

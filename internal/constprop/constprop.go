@@ -269,13 +269,6 @@ func (mi *methodInfo) operand(st []fact, v ir.Value) fact {
 	return topFact
 }
 
-// callSite is one call statement of an analyzed method; the prescan
-// lists them all so the slice can find a method's callers.
-type callSite struct {
-	in   *ir.Method
-	call *ir.InvokeExpr
-}
-
 // analysis is the demand-driven interprocedural fixpoint: it solves only
 // the slice of methods that can influence a reflective site's arguments.
 type analysis struct {
@@ -290,11 +283,7 @@ type analysis struct {
 	methods    []*ir.Method
 	reflective []*ir.Method
 
-	// calls lists every call site of methods; fieldFacts holds the
-	// constant for fields with exactly one writer program-wide whose
-	// written value is a string literal, top for every other written
-	// field.
-	calls      []callSite
+	// fieldFacts memoizes fieldFact.
 	fieldFacts map[*ir.Field]fact
 
 	// info holds the state of each slice method; slice lists them in
@@ -336,10 +325,10 @@ func analyzed(m *ir.Method) bool {
 // prescan is the one walk over every class: it collects the analyzed
 // methods and those holding a reflective site, and reports whether there
 // is any. That answer is the cheap early exit the dominant
-// reflection-free program takes; only when it is yes are the collected
-// bodies indexed (call sites, field writes) and the slice seeded. A body
-// loaded on demand is read only if the load-time scan saw a reflective
-// API name in it: a site's callee name is always such a name.
+// reflection-free program takes; only when it is yes is the slice
+// built. A body loaded on demand is read only if the load-time scan saw
+// a reflective API name in it: a site's callee name is always such a
+// name.
 func (a *analysis) prescan() bool {
 	for _, c := range a.h.Classes() {
 		if c.Synthetic || c.Interface {
@@ -366,65 +355,17 @@ func (a *analysis) prescan() bool {
 	}
 	a.res = callgraph.ResolverFor(a.h)
 	a.info = make(map[*ir.Method]*methodInfo)
-	a.index()
+	a.fieldFacts = make(map[*ir.Field]fact)
 	a.buildSlice()
 	return true
-}
-
-// index records every call site and folds every field write into
-// fieldFacts.
-func (a *analysis) index() {
-	type fieldWrite struct {
-		count int
-		f     fact
-	}
-	writes := make(map[*ir.Field]*fieldWrite)
-	for _, m := range a.methods {
-		for _, s := range m.Body() {
-			if call := ir.CallOf(s); call != nil {
-				a.calls = append(a.calls, callSite{in: m, call: call})
-			}
-			as, ok := s.(*ir.AssignStmt)
-			if !ok {
-				continue
-			}
-			var fld *ir.Field
-			switch lhs := as.LHS.(type) {
-			case *ir.FieldRef:
-				fld = lhs.Field
-			case *ir.StaticFieldRef:
-				fld = lhs.Field
-			}
-			if fld == nil {
-				continue
-			}
-			w := writes[fld]
-			if w == nil {
-				w = &fieldWrite{}
-				writes[fld] = w
-			}
-			w.count++
-			if c, ok := as.RHS.(*ir.Const); ok && c.Kind == ir.StringConst {
-				w.f = strsOf(c.Str)
-			} else {
-				w.f = topFact
-			}
-		}
-	}
-	a.fieldFacts = make(map[*ir.Field]fact, len(writes))
-	for fld, w := range writes {
-		if w.count == 1 && w.f.k == strs {
-			a.fieldFacts[fld] = w.f
-		} else {
-			a.fieldFacts[fld] = topFact
-		}
-	}
 }
 
 // buildSlice closes the reflective methods over the methods whose facts
 // reach them: callers (they feed paramIn) and callees whose return value
 // is read (they feed retOut), transitively. Field facts are syntactic,
-// so fields add nothing. It then sizes the worklist's step bound.
+// so fields add nothing. A method's callers are looked for only among
+// the bodies that may mention its name, so only those are parsed. It
+// then sizes the worklist's step bound.
 func (a *analysis) buildSlice() {
 	var work []*methodInfo
 	enter := func(m *ir.Method) *methodInfo {
@@ -443,12 +384,9 @@ func (a *analysis) buildSlice() {
 		mi := work[len(work)-1]
 		work = work[:len(work)-1]
 		m := mi.m
-		for _, cs := range a.calls {
-			if cs.call.Ref.Name != m.Name || cs.call.Ref.NArgs != len(m.Params) || !slices.Contains(a.res.TargetsOf(cs.call), m) {
-				continue
-			}
-			if n := len(mi.callers); n == 0 || mi.callers[n-1].m != cs.in {
-				mi.callers = append(mi.callers, enter(cs.in))
+		for _, c := range a.methods {
+			if c.MayMention(m.Name) && a.calls(c, m) {
+				mi.callers = append(mi.callers, enter(c))
 			}
 		}
 		mi.external = len(mi.callers) == 0 || m.Name == "clinit" || a.overridesExternal(m)
@@ -476,6 +414,17 @@ func (a *analysis) buildSlice() {
 			a.maxSteps += 1 + maxRises*(len(m.Params)+len(mi.callers))
 		}
 	}
+}
+
+// calls reports whether a call statement of c may invoke m.
+func (a *analysis) calls(c, m *ir.Method) bool {
+	for _, s := range c.Body() {
+		call := ir.CallOf(s)
+		if call != nil && call.Ref.Name == m.Name && call.Ref.NArgs == len(m.Params) && slices.Contains(a.res.TargetsOf(call), m) {
+			return true
+		}
+	}
+	return false
 }
 
 // newInfo gives each of m's locals a slot. A statement only mentions
@@ -711,6 +660,12 @@ func (a *analysis) transfer(mi *methodInfo, s ir.Stmt, st []fact) {
 	}
 }
 
+// fieldFact is the constant a read of f observes: the written string
+// literal when f has exactly one writer among the analyzed methods and
+// it writes one, top otherwise — also for a never-written field, whose
+// reads observe the default value, not a constant the analysis tracks.
+// Writers are looked for only among the bodies that may mention f's
+// name.
 func (a *analysis) fieldFact(f *ir.Field) fact {
 	if f == nil {
 		return topFact
@@ -718,9 +673,36 @@ func (a *analysis) fieldFact(f *ir.Field) fact {
 	if ff, ok := a.fieldFacts[f]; ok {
 		return ff
 	}
-	// Never-written field: reads observe the default value, not a
-	// constant the analysis tracks.
-	return topFact
+	ff, writers := topFact, 0
+	for _, m := range a.methods {
+		if !m.MayMention(f.Name) {
+			continue
+		}
+		for _, s := range m.Body() {
+			as, ok := s.(*ir.AssignStmt)
+			if !ok {
+				continue
+			}
+			var fld *ir.Field
+			switch lhs := as.LHS.(type) {
+			case *ir.FieldRef:
+				fld = lhs.Field
+			case *ir.StaticFieldRef:
+				fld = lhs.Field
+			}
+			if fld != f {
+				continue
+			}
+			writers++
+			if c, ok := as.RHS.(*ir.Const); ok && c.Kind == ir.StringConst && writers == 1 {
+				ff = strsOf(c.Str)
+			} else {
+				ff = topFact
+			}
+		}
+	}
+	a.fieldFacts[f] = ff
+	return ff
 }
 
 // degradeBuilder drops every alias of f's builder origin to top.

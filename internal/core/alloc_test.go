@@ -17,7 +17,8 @@ import (
 // Reflection (a second Refresh after the constprop bridges, and constprop
 // reading every class's methods) and Malware under a sink query (the
 // cone). A per-app rebuild of the framework's hierarchy, a Refresh that
-// re-indexes the whole program, or an uncached method list fails here.
+// re-indexes the whole program, an uncached method list, or a constprop
+// or cone walk parsing bodies its answers do not need fails here.
 func TestAnalyzeAllocs(t *testing.T) {
 	sms := core.DefaultOptions()
 	sms.Query = core.Query{Sinks: []string{"sms"}}
@@ -26,9 +27,9 @@ func TestAnalyzeAllocs(t *testing.T) {
 		opts     core.Options
 		measured float64
 	}{
-		{appgen.Play, core.DefaultOptions(), 1777},
-		{appgen.Reflection, core.DefaultOptions(), 3596},
-		{appgen.Malware, sms, 1741},
+		{appgen.Play, core.DefaultOptions(), 1675},
+		{appgen.Reflection, core.DefaultOptions(), 2645},
+		{appgen.Malware, sms, 1469},
 	} {
 		app := appgen.GenerateCorpus(tc.profile, 1, 1)[0]
 		analyze := func() {

@@ -230,19 +230,22 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 		res.Counters.ReflectionUnresolved = len(r.Report.Unresolved)
 	}
 
-	// Cone: the backward reachability cone of the queried sinks, built
-	// over program code only (before dummy-main generation — the synthetic
+	// Cone: the reachability cone of the queried sinks, set up over
+	// program code only (before dummy-main generation — the synthetic
 	// lifecycle code never contains sinks, and the cone must not depend
-	// on the skip set it feeds).
+	// on the skip set it feeds). It reads bodies only when asked: the
+	// lifecycle pass asks about component entries, taint about callees.
 	if !opts.Query.IsAll() {
 		pl.pass("cone", func() error {
 			cn = cone.BuildWithExtra(ctx, sc, mgr, reflEdges)
+			// A plain program's entries are asked about here, as the
+			// lifecycle pass asks about an app's component entries, so
+			// the cone's counters measure what the entries reach.
+			for _, e := range pl.entries {
+				cn.Relevant(e)
+			}
 			return nil
 		})
-		if ctx.Err() != nil {
-			return truncated()
-		}
-		res.Counters.ConeMethods = cn.Methods()
 	}
 
 	// Entry points: a plain program's are its caller's; an app's is the
@@ -347,6 +350,9 @@ func (pl *pipeline) run(ctx context.Context, opts Options) (res *Result, err err
 			Relevant:          cn.Relevant,
 			Methods:           cn.Methods(),
 			SkippedComponents: res.Counters.SkippedComponents,
+		}
+		if pl.rec != nil {
+			pl.rec.Gauge("cone.sink_stmts", metrics.Deterministic).Set(int64(cn.SinkStmts))
 		}
 	}
 	if sess != nil {

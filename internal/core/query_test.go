@@ -11,6 +11,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"flowdroid/internal/appgen"
@@ -193,6 +194,41 @@ func TestQueryEquivalence(t *testing.T) {
 			t.Logf("malware n=%d seed=%d: sms query %d propagations vs whole-program %d", corpus.n, corpus.seed, smsProps, wholeProps)
 		}
 	})
+}
+
+// TestQueryParsesNoMoreThanWholeProgram: the cone reads bodies only to
+// answer the questions the lifecycle pass and taint ask, so a sink query
+// parses no body the whole-program run would not: on seed-1 malware and
+// reflection apps, under every sink label, its parsed-body count is at
+// most the whole-program run's.
+func TestQueryParsesNoMoreThanWholeProgram(t *testing.T) {
+	ctx := context.Background()
+	var labels []string
+	for _, snk := range sourcesink.Default(nil).Sinks() {
+		if !slices.Contains(labels, snk.Label) {
+			labels = append(labels, snk.Label)
+		}
+	}
+	for _, p := range []appgen.Profile{appgen.Malware, appgen.Reflection} {
+		for _, app := range appgen.GenerateCorpus(p, 5, 1) {
+			whole, err := core.AnalyzeFiles(ctx, app.Files, core.DefaultOptions())
+			if err != nil {
+				t.Fatalf("%s: %v", app.Name, err)
+			}
+			for _, label := range labels {
+				opts := core.DefaultOptions()
+				opts.Query = core.Query{Sinks: []string{label}}
+				res, err := core.AnalyzeFiles(ctx, app.Files, opts)
+				if err != nil {
+					t.Fatalf("%s query %s: %v", app.Name, label, err)
+				}
+				if res.Counters.BodiesParsed > whole.Counters.BodiesParsed {
+					t.Errorf("%s query %s: parsed %d of %d bodies, whole program %d",
+						app.Name, label, res.Counters.BodiesParsed, res.Counters.Bodies, whole.Counters.BodiesParsed)
+				}
+			}
+		}
+	}
 }
 
 // TestQueryRejectsUnknownSelector: a selector matching no configured sink

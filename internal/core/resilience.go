@@ -112,10 +112,12 @@ type Counters struct {
 	// parsed when a pass first reads it.
 	Bodies       int `json:"bodies" metric:"load.bodies,gauge"`
 	BodiesParsed int `json:"bodiesParsed" metric:"load.bodies_parsed,gauge"`
-	// ConeMethods is the size of the query's sink-reaching cone and
-	// SkippedComponents the number of components left out of dummy-main
-	// modeling because they were entirely outside it (both zero on
-	// whole-program runs).
+	// ConeMethods counts the methods of the query's sink-reaching cone
+	// that the run examined before the taint solve (the cone is answered
+	// on demand, so methods no question reached are not counted), and
+	// SkippedComponents the components left out of dummy-main modeling
+	// because they were entirely outside it (both zero on whole-program
+	// runs).
 	ConeMethods       int `json:"coneMethods,omitempty" metric:"cone.methods,gauge" pass:"cone"`
 	SkippedComponents int `json:"skippedComponents,omitempty" metric:"cone.skipped_components,gauge" pass:"cone"`
 	// ReflectionResolved and ReflectionUnresolved count the reflective

@@ -19,6 +19,10 @@ type BodySource interface {
 	// locals through Local and HasLocal, never through the accessors
 	// that parse a pending body.
 	ParseBody(m *Method, span Span) ([]Stmt, error)
+	// MayMention reports whether the body at span may mention the
+	// identifier name as a callee or field name: false only when no
+	// statement parsed from it can. It must not allocate.
+	MayMention(span Span, name string) bool
 }
 
 // Span locates a method body in its source text: the bytes [Start, End)
@@ -80,6 +84,16 @@ func (m *Method) Facts() (BodyFacts, bool) {
 	return m.pending.facts, true
 }
 
+// MayMention reports, without parsing, whether m's body may mention the
+// identifier name as a callee (a call's Ref.Name) or as a written or read
+// field's name: false only when the body's source shows it cannot. A
+// body built or parsed eagerly answers true. It does not allocate, so a
+// pass can ask it of every body to pick the few it must parse.
+func (m *Method) MayMention(name string) bool {
+	pb := m.pending
+	return pb == nil || pb.src.MayMention(pb.span, name)
+}
+
 // Parse parses and links a pending body if that has not happened yet and
 // returns the error doing so produced, positioned in the source file.
 // For a body built or parsed eagerly it returns nil.
@@ -90,7 +104,6 @@ func (m *Method) Parse() error {
 	}
 	pb.once.Do(func() {
 		pb.err = pb.prog.parsePending(m, pb)
-		pb.src = nil // the file's text is garbage once all its bodies are parsed
 		if pb.err != nil {
 			pb.state.Store(parsedErr)
 		} else {

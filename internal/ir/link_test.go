@@ -308,3 +308,44 @@ class a.A {
 		t.Errorf("p.f resolved to %v, want a.Box.f", fr.Field)
 	}
 }
+
+// TestMayMention: a pending body answers from its source text without
+// parsing or allocating ("new" counts as naming init, the constructor
+// sugar's callee); an eagerly parsed body answers true.
+func TestMayMention(t *testing.T) {
+	const src = `
+class a.A {
+  field f: int
+  method m(): void {
+    x = new a.A()
+    y = x.run()
+    x.f = 1
+  }
+}`
+	prog := ir.NewProgram()
+	if err := irtext.DeclareInto(prog, src, "a.ir"); err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.Link(); err != nil {
+		t.Fatal(err)
+	}
+	m := prog.Class("a.A").Method("m", 0)
+	for name, want := range map[string]bool{"run": true, "f": true, "init": true, "walk": false, "g": false} {
+		if got := m.MayMention(name); got != want {
+			t.Errorf("MayMention(%q) = %t, want %t", name, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.MayMention("walk") }); allocs != 0 {
+		t.Errorf("MayMention allocates %.0f times", allocs)
+	}
+	if _, parsed := prog.BodyCounts(); parsed != 0 {
+		t.Errorf("MayMention parsed %d bodies", parsed)
+	}
+	eager, err := irtext.ParseProgram(src, "a.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eager.Class("a.A").Method("m", 0).MayMention("walk") {
+		t.Error("an eagerly parsed body must answer true")
+	}
+}

@@ -13,7 +13,9 @@ import (
 // the eager parse fails exactly when the parse confined to the scanned
 // span does, with the same message; otherwise it ends at the span's end,
 // yields the same statements on the same lines, and agrees with the
-// scan's facts. It returns the number of bodies checked.
+// scan's facts, and the source says the body may mention every callee
+// and field name its statements carry. It returns the number of bodies
+// checked.
 func CheckScan(src, filename string) (int, error) {
 	p, _ := declare(ir.NewProgram(), src, filename)
 	if p == nil {
@@ -55,17 +57,32 @@ func CheckScan(src, filename string) (int, error) {
 		}
 		var res []string
 		reflective := false
+		var unmentioned []string
 		walkValues(want, func(v ir.Value) {
-			if c, ok := v.(*ir.Const); ok && c.Kind == ir.ResConst {
-				res = append(res, c.Str)
-			}
-			if call, ok := v.(*ir.InvokeExpr); ok {
-				switch call.Ref.Name {
+			var name string
+			switch v := v.(type) {
+			case *ir.Const:
+				if v.Kind == ir.ResConst {
+					res = append(res, v.Str)
+				}
+			case *ir.InvokeExpr:
+				switch v.Ref.Name {
 				case "forName", "getMethod", "getDeclaredMethod", "newInstance", "invoke", "loadClass":
 					reflective = true
 				}
+				name = v.Ref.Name
+			case *ir.FieldRef:
+				name = v.Name
+			case *ir.StaticFieldRef:
+				name = v.Name
+			}
+			if name != "" && !p.src.MayMention(b.span, name) {
+				unmentioned = append(unmentioned, name)
 			}
 		})
+		if len(unmentioned) > 0 {
+			return 0, fmt.Errorf("%s at line %d: the body names %v, which MayMention denies", b.m.Name, b.span.Line, unmentioned)
+		}
 		scanned := slices.Clone(b.facts.Resources)
 		slices.Sort(res)
 		slices.Sort(scanned)

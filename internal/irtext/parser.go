@@ -2,6 +2,7 @@ package irtext
 
 import (
 	"fmt"
+	"strings"
 
 	"flowdroid/internal/ir"
 )
@@ -74,6 +75,16 @@ func (s *source) ParseBody(m *ir.Method, span ir.Span) ([]ir.Stmt, error) {
 		return nil, err
 	}
 	return p.parseBody(m)
+}
+
+// MayMention reports whether the body at span may mention name: whether
+// name occurs in its text, or, for "init", whether "new" does, since
+// constructor sugar ("x = new C(a)") emits a call of C.init. Every
+// callee and field name a statement carries is an identifier of the
+// text, so a body whose text lacks name cannot mention it.
+func (s *source) MayMention(span ir.Span, name string) bool {
+	body := s.src[span.Start:span.End]
+	return strings.Contains(body, name) || name == "init" && strings.Contains(body, "new")
 }
 
 // ParseProgram parses a self-contained program from a single source text

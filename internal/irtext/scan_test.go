@@ -44,9 +44,10 @@ func shippedSources() map[string]string {
 // copies of each small one (a byte dropped, doubled or swapped for a
 // delimiter at many offsets), every body the declaration pass scans
 // parses from its span exactly as an eager parse of the whole file does:
-// same statements on the same lines, same error, same end, and the scan's
+// same statements on the same lines, same error, same end, the scan's
 // facts (empty, resource names, reflective calls) hold for the parsed
-// statements.
+// statements, and the mention test admits every callee and field name
+// they carry (constructor sugar's init included).
 func TestScanAgreesWithParse(t *testing.T) {
 	srcs := shippedSources()
 	// Bodies at the edges of the scan: only local declarations, a

@@ -9,18 +9,28 @@ import (
 	"flowdroid/internal/appgen"
 	"flowdroid/internal/callgraph"
 	"flowdroid/internal/core"
+	"flowdroid/internal/ir"
 	"flowdroid/internal/pta"
 	"flowdroid/internal/securibench"
 )
 
 // listing renders everything a call graph lists, in the order it lists
 // it: the reachable methods, each call site's callees and each method's
-// callers.
+// callers (derived from the callees: in reachable order, then body
+// order).
 func listing(g *callgraph.Graph) string {
+	callers := make(map[*ir.Method][]ir.Stmt)
+	for _, m := range g.Reachable() {
+		for _, s := range m.Body() {
+			for _, t := range g.CalleesOf(s) {
+				callers[t] = append(callers[t], s)
+			}
+		}
+	}
 	var b strings.Builder
 	for _, m := range g.Reachable() {
 		fmt.Fprintf(&b, "%s <-", m)
-		for _, s := range g.CallersOf(m) {
+		for _, s := range callers[m] {
 			fmt.Fprintf(&b, " %s#%d", s.Method(), s.Index())
 		}
 		b.WriteByte('\n')

@@ -83,7 +83,8 @@ type Cone struct {
 	// Relevant reports whether descending the zero exploration fact into
 	// the method can matter to the queried sinks.
 	Relevant func(*ir.Method) bool
-	// Methods is the number of methods in the sink-reaching cone.
+	// Methods is the number of sink-reaching methods the cone had
+	// examined when the solve started.
 	Methods int
 	// SkippedComponents counts the components dummy-main modeling left
 	// out because they were entirely outside the cone.
